@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import copydetect as cd
@@ -131,7 +130,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                        type=int if "int" in str(f.type) else float,
                        default=None)
     p.add_argument("--delimiter", default=None)
-    p.add_argument("--workers", type=int, default=None)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -140,10 +138,7 @@ def _config_from_args(args) -> RunConfig:
                    for f in dataclasses.fields(FusionConfig)},
         "copy": {f.name: getattr(args, f"copy_{f.name}", None)
                  for f in dataclasses.fields(CopyParams)},
-        "run": {k: v for k, v in
-                [("delimiter", getattr(args, "delimiter", None)),
-                 ("workers", getattr(args, "workers", None))]
-                if v is not None},
+        "run": {"delimiter": getattr(args, "delimiter", None)},
     }
     return load_config(getattr(args, "config", None), overrides=overrides)
 
@@ -500,27 +495,18 @@ def _evaluate_methods(args, config: RunConfig,
     claims, gold = _load_inputs(args, config, need_gold=True)
     out = _out_dir(args)
     profiles = metrics.profile_items(claims)
-
-    def one(method: MethodSpec):
-        report = evalharness.timed_run(method, claims, config, gold)
-        result = run_fusion(method, claims, config)
-        curve = evalharness.incremental_curve(method, claims, gold, config)
-        dominance = evalharness.precision_by_dominance(
-            result, gold, profiles, claims)
-        return report, result, curve, dominance
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            evaluated = list(pool.map(one, methods))
-    else:
-        evaluated = [one(m) for m in methods]
+    engines = evalharness.shared_engines(methods, claims, config)
+    reports = [evalharness.timed_run(m, claims, config, gold,
+                                     engine=engines[m.per_attribute_trust])
+               for m in methods]
+    del engines     # the curve builds its own, one source prefix at a time
+    curve = evalharness.incremental_curve(methods, claims, gold, config)
 
     report_objs = []
-    curve_rows = []
     dom_rows = []
     timing_rows = []
-    for method, (report, result, curve, dominance) in zip(methods,
-                                                          evaluated):
+    for report in reports:
+        result = report.result
         report_objs.append({
             "method": report.method,
             "precision": report.precision,
@@ -533,11 +519,10 @@ def _evaluate_methods(args, config: RunConfig,
             "tie_count": result.tie_count,
             "wall_time_ms": round(report.wall_time * 1000.0, 3),
         })
-        curve_rows += [(report.method, p.k, p.added_source, p.recall)
-                       for p in curve]
         dom_rows += [(report.method, r["lo"], r["hi"], r["count"],
                       r["precision"], r["vote_precision"])
-                     for r in dominance]
+                     for r in evalharness.precision_by_dominance(
+                         result, gold, profiles, claims)]
         timing_rows.append((report.method, report.wall_time * 1000.0,
                             report.rounds))
 
@@ -555,7 +540,9 @@ def _evaluate_methods(args, config: RunConfig,
         config.delimiter)
     dataio.write_rows(out / "curve.csv",
                       ["method", "k", "added_source", "recall"],
-                      curve_rows, config.delimiter)
+                      [(p.method, p.k, p.added_source, p.recall)
+                       for p in curve],
+                      config.delimiter)
     dataio.write_rows(out / "dominance.csv",
                       ["method", "lo", "hi", "count", "precision",
                        "vote_precision"],

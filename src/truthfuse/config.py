@@ -99,18 +99,13 @@ class RunConfig:
     fusion: FusionConfig = FusionConfig()
     copy: CopyParams = CopyParams()
     delimiter: str = ","
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise LoadError("workers must be >= 1")
 
 
 _SECTIONS = {
     "fusion": FusionConfig,
     "copy": CopyParams,
 }
-_RUN_KEYS = ("delimiter", "workers")
+_RUN_KEYS = ("delimiter",)
 
 
 def default_config() -> RunConfig:
@@ -123,7 +118,7 @@ def save_config(cfg: RunConfig, path: str | Path) -> None:
         parser[section] = {
             f.name: repr(getattr(getattr(cfg, section), f.name))
             for f in dataclasses.fields(cls)}
-    parser["run"] = {"delimiter": cfg.delimiter, "workers": str(cfg.workers)}
+    parser["run"] = {"delimiter": cfg.delimiter}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
@@ -180,8 +175,7 @@ def load_config(path: str | Path | None = None,
         copy = CopyParams(**parsed["copy"])
         run_kv = parsed["run"]
         return RunConfig(fusion=fusion, copy=copy,
-                         delimiter=str(run_kv.get("delimiter", ",")),
-                         workers=int(run_kv.get("workers", 1)))
+                         delimiter=str(run_kv.get("delimiter", ",")))
     except TypeError as exc:
         raise LoadError(f"invalid config: {exc}") from exc
 
@@ -201,7 +195,7 @@ def _coerce(section: str, key: str, raw: object):
     if not isinstance(raw, str):
         return raw
     if section == "run":
-        return raw if key == "delimiter" else int(raw)
+        return raw
     field_type = {f.name: f.type
                   for f in dataclasses.fields(_SECTIONS[section])}[key]
     if "int" in str(field_type):

@@ -22,7 +22,13 @@ from itertools import combinations
 import numpy as np
 
 from .config import CopyParams, RunConfig
-from .fusion import FusionEngine, FusionError, FusionResult, MethodSpec
+from .fusion import (
+    FusionEngine,
+    FusionError,
+    FusionResult,
+    MethodSpec,
+    engine_for,
+)
 from .metrics import source_accuracy
 from .model import ClaimSet, DataItem, GoldStandard, Value
 from .normalize import bucketize, tolerances, values_match
@@ -214,7 +220,8 @@ def run_accucopy(claims: ClaimSet, config: RunConfig,
                  input_trust: dict | None = None,
                  known_copiers: dict[tuple[str, str], float] | None = None,
                  detect: bool = True,
-                 per_attribute: bool = False) -> FusionResult:
+                 per_attribute: bool = False,
+                 engine: FusionEngine | None = None) -> FusionResult:
     """Copy-aware fusion: interleaves truth selection (format-aware votes
     scaled by independence weights), copy detection against the current
     truth, and trust updates until the joint (trust, copy-probability)
@@ -223,8 +230,9 @@ def run_accucopy(claims: ClaimSet, config: RunConfig,
     ``known_copiers`` overrides detection for the given directed pairs.
     With all copy probabilities zero (detection off, nothing known) the
     selections coincide with the format-aware method's.
+    ``engine`` is shared and checked as in ``run_fusion``.
     """
-    engine = FusionEngine(claims, config.fusion, per_attribute)
+    engine = engine_for(claims, config.fusion, per_attribute, engine)
     params = config.copy
     method = MethodSpec("accucopy", per_attribute)
     t0 = time.perf_counter()

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .config import RunConfig
-from .fusion import FusionResult, MethodSpec, run_fusion, sample_trust
+from .fusion import (
+    FusionEngine,
+    FusionResult,
+    MethodSpec,
+    engine_for,
+    run_fusion,
+    sample_trust,
+)
 from .metrics import ItemProfile, source_accuracy, source_coverage
 from .model import ClaimSet, DataItem, GoldStandard
 from .normalize import tolerances, values_match
@@ -23,7 +30,8 @@ from .normalize import tolerances, values_match
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One method's evaluation on one snapshot."""
+    """One method's evaluation on one snapshot; ``result`` is its default
+    (not input-trust) run."""
 
     method: str
     precision: float
@@ -34,15 +42,19 @@ class EvalReport:
     rounds: int
     converged: bool
     precision_with_trust: float | None = None
+    result: FusionResult | None = field(default=None, compare=False,
+                                        repr=False)
 
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Recall after fusing the k best sources (by coverage x accuracy)."""
+    """Recall of one method after fusing the k best sources (by coverage
+    x accuracy)."""
 
     k: int
     recall: float
     added_source: str
+    method: str
 
 
 def precision_recall(result: FusionResult, gold: GoldStandard,
@@ -107,22 +119,52 @@ def rank_sources(claims: ClaimSet, gold: GoldStandard) -> list[str]:
     return sorted(claims.sources, key=key)
 
 
-def incremental_curve(method: MethodSpec, claims: ClaimSet,
-                      gold: GoldStandard,
+def shared_engines(methods: Sequence[MethodSpec], claims: ClaimSet,
+                   config: RunConfig) -> dict[bool, FusionEngine]:
+    """One engine over ``claims`` per per-attribute flag the methods use,
+    keyed by that flag."""
+    return {flag: FusionEngine(claims, config.fusion, flag)
+            for flag in {m.per_attribute_trust for m in methods}}
+
+
+def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
+                      claims: ClaimSet, gold: GoldStandard,
                       config: RunConfig) -> list[CurvePoint]:
-    """Fuse growing prefixes of the ranked sources and record recall
-    against the full (fixed) gold standard at each step."""
+    """Fuse growing prefixes of the ranked sources with each method and
+    record recall against the full (fixed) gold standard at each step.
+
+    ``methods`` is one method or a sequence of them. Sources are ranked and
+    each prefix is restricted once; each prefix's engines (one per
+    per-attribute flag) are shared by every method and dropped before the
+    next prefix, so memory stays flat. Points are ordered by method (as
+    given), then by k.
+    """
+    if isinstance(methods, MethodSpec):
+        methods = [methods]
     if not gold.entries:
         raise ValueError("gold standard is empty")
     ranked = rank_sources(claims, gold)
-    points: list[CurvePoint] = []
-    for k in range(1, len(ranked) + 1):
-        subset = claims.restrict(ranked[:k])
-        result = run_fusion(method, subset, config)
-        _, recall = precision_recall(result, gold, subset)
-        points.append(CurvePoint(k=k, recall=recall,
-                                 added_source=ranked[k - 1]))
-    return points
+    recalls = [_prefix_recalls(methods, claims.restrict(ranked[:k]), gold,
+                               config)
+               for k in range(1, len(ranked) + 1)]
+    return [CurvePoint(k=k, recall=per_method[i], added_source=ranked[k - 1],
+                       method=m.label())
+            for i, m in enumerate(methods)
+            for k, per_method in enumerate(recalls, start=1)]
+
+
+def _prefix_recalls(methods: Sequence[MethodSpec], subset: ClaimSet,
+                    gold: GoldStandard, config: RunConfig) -> list[float]:
+    """Each method's recall on one source prefix; the prefix's engines
+    are freed on return."""
+    engines = shared_engines(methods, subset, config)
+    recalls = []
+    for m in methods:
+        engine = engines[m.per_attribute_trust]
+        result = run_fusion(m, subset, config, engine=engine)
+        recalls.append(precision_recall(result, gold, subset,
+                                        engine.taus)[1])
+    return recalls
 
 
 def dominance_bucket_edges(width: float = 0.1) -> list[float]:
@@ -198,18 +240,24 @@ def time_series_summary(method: MethodSpec,
 
 def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
               gold: GoldStandard,
-              with_input_trust: bool = True) -> EvalReport:
+              with_input_trust: bool = True,
+              engine: FusionEngine | None = None) -> EvalReport:
     """Run a method end to end and assemble its report.
 
-    Wall time covers the fusion run only (I/O and sampling excluded).
-    Trust deviation/difference compare the default-initialization run's
-    converged trust against the gold-sampled trust; the optional
-    input-trust pass reruns the method single-pass under the sampled trust.
+    The default run and the input-trust re-run share ``engine`` (which
+    other methods may share too), or one engine built here. Wall time
+    covers the default run on that prebuilt engine only (engine
+    construction, I/O and sampling excluded). Trust deviation/difference
+    compare the default-initialization run's converged trust against the
+    gold-sampled trust; the optional input-trust pass reruns the method
+    single-pass under the sampled trust.
     """
+    engine = engine_for(claims, config.fusion, method.per_attribute_trust,
+                        engine)
     t0 = time.perf_counter()
-    result = run_fusion(method, claims, config)
+    result = run_fusion(method, claims, config, engine=engine)
     wall = time.perf_counter() - t0
-    precision, recall = precision_recall(result, gold, claims)
+    precision, recall = precision_recall(result, gold, claims, engine.taus)
     dev = diff = None
     prec_with = None
     if method.name != "vote":
@@ -219,8 +267,9 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
             diff = trust_difference(sampled, result.trust)
         if with_input_trust:
             with_trust = run_fusion(method, claims, config,
-                                    input_trust=sampled)
-            prec_with, _ = precision_recall(with_trust, gold, claims)
+                                    input_trust=sampled, engine=engine)
+            prec_with, _ = precision_recall(with_trust, gold, claims,
+                                            engine.taus)
     return EvalReport(
         method=method.label(),
         precision=precision,
@@ -231,4 +280,5 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
         rounds=result.rounds_used,
         converged=result.converged,
         precision_with_trust=prec_with,
+        result=result,
     )

@@ -508,7 +508,8 @@ class FusionEngine:
             return FusionState(0, np.full(self.n_vsrc, cfg.init_trust_bayes),
                                np.zeros(self.n_cands))
         if method == "vote":
-            return FusionState(0, np.ones(self.n_vsrc), self.cand_counts)
+            return FusionState(0, np.ones(self.n_vsrc),
+                               self.cand_counts.copy())
         raise FusionError(f"no initialization for method {method!r}")
 
     def step(self, method: str, state: FusionState,
@@ -668,24 +669,47 @@ class FusionEngine:
             trust_deltas=deltas)
 
 
+def engine_for(claims: ClaimSet, config: FusionConfig, per_attribute: bool,
+               engine: FusionEngine | None = None) -> FusionEngine:
+    """A new engine, or the given shared one after checking that it was
+    built from exactly these claims, per-attribute flag and constants."""
+    if engine is None:
+        return FusionEngine(claims, config, per_attribute)
+    if engine.claims is not claims:
+        raise FusionError("engine was built over a different claim set")
+    if engine.per_attribute != per_attribute:
+        raise FusionError(
+            f"engine has per_attribute={engine.per_attribute}, the run "
+            f"needs per_attribute={per_attribute}")
+    if engine.cfg != config:
+        raise FusionError("engine was built with a different fusion config")
+    return engine
+
+
 def run_fusion(method: MethodSpec, claims: ClaimSet, config: RunConfig,
                input_trust: dict | None = None,
                known_copiers: dict[tuple[str, str], float] | None = None,
-               detect_copying: bool = True) -> FusionResult:
+               detect_copying: bool = True,
+               engine: FusionEngine | None = None) -> FusionResult:
     """Resolve conflicts in ``claims`` with the given method.
 
     Without ``input_trust`` the method iterates vote and trust updates to a
     fixed point (round cap exceeded flags the result non-converged, it does
     not raise). With ``input_trust`` a single deterministic vote pass runs
     under the fixed trust. The vote baseline never iterates.
+
+    Runs only read an ``engine``, so one built for ``claims`` serves any
+    number of runs (checked by ``engine_for``); without it, one is built.
     """
     if method.name == "accucopy":
         from .copydetect import run_accucopy
         return run_accucopy(claims, config, input_trust=input_trust,
                             known_copiers=known_copiers,
                             detect=detect_copying,
-                            per_attribute=method.per_attribute_trust)
-    engine = FusionEngine(claims, config.fusion, method.per_attribute_trust)
+                            per_attribute=method.per_attribute_trust,
+                            engine=engine)
+    engine = engine_for(claims, config.fusion, method.per_attribute_trust,
+                        engine)
     t0 = time.perf_counter()
     bayes = method.name in ("truthfinder", "accupr", "popaccu", "accusim",
                             "accuformat")

@@ -8,6 +8,7 @@ such claims, indexed by item and by source.
 from __future__ import annotations
 
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -143,14 +144,9 @@ def format_number(x: float, granularity: float | None = None) -> str:
     if granularity is not None and granularity > 0:
         if granularity >= 1:
             return f"{x:.0f}"
-        decimals = max(0, int(round(-_log10(granularity))))
+        decimals = max(0, int(round(-math.log10(granularity))))
         return f"{x:.{decimals}f}"
     return repr(x)
-
-
-def _log10(x: float) -> float:
-    import math
-    return math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,7 @@ class ClaimSet:
             if attr is None:
                 raise LoadError(f"claim references unknown attribute "
                                 f"{c.item.attribute!r}")
-            if _kind_of(attr) is not c.value.kind:
+            if attr.kind is not c.value.kind:
                 raise KindMismatchError(
                     f"value kind {c.value.kind.value} does not match "
                     f"attribute {attr.name!r} ({attr.kind.value})")
@@ -251,10 +247,6 @@ class ClaimSet:
         keep = set(sources)
         return ClaimSet(self.snapshot_label, self.schema,
                         [c for c in self.claims if c.source in keep])
-
-
-def _kind_of(attr: AttributeSpec) -> Kind:
-    return attr.kind
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int,
         orig_items = set(covered[orig])
         copied = [it for it in covered[s]
                   if it in orig_items and copies[s][it]]
-        free = [it for it in covered[s] if it not in set(copied)]
+        copied_set = set(copied)
+        free = [it for it in covered[s] if it not in copied_set]
         for it in copied:
             correct[(s, it)] = correct[(orig, it)]
             values[(s, it)] = values[(orig, it)]

@@ -213,12 +213,32 @@ class TestEvaluateCompare:
         report = json.loads((out / "report.json").read_text())
         assert [r["method"] for r in report] == ["Vote", "AccuPr"]
 
+    def test_compare_rows_do_not_depend_on_method_order(self, dataset,
+                                                       tmp_path):
+        rows = {}
+        for order in ("AccuPr,Vote", "Vote,AccuPr"):
+            out = tmp_path / order.replace(",", "_")
+            run_ok(["compare", "--claims", str(dataset / "claims.csv"),
+                    "--schema", str(dataset / "schema.csv"),
+                    "--gold", str(dataset / "gold.csv"),
+                    "--methods", order, "--out", str(out)])
+            for name in ("report.csv", "curve.csv", "dominance.csv"):
+                lines = (out / name).read_text().splitlines()[1:]
+                for method in ("Vote", "AccuPr"):
+                    rows[order, name, method] = [
+                        ln for ln in lines if ln.split(",")[0] == method]
+        for name in ("report.csv", "curve.csv", "dominance.csv"):
+            for method in ("Vote", "AccuPr"):
+                assert rows["AccuPr,Vote", name, method]
+                assert (rows["AccuPr,Vote", name, method]
+                        == rows["Vote,AccuPr", name, method])
+
     def test_compare_all_runs_every_method(self, dataset, tmp_path):
         out = tmp_path / "cmp_all"
         run_ok(["compare", "--claims", str(dataset / "claims.csv"),
                 "--schema", str(dataset / "schema.csv"),
                 "--gold", str(dataset / "gold.csv"),
-                "--methods", "all", "--workers", "2", "--out", str(out)])
+                "--methods", "all", "--out", str(out)])
         report = json.loads((out / "report.json").read_text())
         assert len(report) == 16   # 14 methods + 2 per-attribute variants
 

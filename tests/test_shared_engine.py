@@ -1,0 +1,164 @@
+"""Shared fusion engines: runs only read an engine, so one engine per
+(snapshot, per-attribute flag) gives every method the answers a fresh
+engine would, and an engine built over other inputs is refused."""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+from truthfuse.config import FusionConfig, load_config
+from truthfuse.evalharness import shared_engines, timed_run
+from truthfuse.fusion import (
+    FusionEngine,
+    FusionError,
+    MethodSpec,
+    method_labels,
+    run_fusion,
+    sample_trust,
+)
+from truthfuse.model import Claim, ClaimSet, DataItem, GoldStandard, Value
+
+from conftest import SCHEMA
+
+CFG = load_config()
+
+# The methods of ``compare --methods all``.
+COMPARE_METHODS = ([MethodSpec.parse(m) for m in method_labels()]
+                   + [MethodSpec.parse("AccuSimAttr"),
+                      MethodSpec.parse("AccuFormatAttr")])
+
+
+def copier_snapshot():
+    """Nine sources over 30 objects with a price, a departure time and a
+    gate. Sources 7-9 copy source 6 (which is often wrong); false prices
+    are near misses inside the similarity window or coarse spellings that
+    subsume a finer value, so similarity and format credit both apply."""
+    rng = random.Random(11)
+    accuracy = {f"s{i}": a for i, a in enumerate(
+        (0.95, 0.9, 0.85, 0.8, 0.7, 0.45), start=1)}
+    claims = []
+    truth = {}
+    for o in range(30):
+        obj = f"o{o:02d}"
+        price = 100.0 + 7.3 * o
+        depart = (37 * o) % 1380
+        gate = f"g{o % 9}"
+        truth[DataItem(obj, "price")] = Value.number(price)
+        truth[DataItem(obj, "depart")] = Value.time(depart)
+        truth[DataItem(obj, "gate")] = Value.of_text(gate)
+        own = {}
+        for s, acc in accuracy.items():
+            ok = rng.random() < acc
+            if ok:
+                p = Value.number(price)
+            elif rng.random() < 0.5:
+                p = Value.number(price + rng.choice((-1, 1))
+                                 * rng.uniform(3.0, 9.0))
+            else:
+                p = Value.number(round(price, -1), granularity=10.0)
+            own[s] = (p,
+                      Value.time(depart if ok or rng.random() < 0.3
+                                 else (depart + rng.choice((15, 30, 45)))
+                                 % 1440),
+                      Value.of_text(gate if ok else f"x{rng.randrange(3)}"))
+        own.update({c: own["s6"] for c in ("s7", "s8", "s9")})
+        for s, (p, d, g) in own.items():
+            if rng.random() < 0.9:
+                claims.append(Claim(s, DataItem(obj, "price"), p))
+                claims.append(Claim(s, DataItem(obj, "depart"), d))
+                claims.append(Claim(s, DataItem(obj, "gate"), g))
+    return ClaimSet("shared", SCHEMA, claims), GoldStandard(truth)
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return copier_snapshot()
+
+
+def test_fixture_exercises_similarity_format_and_copying(snapshot):
+    claims, _ = snapshot
+    engine = FusionEngine(claims, CFG.fusion)
+    assert engine.sim_i.size > 0
+    assert engine.fmt_claim.size > 0
+    prob = run_fusion(MethodSpec("accucopy"), claims, CFG).copy_matrix.prob
+    assert max(prob[("s7", "s6")], prob[("s6", "s7")]) > 0.5
+
+
+def _arrays(engine: FusionEngine) -> dict[str, np.ndarray]:
+    return {name: value.copy() for name, value in vars(engine).items()
+            if isinstance(value, np.ndarray)}
+
+
+def test_runs_leave_shared_engine_arrays_unchanged(snapshot):
+    claims, gold = snapshot
+    engines = shared_engines(COMPARE_METHODS, claims, CFG)
+    before = {flag: _arrays(e) for flag, e in engines.items()}
+    for m in COMPARE_METHODS:
+        # the default run and the input-trust re-run, AccuCopy included
+        timed_run(m, claims, CFG, gold, engine=engines[m.per_attribute_trust])
+    for flag, engine in engines.items():
+        after = _arrays(engine)
+        assert after.keys() == before[flag].keys()
+        for name, arr in before[flag].items():
+            assert np.array_equal(after[name], arr), name
+
+
+def test_vote_state_does_not_alias_engine_counts(snapshot):
+    engine = FusionEngine(snapshot[0], CFG.fusion)
+    state = engine.init_state("vote")
+    assert not np.shares_memory(state.votes, engine.cand_counts)
+
+
+def _outcome(result):
+    return (result.selected, result.trust, result.rounds_used,
+            result.trust_deltas,
+            None if result.copy_matrix is None else result.copy_matrix.prob)
+
+
+def test_shared_engine_matches_fresh_engine(snapshot):
+    claims, gold = snapshot
+    engines = shared_engines(COMPARE_METHODS, claims, CFG)
+    methods = list(COMPARE_METHODS)
+    random.Random(3).shuffle(methods)
+    for m in methods:
+        engine = engines[m.per_attribute_trust]
+        fresh = run_fusion(m, claims, CFG)
+        shared = run_fusion(m, claims, CFG, engine=engine)
+        assert _outcome(shared) == _outcome(fresh), m.label()
+        if m.name == "vote":
+            continue
+        sampled = sample_trust(m, claims, gold, CFG)
+        fresh = run_fusion(m, claims, CFG, input_trust=sampled)
+        shared = run_fusion(m, claims, CFG, input_trust=sampled,
+                            engine=engine)
+        assert _outcome(shared) == _outcome(fresh), m.label()
+
+
+def _mismatched_engine(kind: str, claims: ClaimSet) -> FusionEngine:
+    if kind == "claims":
+        # equal content is not enough: the engine must index these claims
+        return FusionEngine(ClaimSet(claims.snapshot_label, claims.schema,
+                                     claims.claims), CFG.fusion)
+    if kind == "per_attribute":
+        return FusionEngine(claims, CFG.fusion, per_attribute=True)
+    return FusionEngine(claims, FusionConfig(rho=0.25))
+
+
+@pytest.mark.parametrize("method", ["AccuPr", "Vote", "AccuCopy"])
+@pytest.mark.parametrize("kind, message", [
+    ("claims", "different claim set"),
+    ("per_attribute", "per_attribute"),
+    ("config", "different fusion config"),
+])
+def test_mismatched_engine_rejected(snapshot, method, kind, message):
+    claims, gold = snapshot
+    engine = _mismatched_engine(kind, claims)
+    m = MethodSpec.parse(method)
+    with pytest.raises(FusionError, match=message):
+        run_fusion(m, claims, CFG, engine=engine)
+    with pytest.raises(FusionError, match=message):
+        timed_run(m, claims, CFG, gold, engine=engine)
+
