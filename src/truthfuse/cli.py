@@ -18,7 +18,7 @@ from pathlib import Path
 from . import copydetect as cd
 from . import dataio, evalharness, metrics
 from .config import CopyParams, FusionConfig, RunConfig, load_config
-from .fusion import MethodSpec, method_labels, run_fusion
+from .fusion import FusionEngine, MethodSpec, method_labels, run_fusion
 from .model import ClaimSet, DataItem, GoldStandard, Kind, TruthFuseError
 from .normalize import tolerances
 from .synthetic import generate_synthetic, spec_from_dict
@@ -408,16 +408,15 @@ def _vsrc_str(key) -> str:
 
 def _cmd_copydetect(args, config: RunConfig) -> int:
     claims, gold = _load_inputs(args, config)
-    vote = run_fusion(MethodSpec("vote"), claims, config)
-    taus = tolerances(claims)
+    engine = FusionEngine(claims, config.fusion)
+    vote = run_fusion(MethodSpec("vote"), claims, config, engine=engine)
+    trust = {s: config.fusion.init_trust_bayes for s in claims.sources}
     if gold is not None:
-        trust = {s: a if (a := metrics.source_accuracy(
-            s, claims, gold, taus)) is not None
-            else config.fusion.init_trust_bayes
-            for s in claims.sources}
-    else:
-        trust = {s: config.fusion.init_trust_bayes for s in claims.sources}
-    matrix = cd.detect_copying(claims, vote.selected, trust, config.copy)
+        trust = {s: t if (a := metrics.source_accuracy(
+            s, claims, gold, engine.taus)) is None else a
+            for s, t in trust.items()}
+    matrix = cd.detect_copying(claims, vote.selected, trust, config.copy,
+                               engine)
     out = _out_dir(args)
     _write_copy_pairs(out / "pairs.csv", matrix.prob, config)
 

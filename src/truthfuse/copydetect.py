@@ -10,6 +10,11 @@ independently.
 The detector deliberately ignores value similarity; on heavily numeric
 data it is known to over-report copying between sources that provide
 near-true values (the votes it discounts there are honest near-misses).
+
+Detection is array algebra over an engine's claims (``_PairIndex``), in
+pair arrays of blocks x sources^2 cells (a block per attribute in
+per-attribute runs). An AccuCopy round costs one integer Gram matrix, a
+posterior per co-covered pair and a product per claim over its bucket.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from .config import CopyParams, RunConfig
+from .config import CopyParams, FusionConfig, RunConfig
 from .fusion import (
     FusionEngine,
     FusionError,
@@ -31,7 +36,7 @@ from .fusion import (
 )
 from .metrics import source_accuracy
 from .model import ClaimSet, DataItem, GoldStandard, Value
-from .normalize import bucketize, tolerances, values_match
+from .normalize import tolerances, values_match
 
 _TINY = 1e-300
 
@@ -114,83 +119,59 @@ def _jaccard(a: set, b: set) -> float:
 
 
 def detect_copying(claims: ClaimSet, truth_estimate: dict[DataItem, Value],
-                   trust_estimate: dict, params: CopyParams) -> CopyMatrix:
+                   trust_estimate: dict, params: CopyParams,
+                   engine: FusionEngine | None = None) -> CopyMatrix:
     """Posterior copy probabilities for every ordered source pair.
 
     Evidence is counted on contested items only (ones with at least two
     distinct bucketed values); agreement on uncontested items carries no
-    signal under this model. A pair with no counted overlap keeps the
-    prior in both directions.
+    signal under this model. A bucket counts as true when its centre
+    matches the item's truth estimate within tolerance. A pair with no
+    counted overlap keeps the prior in both directions. A global
+    ``engine`` over ``claims`` is reused whatever its constants.
     """
-    taus = tolerances(claims)
-    counts: dict[tuple[str, str], list[int]] = {}
-    for item in claims.items:
-        buckets = bucketize(item, claims, taus[item.attribute])
-        if len(buckets) < 2:
-            continue
+    engine = engine_for(claims, engine.cfg if engine else FusionConfig(),
+                        False, engine)
+    true_cand = np.zeros(engine.n_cands, dtype=bool)
+    for c in np.flatnonzero(engine.item_ncand[engine.cand_item] > 1).tolist():
+        item = engine.items[int(engine.cand_item[c])]
         truth = truth_estimate.get(item)
-        attr = claims.attribute_of(item)
-        provider_bucket: list[tuple[str, int, bool]] = []
-        for bi, b in enumerate(buckets):
-            is_true = (truth is not None
-                       and values_match(b.center, truth, attr,
-                                        taus[item.attribute]))
-            for s in b.providers:
-                provider_bucket.append((s, bi, is_true))
-        for (s1, b1, t1), (s2, b2, _) in combinations(provider_bucket, 2):
-            if s1 == s2:
-                continue
-            key = (s1, s2) if s1 < s2 else (s2, s1)
-            k = counts.setdefault(key, [0, 0, 0])
-            if b1 == b2:
-                k[0 if t1 else 1] += 1
-            else:
-                k[2] += 1
-    matrix = CopyMatrix()
-    sources = list(claims.sources)
-    for s1, s2 in combinations(sources, 2):
-        kt, kf, kd = counts.get((s1, s2), (0, 0, 0))
-        p12, p21 = _pair_posterior(
-            float(trust_estimate.get(s1, 0.5)),
-            float(trust_estimate.get(s2, 0.5)),
-            kt, kf, kd, params)
-        matrix.prob[(s1, s2)] = p12
-        matrix.prob[(s2, s1)] = p21
-    return matrix
+        true_cand[c] = truth is not None and values_match(
+            engine.cand_values[c], truth, claims.attribute_of(item),
+            engine.taus[item.attribute])
+    names = engine.vsrc_list
+    pairs = _PairIndex(engine)
+    prob = pairs.posteriors(true_cand, np.array(
+        [float(trust_estimate.get(s, 0.5)) for s in names]), params)
+    # Without evidence the posterior does not depend on trust.
+    prob[pairs.co == 0] = _pair_posterior(*np.zeros((5, 1)), params)[0][0]
+    return CopyMatrix(prob={(a, b): p for (a, b), p in zip(
+        product(names, names), prob.tolist()) if a != b})
 
 
-def _pair_posterior(a1: float, a2: float, kt: int, kf: int, kd: int,
-                    params: CopyParams) -> tuple[float, float]:
-    """Three-hypothesis Bayes update: s1 copies s2, s2 copies s1, or the
-    pair is independent. Returns the two directed posteriors."""
-    a1 = min(max(a1, 1e-4), 1.0 - 1e-4)
-    a2 = min(max(a2, 1e-4), 1.0 - 1e-4)
-    n = params.n_false
-    c = params.copy_rate
+def _pair_posterior(a1: np.ndarray, a2: np.ndarray, kt: np.ndarray,
+                    kf: np.ndarray, kd: np.ndarray,
+                    params: CopyParams) -> tuple[np.ndarray, np.ndarray]:
+    """Three-hypothesis Bayes update over arrays of pairs (s1 copies s2, s2
+    copies s1, independent); returns the two directed posteriors."""
+    a1 = np.minimum(np.maximum(a1, 1e-4), 1.0 - 1e-4)
+    a2 = np.minimum(np.maximum(a2, 1e-4), 1.0 - 1e-4)
+    c, p0 = params.copy_rate, params.prior_copy_prob
     pt_i = a1 * a2
-    pf_i = (1.0 - a1) * (1.0 - a2) / n
-    pd_i = max(1.0 - pt_i - pf_i, _TINY)
-
-    def dep(orig_acc: float) -> tuple[float, float, float]:
-        pt = c * orig_acc + (1.0 - c) * pt_i
-        pf = c * (1.0 - orig_acc) + (1.0 - c) * pf_i
-        pd = max((1.0 - c) * pd_i, _TINY)
-        return pt, pf, pd
-
-    def loglik(pt: float, pf: float, pd: float) -> float:
-        return (kt * math.log(max(pt, _TINY))
-                + kf * math.log(max(pf, _TINY))
-                + kd * math.log(max(pd, _TINY)))
-
-    p0 = params.prior_copy_prob
-    logs = [
-        math.log(p0) + loglik(*dep(a2)),        # s1 copies from s2
-        math.log(p0) + loglik(*dep(a1)),        # s2 copies from s1
-        math.log(1.0 - 2.0 * p0) + loglik(pt_i, pf_i, pd_i),
-    ]
-    m = max(logs)
-    ws = [math.exp(x - m) for x in logs]
-    total = sum(ws)
+    pf_i = (1.0 - a1) * (1.0 - a2) / params.n_false
+    pd_i = np.maximum(1.0 - pt_i - pf_i, _TINY)
+    pd_dep = np.maximum((1.0 - c) * pd_i, _TINY)
+    # Rows: s1 copies s2, s2 copies s1 (the original is s2, s1), neither.
+    orig = np.array([a2, a1])
+    pt = np.concatenate([c * orig + (1.0 - c) * pt_i, pt_i[None]])
+    pf = np.concatenate([c * (1.0 - orig) + (1.0 - c) * pf_i, pf_i[None]])
+    pd = np.array([pd_dep, pd_dep, pd_i])
+    prior = np.array([math.log(p0)] * 2 + [math.log(1.0 - 2.0 * p0)])
+    logs = prior[:, None] + (kt * np.log(np.maximum(pt, _TINY))
+                             + kf * np.log(np.maximum(pf, _TINY))
+                             + kd * np.log(np.maximum(pd, _TINY)))
+    ws = np.exp(logs - logs.max(axis=0))
+    total = ws[0] + ws[1] + ws[2]
     return ws[0] / total, ws[1] / total
 
 
@@ -199,20 +180,14 @@ def independence_weights(matrix: CopyMatrix, claims: ClaimSet,
     """Per-(source, item) probability that the source provided its value
     independently: the product over same-value co-claimants s' of
     (1 - copy_rate * P(source copies s'))."""
-    taus = tolerances(claims)
-    out: dict[tuple, float] = {}
-    for item in claims.items:
-        buckets = bucketize(item, claims, taus[item.attribute])
-        for b in buckets:
-            for s in b.providers:
-                w = 1.0
-                for other in b.providers:
-                    if other != s:
-                        w *= 1.0 - params.copy_rate * matrix.probability(
-                            s, other)
-                out[(s, item)] = w
-    for (s, item), w in list(out.items()):
-        matrix.independence[(s, item)] = w
+    engine = FusionEngine(claims, FusionConfig())
+    pairs = _PairIndex(engine)
+    index = {s: i for i, s in enumerate(engine.vsrc_list)}
+    prob = pairs.pinned({(index[a], index[b]): p
+                         for (a, b), p in matrix.prob.items()
+                         if a in index and b in index})
+    out = _per_claim(engine, pairs.weights(prob, params.copy_rate))
+    matrix.independence.update(out)
     return out
 
 
@@ -227,144 +202,177 @@ def run_accucopy(claims: ClaimSet, config: RunConfig,
     truth, and trust updates until the joint (trust, copy-probability)
     change falls under the convergence threshold.
 
-    ``known_copiers`` overrides detection for the given directed pairs.
+    ``known_copiers`` overrides detection for the given directed pairs;
+    pairs naming a source without claims are ignored.
     With all copy probabilities zero (detection off, nothing known) the
     selections coincide with the format-aware method's.
     ``engine`` is shared and checked as in ``run_fusion``.
     """
     engine = engine_for(claims, config.fusion, per_attribute, engine)
     params = config.copy
-    method = MethodSpec("accucopy", per_attribute)
     t0 = time.perf_counter()
     fixed_trust = input_trust is not None
     trust = (engine.trust_array(input_trust) if fixed_trust
              else np.full(engine.n_vsrc, config.fusion.init_trust_bayes))
+    pairs = _PairIndex(engine)
     known = _expand_known(known_copiers or {}, engine)
-    prob: dict[tuple, float] = dict(known)
-    weights = _claim_weights(engine, prob, params)
-    deltas: list[float] = []
-    converged = False
-    rounds = 0
-    prev_votes = np.zeros(engine.n_cands)
-    while rounds < config.fusion.round_cap:
-        rounds += 1
+    prob = pairs.pinned(known)
+    weights = pairs.weights(prob, params.copy_rate)
+    deltas, converged, prev_votes = [], False, np.zeros(engine.n_cands)
+    for rounds in range(1, config.fusion.round_cap + 1):
         votes = engine.votes_once("accuformat", trust, weights=weights)
         chosen, _ = engine.select(votes)
+        new_prob = prob
         if detect:
-            new_prob = _detect_on_engine(engine, chosen, trust, params)
-            new_prob.update(known)
-        else:
-            new_prob = dict(known)
-        new_weights = _claim_weights(engine, new_prob, params)
+            is_chosen = np.bincount(chosen, minlength=engine.n_cands) > 0
+            new_prob = pairs.pinned(known, pairs.posteriors(
+                is_chosen, trust, params))
+        new_weights = pairs.weights(new_prob, params.copy_rate)
         # Trust must be re-estimated from the discounted votes, otherwise
         # one round with undiscounted copier blocks locks trust onto them.
         discounted = engine.votes_once("accuformat", trust,
                                        weights=new_weights)
-        if fixed_trust:
-            new_trust = trust
-        else:
-            new_trust = engine.trust_from_posteriors(
-                engine.posteriors(discounted))
-        keys = prob.keys() | new_prob.keys()
-        prob_delta = max((abs(new_prob.get(k, 0.0) - prob.get(k, 0.0))
-                          for k in keys), default=0.0)
+        new_trust = trust if fixed_trust else engine.trust_from_posteriors(
+            engine.posteriors(discounted))
         delta = max(float(np.max(np.abs(new_trust - trust))),
                     float(np.max(np.abs(discounted - prev_votes))),
-                    prob_delta)
+                    float(np.max(np.abs(new_prob - prob))))
         trust, prob, weights = new_trust, new_prob, new_weights
         prev_votes = discounted
         deltas.append(delta)
-        if delta < config.fusion.epsilon:
-            converged = True
+        converged = delta < config.fusion.epsilon
+        if converged:
             break
     votes = engine.votes_once("accuformat", trust, weights=weights)
-    post = engine.posteriors(votes)
     result = engine.build_result(
-        method, votes, trust, rounds=rounds, converged=converged,
-        wall_time=time.perf_counter() - t0, deltas=deltas, confidence=post)
-    matrix = CopyMatrix(prob=dict(prob))
-    for k in range(len(engine.claim_cand)):
-        vk = engine.vsrc_list[int(engine.claim_vsrc[k])]
-        item = engine.items[int(engine.claim_item[k])]
-        matrix.independence[(vk, item)] = float(weights[k])
-    result.copy_matrix = matrix
+        MethodSpec("accucopy", per_attribute), votes, trust, rounds=rounds,
+        converged=converged, wall_time=time.perf_counter() - t0,
+        deltas=deltas, confidence=engine.posteriors(votes))
+    names = engine.vsrc_list
+    found = dict(zip(zip(np.r_[pairs.lo, pairs.hi].tolist(),
+                         np.r_[pairs.hi, pairs.lo].tolist()),
+                     prob[np.r_[pairs.up, pairs.down]].tolist()))
+    result.copy_matrix = CopyMatrix(
+        prob={(names[i], names[j]): p
+              for (i, j), p in ((found if detect else {}) | known).items()},
+        independence=_per_claim(engine, weights))
     return result
 
 
 def _expand_known(known: dict[tuple[str, str], float],
-                  engine: FusionEngine) -> dict[tuple, float]:
-    """Known copier pairs are declared on real sources; per-attribute runs
-    expand them to every shared attribute's virtual source pair."""
-    if not engine.per_attribute:
-        return dict(known)
-    by_source: dict[str, list] = {}
-    for vk in engine.vsrc_list:
-        by_source.setdefault(vk[0], []).append(vk)
-    out: dict[tuple, float] = {}
-    for (copier, original), p in known.items():
-        for vk1 in by_source.get(copier, ()):
-            for vk2 in by_source.get(original, ()):
-                if vk1[1] == vk2[1]:
-                    out[(vk1, vk2)] = p
-    return out
+                  engine: FusionEngine) -> dict[tuple[int, int], float]:
+    """Known copier pairs, declared on real sources, as virtual source index
+    pairs: per-attribute runs expand them to every shared attribute. A pair
+    naming a source without claims cannot discount a vote and is dropped."""
+    at = {vk if engine.per_attribute else (vk, None): i
+          for i, vk in enumerate(engine.vsrc_list)}
+    return {(at[c, b], at[o, b]): p for (c, o), p in known.items()
+            for b in sorted({b for _, b in at}, key=str)
+            if (c, b) in at and (o, b) in at}
 
 
-def _claim_weights(engine: FusionEngine, prob: dict[tuple, float],
+def _per_claim(engine: FusionEngine, values: np.ndarray) -> dict:
+    """{(virtual source, item): value} over the engine's claims."""
+    return {(engine.vsrc_list[v], engine.items[i]): x
+            for v, i, x in zip(engine.claim_vsrc.tolist(),
+                               engine.claim_item.tolist(), values.tolist())}
+
+
+class _PairIndex:
+    """Copy evidence and independence weights over an engine's claims.
+
+    Pair arrays are flat ``(blocks, width, width)``: cell ``(b, i, j)``
+    counts, or gives P(i copies j), for sources i and j of block b; a
+    per-attribute engine has a block per attribute, indexed by real source
+    and object. Agreement counts are Gram matrices of 0/1 incidences.
+    """
+
+    def __init__(self, engine: FusionEngine):
+        per_attr, vsrcs = engine.per_attribute, engine.vsrc_list
+        block = _codes([vk[1] if per_attr else 0 for vk in vsrcs])
+        self.loc = _codes([vk[0] if per_attr else vk for vk in vsrcs])
+        item_row = _codes([it.object_id if per_attr else it
+                           for it in engine.items])
+        self.blocks, w = int(block.max()) + 1, int(self.loc.max()) + 1
+        self.width, self.rows = w, int(item_row.max()) + 1
+        self.base = block * w + self.loc        # each source's row of cells
+        v = engine.claim_vsrc
+        contested_cand = engine.item_ncand[engine.cand_item] > 1
+        on = contested_cand[engine.claim_cand]
+        self._row = (block[v] * self.rows + item_row[engine.claim_item])[on]
+        self._col, self._cand = self.loc[v][on], engine.claim_cand[on]
+        self._first = engine.item_start[engine.cand_item]
+        self.co = self._gram(self._row, self._col, self.rows)
+        b, i, j = np.nonzero((self.co.reshape(-1, w, w) > 0)
+                             & np.triu(np.ones((w, w), dtype=bool), 1))
+        self.up, self.down = (b * w + i) * w + j, (b * w + j) * w + i
+        self.agree = self._same_candidate(contested_cand)[self.up]
+        at = np.zeros(self.blocks * w, dtype=np.int64)
+        at[self.base] = np.arange(engine.n_vsrc)
+        self.lo, self.hi = at[b * w + i], at[b * w + j]
+        # Candidates with m > 1 claims, by m: claims (g, m), their rows of
+        # cells (g, m, 1) and their columns (g, 1, m).
+        sizes = engine.cand_counts.astype(np.int64)
+        first = np.cumsum(sizes) - sizes
+        self._by_size = []
+        for m in (np.flatnonzero(np.bincount(sizes)[2:]) + 2).tolist():
+            k = first[sizes == m][:, None] + np.arange(m)
+            self._by_size.append((k, self.base[v[k]][:, :, None],
+                                  self.loc[v[k]][:, None, :]))
+        self.n_claims = len(v)
+
+    def _gram(self, row, col, n_rows: int) -> np.ndarray:
+        """XᵀX per block, X the 0/1 incidence with ones at (row, col)."""
+        x = np.zeros((self.blocks, n_rows, self.width), dtype=np.int32)
+        x.reshape(-1)[row * self.width + col] = 1
+        return (x.transpose(0, 2, 1) @ x).ravel()
+
+    def _same_candidate(self, marked: np.ndarray) -> np.ndarray:
+        """Per cell, the contested items where both sources are on one marked
+        candidate; an item's marked candidates are layers of its row."""
+        seen = np.cumsum(marked)
+        layer = seen - seen[self._first] + marked[self._first] - 1
+        on = marked[self._cand]
+        layer = layer[self._cand[on]]
+        depth = int(layer.max(initial=0)) + 1
+        return self._gram(self._row[on] * depth + layer, self._col[on],
+                          self.rows * depth)
+
+    def posteriors(self, true_cand: np.ndarray, trust: np.ndarray,
                    params: CopyParams) -> np.ndarray:
-    weights = np.ones(len(engine.claim_cand))
-    if not prob:
-        return weights
-    grouped: dict[int, list[int]] = {}
-    for k in range(len(engine.claim_cand)):
-        grouped.setdefault(int(engine.claim_cand[k]), []).append(k)
-    for cand, claim_idxs in grouped.items():
-        if len(claim_idxs) < 2:
-            continue
-        vks = [engine.vsrc_list[int(engine.claim_vsrc[k])]
-               for k in claim_idxs]
-        for pos, k in enumerate(claim_idxs):
-            w = 1.0
-            for other_pos, other_vk in enumerate(vks):
-                if other_pos == pos:
-                    continue
-                p = prob.get((vks[pos], other_vk), 0.0)
-                if p > 0.0:
-                    w *= 1.0 - params.copy_rate * p
-            weights[k] = w
-    return weights
+        """Copy posteriors of pairs with contested co-coverage (0 elsewhere)
+        from the items where both are on one true, one false, two buckets."""
+        prob = np.zeros(self.co.size)
+        kt = self._same_candidate(true_cand)[self.up]
+        prob[self.up], prob[self.down] = _pair_posterior(
+            trust[self.lo], trust[self.hi], kt, self.agree - kt,
+            self.co[self.up] - self.agree, params)
+        return prob
+
+    def pinned(self, directed: dict[tuple[int, int], float],
+               prob: np.ndarray | None = None) -> np.ndarray:
+        """``prob`` (zeros by default) with {(copier, original): p} pairs of
+        one block each written in; own cells stay 0."""
+        prob = np.zeros(self.co.size) if prob is None else prob
+        keep = [k for k in directed if k[0] != k[1]]
+        i, j = np.array(keep, dtype=np.int64).reshape(-1, 2).T
+        prob[self.base[i] * self.width + self.loc[j]] = [directed[k]
+                                                         for k in keep]
+        return prob
+
+    def weights(self, prob: np.ndarray, copy_rate: float) -> np.ndarray:
+        """Per claim, the product over the other claims on its candidate of
+        (1 - copy_rate * P(claim's source copies the other's))."""
+        w = np.ones(self.n_claims)
+        for claims, rows, cols in self._by_size:
+            # A claim's own cell is 0, so its factor is exactly 1.
+            w[claims] = np.multiply.reduce(1.0 - copy_rate * prob.reshape(
+                -1, self.width)[rows, cols], axis=2)
+        return w
 
 
-def _detect_on_engine(engine: FusionEngine, chosen: np.ndarray,
-                      trust: np.ndarray,
-                      params: CopyParams) -> dict[tuple, float]:
-    """Pairwise detection over the engine's claim arrays; evidence comes
-    from contested items only."""
-    counts: dict[tuple[int, int], list[int]] = {}
-    n_items = engine.n_items
-    claim_bounds = np.searchsorted(engine.claim_item, np.arange(n_items + 1))
-    for item_idx in range(n_items):
-        lo, hi = int(claim_bounds[item_idx]), int(claim_bounds[item_idx + 1])
-        if hi - lo < 2:
-            continue
-        if engine.item_ncand[item_idx] < 2:
-            continue
-        truth_cand = int(chosen[item_idx])
-        rows = [(int(engine.claim_vsrc[k]), int(engine.claim_cand[k]))
-                for k in range(lo, hi)]
-        for (v1, c1), (v2, c2) in combinations(rows, 2):
-            if v1 == v2:
-                continue
-            key = (v1, v2) if v1 < v2 else (v2, v1)
-            k = counts.setdefault(key, [0, 0, 0])
-            if c1 == c2:
-                k[0 if c1 == truth_cand else 1] += 1
-            else:
-                k[2] += 1
-    out: dict[tuple, float] = {}
-    for (i1, i2), (kt, kf, kd) in sorted(counts.items()):
-        p12, p21 = _pair_posterior(float(trust[i1]), float(trust[i2]),
-                                   kt, kf, kd, params)
-        vk1, vk2 = engine.vsrc_list[i1], engine.vsrc_list[i2]
-        out[(vk1, vk2)] = p12
-        out[(vk2, vk1)] = p21
-    return out
+def _codes(values) -> np.ndarray:
+    """Each value's index among the distinct values, by first appearance."""
+    seen: dict = {}
+    return np.array([seen.setdefault(v, len(seen)) for v in values],
+                    dtype=np.int64)

@@ -3,18 +3,32 @@ commonality, and copy-aware fusion end to end."""
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from truthfuse.config import load_config
 from truthfuse.copydetect import (
     CopyMatrix,
+    _PairIndex,
     detect_copying,
     group_commonality,
     independence_weights,
     run_accucopy,
 )
-from truthfuse.fusion import FusionError, MethodSpec, run_fusion
-from truthfuse.model import DataItem, Kind, Value
+from truthfuse.fusion import FusionEngine, FusionError, MethodSpec, run_fusion
+from truthfuse.model import (
+    AttributeSpec,
+    Claim,
+    ClaimSet,
+    DataItem,
+    Kind,
+    Value,
+)
+from truthfuse.normalize import bucketize, tolerances, values_match
 from truthfuse.synthetic import (
     CopierGroup,
     SyntheticAttribute,
@@ -214,6 +228,18 @@ class TestRunAccuCopy:
         assert w[("c2", item)] == 0.0
         assert w[("orig", item)] == 1.0
 
+    @pytest.mark.parametrize("per_attribute", [False, True])
+    def test_known_copier_without_claims_is_dropped(self, per_attribute):
+        # A pair naming a source with no claims cannot discount a vote; it
+        # used to reach copy_pairs.csv from global runs only.
+        claims, _, _ = self.scenario(5)
+        method = MethodSpec("accucopy", per_attribute)
+        ghost = run_fusion(method, claims, CFG,
+                           known_copiers={("ghost", "s01"): 0.9})
+        plain = run_fusion(method, claims, CFG)
+        assert ghost.copy_matrix.prob == plain.copy_matrix.prob
+        assert ghost.selected == plain.selected
+
     def test_no_detection_no_known_equals_accuformat(self):
         claims, gold, _ = self.scenario(2)
         a = run_accucopy(claims, CFG, detect=False)
@@ -278,3 +304,376 @@ class TestGroupCommonality:
         claims, gold, _ = generate_synthetic(spec, seed=9)
         g = group_commonality(["s02", "s03"], claims, gold)
         assert g.value_sim == 1.0
+
+
+# -- reference loops ----------------------------------------------------------
+# The pure-Python pairwise loops the array implementation replaced, kept as
+# the oracle of the differential tests below.
+
+_TINY = 1e-300
+
+
+def ref_pair_posterior(a1, a2, kt, kf, kd, params):
+    a1 = min(max(a1, 1e-4), 1.0 - 1e-4)
+    a2 = min(max(a2, 1e-4), 1.0 - 1e-4)
+    n = params.n_false
+    c = params.copy_rate
+    pt_i = a1 * a2
+    pf_i = (1.0 - a1) * (1.0 - a2) / n
+    pd_i = max(1.0 - pt_i - pf_i, _TINY)
+
+    def dep(orig_acc):
+        pt = c * orig_acc + (1.0 - c) * pt_i
+        pf = c * (1.0 - orig_acc) + (1.0 - c) * pf_i
+        pd = max((1.0 - c) * pd_i, _TINY)
+        return pt, pf, pd
+
+    def loglik(pt, pf, pd):
+        return (kt * math.log(max(pt, _TINY))
+                + kf * math.log(max(pf, _TINY))
+                + kd * math.log(max(pd, _TINY)))
+
+    p0 = params.prior_copy_prob
+    logs = [
+        math.log(p0) + loglik(*dep(a2)),
+        math.log(p0) + loglik(*dep(a1)),
+        math.log(1.0 - 2.0 * p0) + loglik(pt_i, pf_i, pd_i),
+    ]
+    m = max(logs)
+    ws = [math.exp(x - m) for x in logs]
+    total = sum(ws)
+    return ws[0] / total, ws[1] / total
+
+
+def ref_detect_copying(claims, truth_estimate, trust_estimate, params):
+    taus = tolerances(claims)
+    counts = {}
+    for item in claims.items:
+        buckets = bucketize(item, claims, taus[item.attribute])
+        if len(buckets) < 2:
+            continue
+        truth = truth_estimate.get(item)
+        attr = claims.attribute_of(item)
+        provider_bucket = []
+        for bi, b in enumerate(buckets):
+            is_true = (truth is not None
+                       and values_match(b.center, truth, attr,
+                                        taus[item.attribute]))
+            for s in b.providers:
+                provider_bucket.append((s, bi, is_true))
+        for (s1, b1, t1), (s2, b2, _) in combinations(provider_bucket, 2):
+            if s1 == s2:
+                continue
+            key = (s1, s2) if s1 < s2 else (s2, s1)
+            k = counts.setdefault(key, [0, 0, 0])
+            if b1 == b2:
+                k[0 if t1 else 1] += 1
+            else:
+                k[2] += 1
+    prob = {}
+    for s1, s2 in combinations(list(claims.sources), 2):
+        kt, kf, kd = counts.get((s1, s2), (0, 0, 0))
+        p12, p21 = ref_pair_posterior(
+            float(trust_estimate.get(s1, 0.5)),
+            float(trust_estimate.get(s2, 0.5)), kt, kf, kd, params)
+        prob[(s1, s2)] = p12
+        prob[(s2, s1)] = p21
+    return prob
+
+
+def ref_independence_weights(prob, claims, params):
+    taus = tolerances(claims)
+    out = {}
+    for item in claims.items:
+        for b in bucketize(item, claims, taus[item.attribute]):
+            for s in b.providers:
+                w = 1.0
+                for other in b.providers:
+                    if other != s:
+                        w *= 1.0 - params.copy_rate * prob.get((s, other),
+                                                               0.0)
+                out[(s, item)] = w
+    return out
+
+
+def ref_expand_known(known, engine):
+    if not engine.per_attribute:
+        return dict(known)
+    by_source = {}
+    for vk in engine.vsrc_list:
+        by_source.setdefault(vk[0], []).append(vk)
+    out = {}
+    for (copier, original), p in known.items():
+        for vk1 in by_source.get(copier, ()):
+            for vk2 in by_source.get(original, ()):
+                if vk1[1] == vk2[1]:
+                    out[(vk1, vk2)] = p
+    return out
+
+
+def ref_claim_weights(engine, prob, params):
+    weights = np.ones(len(engine.claim_cand))
+    if not prob:
+        return weights
+    grouped = {}
+    for k in range(len(engine.claim_cand)):
+        grouped.setdefault(int(engine.claim_cand[k]), []).append(k)
+    for claim_idxs in grouped.values():
+        if len(claim_idxs) < 2:
+            continue
+        vks = [engine.vsrc_list[int(engine.claim_vsrc[k])]
+               for k in claim_idxs]
+        for pos, k in enumerate(claim_idxs):
+            w = 1.0
+            for other_pos, other_vk in enumerate(vks):
+                if other_pos == pos:
+                    continue
+                p = prob.get((vks[pos], other_vk), 0.0)
+                if p > 0.0:
+                    w *= 1.0 - params.copy_rate * p
+            weights[k] = w
+    return weights
+
+
+def ref_counts(engine, chosen):
+    """{(vsrc index, vsrc index): [kt, kf, kd]} over contested items."""
+    counts = {}
+    bounds = np.searchsorted(engine.claim_item, np.arange(engine.n_items + 1))
+    for item_idx in range(engine.n_items):
+        lo, hi = int(bounds[item_idx]), int(bounds[item_idx + 1])
+        if hi - lo < 2 or engine.item_ncand[item_idx] < 2:
+            continue
+        truth_cand = int(chosen[item_idx])
+        rows = [(int(engine.claim_vsrc[k]), int(engine.claim_cand[k]))
+                for k in range(lo, hi)]
+        for (v1, c1), (v2, c2) in combinations(rows, 2):
+            if v1 == v2:
+                continue
+            key = (v1, v2) if v1 < v2 else (v2, v1)
+            k = counts.setdefault(key, [0, 0, 0])
+            if c1 == c2:
+                k[0 if c1 == truth_cand else 1] += 1
+            else:
+                k[2] += 1
+    return counts
+
+
+def ref_detect_on_engine(engine, chosen, trust, params):
+    out = {}
+    for (i1, i2), (kt, kf, kd) in sorted(ref_counts(engine, chosen).items()):
+        p12, p21 = ref_pair_posterior(float(trust[i1]), float(trust[i2]),
+                                      kt, kf, kd, params)
+        vk1, vk2 = engine.vsrc_list[i1], engine.vsrc_list[i2]
+        out[(vk1, vk2)] = p12
+        out[(vk2, vk1)] = p21
+    return out
+
+
+def ref_run_accucopy(engine, config, input_trust=None, known_copiers=None,
+                     detect=True):
+    """The loop version of run_accucopy: (selected candidates, trust,
+    rounds, copy probabilities, per-claim weights)."""
+    params = config.copy
+    fixed_trust = input_trust is not None
+    trust = (engine.trust_array(input_trust) if fixed_trust
+             else np.full(engine.n_vsrc, config.fusion.init_trust_bayes))
+    known = ref_expand_known(known_copiers or {}, engine)
+    prob = dict(known)
+    weights = ref_claim_weights(engine, prob, params)
+    rounds = 0
+    prev_votes = np.zeros(engine.n_cands)
+    while rounds < config.fusion.round_cap:
+        rounds += 1
+        votes = engine.votes_once("accuformat", trust, weights=weights)
+        chosen, _ = engine.select(votes)
+        if detect:
+            new_prob = ref_detect_on_engine(engine, chosen, trust, params)
+            new_prob.update(known)
+        else:
+            new_prob = dict(known)
+        new_weights = ref_claim_weights(engine, new_prob, params)
+        discounted = engine.votes_once("accuformat", trust,
+                                       weights=new_weights)
+        new_trust = (trust if fixed_trust else engine.trust_from_posteriors(
+            engine.posteriors(discounted)))
+        keys = prob.keys() | new_prob.keys()
+        prob_delta = max((abs(new_prob.get(k, 0.0) - prob.get(k, 0.0))
+                          for k in keys), default=0.0)
+        delta = max(float(np.max(np.abs(new_trust - trust))),
+                    float(np.max(np.abs(discounted - prev_votes))),
+                    prob_delta)
+        trust, prob, weights = new_trust, new_prob, new_weights
+        prev_votes = discounted
+        if delta < config.fusion.epsilon:
+            break
+    votes = engine.votes_once("accuformat", trust, weights=weights)
+    return engine.select(votes)[0], trust, rounds, prob, weights
+
+
+# -- differential tests: arrays against the reference loops ------------------
+
+
+def copier_scenario(seed=0, n_attrs=1):
+    attrs = tuple(SyntheticAttribute(f"a{k}", Kind.NUMBER, 0.01)
+                  for k in range(n_attrs))
+    spec = SyntheticSpec(
+        n_sources=6, n_items=120, attributes=attrs,
+        accuracies=(0.95, 0.55, 0.55, 0.55, 0.55, 0.7),
+        coverage=(1.0, 1.0, 0.9, 0.9, 0.8, 0.7),
+        copier_groups=(CopierGroup(("s03", "s04", "s05"), "s02", 0.8),),
+        false_pool=4)
+    return generate_synthetic(spec, seed)
+
+
+def assert_close_maps(got: dict, want: dict, tol=1e-12):
+    assert got.keys() == want.keys()
+    for k, v in want.items():
+        assert got[k] == pytest.approx(v, abs=tol, rel=0), k
+
+
+class TestVectorisedAgainstLoops:
+
+    def compare_runs(self, claims, per_attribute=False, **kwargs):
+        engine = FusionEngine(claims, CFG.fusion, per_attribute)
+        r = run_accucopy(claims, CFG, per_attribute=per_attribute,
+                         engine=engine, **kwargs)
+        chosen, trust, rounds, prob, weights = ref_run_accucopy(
+            engine, CFG, **kwargs)
+        assert r.rounds_used == rounds
+        assert r.selected == {it: engine.cand_values[int(c)]
+                              for it, c in zip(engine.items, chosen)}
+        assert_close_maps(r.trust, engine.trust_map(trust))
+        assert_close_maps(r.copy_matrix.prob, prob)
+        assert_close_maps(r.copy_matrix.independence, {
+            (engine.vsrc_list[int(v)], engine.items[int(i)]): float(w)
+            for v, i, w in zip(engine.claim_vsrc, engine.claim_item,
+                               weights)})
+        return r
+
+    @pytest.mark.parametrize("per_attribute", [False, True])
+    def test_pair_counts_are_exact(self, per_attribute):
+        claims, _, _ = copier_scenario(n_attrs=3)
+        engine = FusionEngine(claims, CFG.fusion, per_attribute)
+        pairs = _PairIndex(engine)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            chosen = engine.select(rng.random(engine.n_cands))[0]
+            is_chosen = np.zeros(engine.n_cands, dtype=bool)
+            is_chosen[chosen] = True
+            kt = pairs._same_candidate(is_chosen)[pairs.up]
+            got = {(lo, hi): [t, a - t, c - a] for lo, hi, t, a, c in zip(
+                pairs.lo.tolist(), pairs.hi.tolist(), kt.tolist(),
+                pairs.agree.tolist(), pairs.co[pairs.up].tolist())}
+            assert got == ref_counts(engine, chosen)
+
+    def test_copier_fixture(self):
+        claims, _, _ = copier_scenario()
+        r = self.compare_runs(claims)
+        assert r.rounds_used > 1 and r.copy_matrix.prob
+
+    def test_per_attribute_engine(self):
+        claims, _, _ = copier_scenario(seed=1, n_attrs=3)
+        self.compare_runs(claims, per_attribute=True)
+
+    @pytest.mark.parametrize("per_attribute", [False, True])
+    def test_known_copiers_one_without_co_coverage(self, per_attribute):
+        claims, _, known = copier_scenario(seed=2, n_attrs=2)
+        lone = Claim("zz", DataItem("lone", "a0"), Value.number(5.0))
+        claims = ClaimSet(claims.snapshot_label, claims.schema,
+                          (*claims.claims, lone))
+        known = {**known, ("zz", "s01"): 0.7}
+        r = self.compare_runs(claims, per_attribute, known_copiers=known)
+        zz = ("zz", "a0") if per_attribute else "zz"
+        s01 = ("s01", "a0") if per_attribute else "s01"
+        assert r.copy_matrix.prob[(zz, s01)] == 0.7
+
+    def test_detection_off(self):
+        claims, _, known = copier_scenario(seed=3)
+        self.compare_runs(claims, known_copiers=known, detect=False)
+
+    def test_input_trust(self):
+        claims, _, _ = copier_scenario(seed=4)
+        trust = {s: 0.5 + 0.07 * i for i, s in enumerate(claims.sources)}
+        self.compare_runs(claims, input_trust=trust)
+
+    def test_no_contested_items(self):
+        claims = make_claims([(s, f"o{i}", "price", 10.0 + i)
+                              for s in ("s1", "s2", "s3") for i in range(4)])
+        r = self.compare_runs(claims)
+        assert r.copy_matrix.prob == {}
+        assert set(r.copy_matrix.independence.values()) == {1.0}
+
+    def test_detect_copying_and_weights_match_loops(self):
+        claims, gold, known = copier_scenario(seed=6, n_attrs=2)
+        trust = {s: 0.4 + 0.1 * i for i, s in enumerate(claims.sources)}
+        # Truth from gold on most items, none on some: both rules apply.
+        truth = {it: v for k, (it, v) in enumerate(gold.entries.items())
+                 if k % 7}
+        matrix = detect_copying(claims, truth, trust, CFG.copy)
+        want = ref_detect_copying(claims, truth, trust, CFG.copy)
+        assert_close_maps(matrix.prob, want)
+        assert len(matrix.prob) == 6 * 5
+        got = independence_weights(matrix, claims, CFG.copy)
+        assert_close_maps(got, ref_independence_weights(want, claims,
+                                                        CFG.copy))
+        assert matrix.independence == got
+
+    def test_detect_copying_reuses_a_global_engine(self):
+        claims, _, _ = copier_scenario(seed=8)
+        truth = run_fusion(MethodSpec("vote"), claims, CFG).selected
+        trust = {s: 0.6 for s in claims.sources}
+        alone = detect_copying(claims, truth, trust, CFG.copy)
+        other_constants = load_config(overrides={"fusion": {"rho": 0.1}})
+        shared = FusionEngine(claims, other_constants.fusion)
+        assert detect_copying(claims, truth, trust, CFG.copy,
+                              shared).prob == alone.prob
+        with pytest.raises(FusionError):
+            detect_copying(claims, truth, trust, CFG.copy,
+                           FusionEngine(claims, CFG.fusion, True))
+        with pytest.raises(FusionError):
+            detect_copying(copier_scenario(seed=9)[0], truth, trust,
+                           CFG.copy, shared)
+
+    def test_detect_copying_with_neighbouring_true_buckets(self):
+        # Bucket centres lie tau apart, so a truth between two of them
+        # matches both: sources on different true buckets still disagree.
+        # tau = 0.01 * median = 1.012; buckets centre on 100 and 101.012.
+        rows = [(s, f"o{i}", "price", v) for i in range(6)
+                for s, v in (("s1", 100.0), ("s2", 100.0), ("s3", 101.2),
+                             ("s4", 101.2), ("s5", 150.0))]
+        claims = make_claims(rows)
+        truth = {DataItem(f"o{i}", "price"): Value.number(100.6)
+                 for i in range(6)}
+        trust = {s: 0.7 for s in claims.sources}
+        matrix = detect_copying(claims, truth, trust, CFG.copy)
+        assert_close_maps(matrix.prob,
+                          ref_detect_copying(claims, truth, trust, CFG.copy))
+        assert matrix.probability("s1", "s3") < CFG.copy.prior_copy_prob
+
+    def test_attr_run_memory_grows_with_pairs_not_sources(self):
+        # 55 sources x 16 attributes = 880 virtual sources: a dense
+        # 880 x 880 float64 matrix alone is 6.2 MB. Items are uncontested
+        # but for three providers per attribute, so the result's pair map
+        # stays small and the peak is the detector's own.
+        schema = {f"a{k:02d}": AttributeSpec(f"a{k:02d}", Kind.NUMBER, 0.01)
+                  for k in range(16)}
+        rows = []
+        for a in schema:
+            rows += [(f"s{s:02d}", "o0", a, 100.0 + 50.0 * (s == 2))
+                     for s in range(3)]
+            rows += [(f"s{s:02d}", f"o{o}", a, 100.0 + o)
+                     for o in range(1, 6) for s in range(55)
+                     if (7 * s + 3 * o + int(a[1:])) % 20 < 13]
+        claims = make_claims(rows, schema=schema)
+        engine = FusionEngine(claims, CFG.fusion, per_attribute=True)
+        assert engine.n_vsrc == 880
+        run_accucopy(claims, CFG, per_attribute=True, engine=engine)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            r = run_accucopy(claims, CFG, per_attribute=True, engine=engine)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(r.copy_matrix.prob) == 16 * 3 * 2
+        assert peak < 4_000_000, peak
