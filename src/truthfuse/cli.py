@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from . import dataio, evalharness, metrics
 from .config import CopyParams, FusionConfig, RunConfig, load_config
 from .fusion import FusionEngine, MethodSpec, method_labels, run_fusion
 from .model import ClaimSet, DataItem, GoldStandard, Kind, TruthFuseError
-from .normalize import tolerances
+from .normalize import bucketize_items, tolerances
 from .synthetic import generate_synthetic, spec_from_dict
 
 
@@ -41,7 +42,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    more than parsing, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="truthfuse",
         description="Profile, fuse, and evaluate conflicting multi-source "
@@ -337,16 +341,12 @@ def _hist(values, width: float, hard_max: float | None = None):
 
 
 def _conflict_rows(claims: ClaimSet, profiles):
-    from .normalize import bucketize
-    taus = tolerances(claims)
-    rows = []
-    for it in sorted(profiles, key=DataItem.sort_key):
-        if profiles[it].num_values < 2:
-            continue
-        for b in bucketize(it, claims, taus[it.attribute]):
-            rows.append((it.object_id, it.attribute, str(b.center),
-                         ";".join(b.providers)))
-    return rows
+    items = [it for it in sorted(profiles, key=DataItem.sort_key)
+             if profiles[it].num_values > 1]
+    return [(it.object_id, it.attribute, str(b.center), ";".join(b.providers))
+            for it, buckets in zip(items, bucketize_items(items, claims,
+                                                          tolerances(claims)))
+            for b in buckets]
 
 
 # -- fuse ---------------------------------------------------------------------
@@ -390,9 +390,8 @@ def _write_selection(path: Path, result, config: RunConfig) -> None:
 
 
 def _write_copy_pairs(path: Path, prob: dict, config: RunConfig) -> None:
-    rows = [(_vsrc_str(a), _vsrc_str(b), p)
-            for (a, b), p in sorted(prob.items(), key=lambda kv: (
-                _vsrc_str(kv[0][0]), _vsrc_str(kv[0][1])))]
+    rows = sorted(((_vsrc_str(a), _vsrc_str(b), p)
+                   for (a, b), p in prob.items()), key=lambda r: r[:2])
     dataio.write_rows(path, ["copier", "original", "probability"], rows,
                       config.delimiter)
 
@@ -429,7 +428,7 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
     for remark, members in groups:
         if len(members) < 2:
             continue
-        g = cd.group_commonality(members, claims, gold)
+        g = cd.group_commonality(members, claims, gold, engine.taus)
         rows.append((remark, g.size, g.schema_sim, g.object_sim,
                      g.value_sim, g.avg_accuracy))
     dataio.write_rows(out / "groups.csv",

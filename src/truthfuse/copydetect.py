@@ -67,14 +67,18 @@ class GroupCommonality:
 
 
 def group_commonality(group, claims: ClaimSet,
-                      gold: GoldStandard | None = None) -> GroupCommonality:
-    """Pairwise-averaged commonality measures for a suspected copy group."""
+                      gold: GoldStandard | None = None,
+                      taus: dict[str, float | None] | None = None,
+                      ) -> GroupCommonality:
+    """Pairwise-averaged commonality measures for a suspected copy group;
+    ``taus`` are the snapshot's tolerances, when already computed."""
     members = [s for s in group if claims.by_source.get(s)]
     excluded = tuple(sorted(set(group) - set(members)))
     if len(members) < 2:
         raise FusionError("group_commonality requires at least two members "
                           "with claims")
-    taus = tolerances(claims)
+    if taus is None:
+        taus = tolerances(claims)
     attrs = {s: {c.item.attribute for c in claims.by_source[s]}
              for s in members}
     objects = {s: {c.item.object_id for c in claims.by_source[s]}

@@ -33,9 +33,12 @@ from .model import (
 )
 from .normalize import (
     SimilarityParams,
-    bucketize,
+    bucket_centre,
+    bucket_claims,
+    bucketize_items,
+    claim_keys,
+    run_starts,
     similarity,
-    subsumes,
     tolerances,
     values_match,
 )
@@ -129,6 +132,14 @@ class FusionState:
     value_trust: np.ndarray | None = None
 
 
+def _fan_out(rows: np.ndarray, start: np.ndarray, count: np.ndarray):
+    """Each row repeated once for every index of [start, start + count),
+    paired with those indices."""
+    rep = np.repeat(rows, count)
+    return rep, (np.repeat(start - np.cumsum(count) + count, count)
+                 + np.arange(len(rep)))
+
+
 class FusionEngine:
     """Array-backed view of a ClaimSet shared by every fusion method.
 
@@ -151,45 +162,37 @@ class FusionEngine:
             rho=config.rho)
 
         self.items: list[DataItem] = list(claims.items)
-        item_index = {it: i for i, it in enumerate(self.items)}
-
-        vsrc_keys: set = set()
-        for c in claims.claims:
-            vsrc_keys.add(self._vkey(c.source, c.item.attribute))
-        self.vsrc_list = sorted(vsrc_keys)
-        vsrc_index = {k: i for i, k in enumerate(self.vsrc_list)}
-
-        cand_values: list[Value] = []
-        cand_members: list[tuple[Value, ...]] = []
-        cand_item: list[int] = []
-        item_start = [0]
-        claim_vsrc: list[int] = []
-        claim_cand: list[int] = []
-        for it in self.items:
-            tau = self.taus[it.attribute]
-            for b in bucketize(it, claims, tau):
-                ci = len(cand_values)
-                cand_values.append(b.center)
-                cand_members.append(b.members)
-                cand_item.append(item_index[it])
-                member_set = set(b.members)
-                for c in claims.by_item[it]:
-                    if c.value in member_set:
-                        claim_vsrc.append(
-                            vsrc_index[self._vkey(c.source, it.attribute)])
-                        claim_cand.append(ci)
-            item_start.append(len(cand_values))
-
-        self.cand_values = cand_values
-        self.cand_members = cand_members
         self.n_items = len(self.items)
-        self.n_cands = len(cand_values)
+        flat, item_of, keys, widths = claim_keys(self.items, claims,
+                                                 self.taus)
+        src_index = {s: k for k, s in enumerate(claims.sources)}
+        vsrc = np.array([src_index[c.source] for c in flat])
+        self.vsrc_list = list(claims.sources)
+        if per_attribute:
+            names = list(self.taus)
+            code = vsrc * len(names) + np.array(
+                [names.index(it.attribute) for it in self.items])[item_of]
+            used = np.zeros(len(self.vsrc_list) * len(names), dtype=bool)
+            used[code] = True
+            vsrc = (np.cumsum(used) - 1)[code]
+            self.vsrc_list = [(self.vsrc_list[c // len(names)],
+                               names[c % len(names)])
+                              for c in np.flatnonzero(used).tolist()]
+
+        order, self.claim_cand, first, centres = bucket_claims(
+            item_of, keys, widths)
+        self.claim_vsrc = vsrc[order].astype(np.int64)
+        self.cand_item = item_of[first].astype(np.int64)
+        self.item_start = np.searchsorted(self.cand_item,
+                                          np.arange(self.n_items))
+        self.cand_values = [bucket_centre(flat[f].value, x) for f, x in
+                            zip(first.tolist(), centres.tolist())]
+        self.n_cands = len(self.cand_values)
         self.n_vsrc = len(self.vsrc_list)
-        self.cand_item = np.asarray(cand_item, dtype=np.int64)
-        self.item_start = np.asarray(item_start[:-1], dtype=np.int64)
-        self.claim_vsrc = np.asarray(claim_vsrc, dtype=np.int64)
-        self.claim_cand = np.asarray(claim_cand, dtype=np.int64)
         self.claim_item = self.cand_item[self.claim_cand]
+        self._claim_key = keys[order]
+        self._claim_gran = np.array([c.value.granularity or 0.0
+                                     for c in flat])[order]
         self.src_nvals = np.bincount(self.claim_vsrc,
                                      minlength=self.n_vsrc).astype(float)
         self.cand_counts = np.bincount(self.claim_cand,
@@ -198,75 +201,79 @@ class FusionEngine:
                                       minlength=self.n_items).astype(float)
         self.item_ncand = np.bincount(self.cand_item,
                                       minlength=self.n_items).astype(float)
-        self._build_similarity()
-        self._build_format_pairs()
+        cand_attr = [claims.attribute_of(self.items[i])
+                     for i in self.cand_item.tolist()]
+        self._build_similarity(cand_attr, centres)
+        self._build_format_pairs(np.array([a.kind is Kind.NUMBER
+                                           for a in cand_attr], dtype=bool))
         self._pop_term = self._build_popularity_term()
 
-    def _vkey(self, source: str, attribute: str):
-        return (source, attribute) if self.per_attribute else source
+    def _build_similarity(self, cand_attr: list, centres: np.ndarray) -> None:
+        """Ordered pairs of distinct candidates on one item with positive
+        similarity, i-major and j-ascending (``normalize.similarity`` in
+        array form for numbers and times)."""
+        n = self.item_ncand.astype(np.int64)[self.cand_item]
+        n[n < 2] = 0
+        i, j = _fan_out(np.arange(self.n_cands),
+                        self.item_start[self.cand_item], n)
+        i, j = i[i != j], j[i != j]
+        p = self.sim_params
+        # Where similarity reaches zero; 0 for text, whose pairs are
+        # edit distances computed one by one below.
+        span = np.array([p.time_zero_at if a.kind is Kind.TIME_OF_DAY
+                         else p.decay_width_multiplier * self.taus[a.name]
+                         if a.kind is Kind.NUMBER else 0.0
+                         for a in cand_attr])[i]
+        d = np.abs(centres[i] - centres[j])
+        sims = np.where(span > 0, 1.0 - d / np.where(span > 0, span, 1.0),
+                        (d == 0).astype(float))
+        text = np.array([a.kind is Kind.TEXT for a in cand_attr], dtype=bool)
+        for k in np.flatnonzero(text[i]).tolist():
+            a, b = int(i[k]), int(j[k])
+            sims[k] = similarity(self.cand_values[a], self.cand_values[b],
+                                 cand_attr[a], p)
+        keep = sims > 0.0
+        self.sim_i, self.sim_j, self.sim_w = i[keep], j[keep], sims[keep]
 
-    def _build_similarity(self) -> None:
-        rows: list[int] = []
-        cols: list[int] = []
-        sims: list[float] = []
-        for item_idx in range(self.n_items):
-            lo = int(self.item_start[item_idx])
-            hi = (int(self.item_start[item_idx + 1])
-                  if item_idx + 1 < self.n_items else self.n_cands)
-            if hi - lo < 2:
-                continue
-            attr = self.claims.attribute_of(self.items[item_idx])
-            tau = self.taus[attr.name]
-            for i in range(lo, hi):
-                for j in range(lo, hi):
-                    if i == j:
-                        continue
-                    s = similarity(self.cand_values[i], self.cand_values[j],
-                                   attr, self.sim_params, tau)
-                    if s > 0.0:
-                        rows.append(i)
-                        cols.append(j)
-                        sims.append(s)
-        self.sim_i = np.asarray(rows, dtype=np.int64)
-        self.sim_j = np.asarray(cols, dtype=np.int64)
-        self.sim_w = np.asarray(sims, dtype=float)
+    def cand_members(self):
+        """Each candidate's distinct claimed keys (numbers, times or text
+        ranks) in ascending order, as (candidate, key, granularity)
+        arrays; a member's granularity is that of its first provider in
+        source order (0 for none, which ``subsumes`` treats alike)."""
+        order = np.lexsort((self._claim_key, self.claim_cand))
+        cand, key = self.claim_cand[order], self._claim_key[order]
+        first = run_starts(cand, key)
+        return cand[first], key[first], self._claim_gran[order][first]
 
-    def _build_format_pairs(self) -> None:
+    def _build_format_pairs(self, numeric: np.ndarray) -> None:
         """Claim -> candidate pairs where the claim's value subsumes a
-        strictly finer member of another candidate on the same item."""
-        pairs_claim: list[int] = []
-        pairs_cand: list[int] = []
-        for k in range(len(self.claim_cand)):
-            own = int(self.claim_cand[k])
-            item_idx = int(self.cand_item[own])
-            item = self.items[item_idx]
-            attr = self.claims.attribute_of(item)
-            if attr.kind is not Kind.NUMBER:
-                continue
-            coarse = self._claim_value(k)
-            if coarse.granularity is None:
-                continue
-            lo = int(self.item_start[item_idx])
-            hi = (int(self.item_start[item_idx + 1])
-                  if item_idx + 1 < self.n_items else self.n_cands)
-            for cand in range(lo, hi):
-                if cand == own:
-                    continue
-                if any(subsumes(coarse, m, attr)
-                       for m in self.cand_members[cand]):
-                    pairs_claim.append(k)
-                    pairs_cand.append(cand)
-        self.fmt_claim = np.asarray(pairs_claim, dtype=np.int64)
-        self.fmt_cand = np.asarray(pairs_cand, dtype=np.int64)
-
-    def _claim_value(self, claim_idx: int) -> Value:
-        vk = self.vsrc_list[int(self.claim_vsrc[claim_idx])]
-        source = vk[0] if self.per_attribute else vk
-        item = self.items[int(self.claim_item[claim_idx])]
-        for c in self.claims.by_item[item]:
-            if c.source == source:
-                return c.value
-        raise FusionError("claim index out of sync")  # pragma: no cover
+        strictly finer member of another candidate on the same item, in
+        claim-then-candidate order (``normalize.subsumes`` in array form).
+        A member equal to the claim's own value lies in the claim's own
+        candidate, so only the rounding test can pair."""
+        m_cand, m_key, m_fine = self.cand_members()
+        on = numeric[m_cand]
+        m_cand, m_key, m_fine = m_cand[on], m_key[on], m_fine[on]
+        m_item = self.cand_item[m_cand]
+        claim = np.flatnonzero(numeric[self.claim_cand]
+                               & (self._claim_gran > 0))
+        item = self.claim_item[claim]
+        k, m = _fan_out(claim, np.searchsorted(m_item, item),
+                        np.bincount(m_item, minlength=self.n_items)[item])
+        other = m_cand[m] != self.claim_cand[k]
+        k, m = k[other], m[other]
+        g, b = self._claim_gran[k], self._claim_key[k]
+        a = np.rint(m_key[m] / g) * g
+        diff = np.abs(b - a)
+        # math.isclose(a, b, rel_tol=1e-9, abs_tol=g * 1e-9), written out
+        # because np.isclose is not symmetric.
+        close = (a == b) | (np.isfinite(a) & (
+            (diff <= np.abs(1e-9 * b)) | (diff <= np.abs(1e-9 * a))
+            | (diff <= g * 1e-9)))
+        hit = close & (g > m_fine[m])
+        k, cand = k[hit], m_cand[m][hit]
+        new = run_starts(k, cand)
+        self.fmt_claim, self.fmt_cand = k[new], cand[new]
 
     def _build_popularity_term(self) -> np.ndarray:
         """Static per-candidate log-mass of competing observed values,
@@ -838,20 +845,17 @@ def _sample_global(name: str, claims: ClaimSet, gold: GoldStandard,
     # (candidate key, own value correct, #candidates, #correct candidates).
     per_source: dict[str, list[tuple[tuple, bool, int, int]]] = {
         s: [] for s in claims.sources}
-    for item in sorted(gold.entries, key=DataItem.sort_key):
-        if item not in claims.by_item:
-            continue
-        truth = gold.entries[item]
-        attr = claims.attribute_of(item)
-        tau = taus[item.attribute]
-        buckets = bucketize(item, claims, tau)
-        n_correct = sum(1 for b in buckets
-                        if values_match(b.center, truth, attr, tau))
-        for bi, b in enumerate(buckets):
-            ok = values_match(b.center, truth, attr, tau)
+    covered = [it for it in sorted(gold.entries, key=DataItem.sort_key)
+               if it in claims.by_item]
+    for item, buckets in zip(covered,
+                             bucketize_items(covered, claims, taus)):
+        oks = [values_match(b.center, gold.entries[item],
+                            claims.attribute_of(item), taus[item.attribute])
+               for b in buckets]
+        for bi, (b, ok) in enumerate(zip(buckets, oks)):
             for s in b.providers:
                 per_source[s].append(((item, bi), ok, len(buckets),
-                                      n_correct))
+                                      sum(oks)))
 
     if name in ("hub", "avglog", "invest", "pooledinvest"):
         raw: dict[str, float] = {}

@@ -19,7 +19,8 @@ from .model import (
     UndefinedDeviationError,
     Value,
 )
-from .normalize import Bucket, bucketize, tolerances, values_match
+from .normalize import (Bucket, bucketize, bucketize_items, tolerances,
+                        values_match)
 
 
 @dataclass(frozen=True)
@@ -156,19 +157,15 @@ def precision_of_dominant(claims: ClaimSet, gold: GoldStandard,
         raise ValueError("gold standard is empty")
     if taus is None:
         taus = tolerances(claims)
-    correct = 0
-    covered = 0
-    for item in sorted(gold.entries, key=DataItem.sort_key):
-        if item not in claims.by_item:
-            continue
-        covered += 1
-        attr = claims.attribute_of(item)
-        v0, _ = dominant(bucketize(item, claims, taus[item.attribute]))
-        if values_match(v0, gold.entries[item], attr, taus[item.attribute]):
-            correct += 1
-    if covered == 0:
+    items = [it for it in sorted(gold.entries, key=DataItem.sort_key)
+             if it in claims.by_item]
+    if not items:
         raise ValueError("no gold item is covered by any claim")
-    return correct / covered
+    correct = sum(
+        values_match(dominant(buckets)[0], gold.entries[it],
+                     claims.attribute_of(it), taus[it.attribute])
+        for it, buckets in zip(items, bucketize_items(items, claims, taus)))
+    return correct / len(items)
 
 
 def source_accuracy(source: str, claims: ClaimSet, gold: GoldStandard,

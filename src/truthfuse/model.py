@@ -236,12 +236,6 @@ class ClaimSet:
         """Multiset of distinct normalized values on the item."""
         return Counter(c.value for c in self.by_item.get(item, ()))
 
-    def attribute_numbers(self, attribute: str) -> list[float]:
-        """All numeric/time payloads claimed for the attribute (multiset)."""
-        return [c.value.num for c in self.claims
-                if c.item.attribute == attribute
-                and c.value.kind is not Kind.TEXT]
-
     def restrict(self, sources: Sequence[str]) -> "ClaimSet":
         """A snapshot view containing only claims from the given sources."""
         keep = set(sources)

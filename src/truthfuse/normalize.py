@@ -10,6 +10,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     AttributeSpec,
     Claim,
@@ -164,22 +166,31 @@ def tolerance(attribute: AttributeSpec, values) -> float:
     return attribute.tolerance_param * median
 
 
-def effective_tolerance(attribute: AttributeSpec,
-                        claims: ClaimSet) -> float | None:
+def effective_tolerance(attribute: AttributeSpec, claims: ClaimSet,
+                        numbers=None) -> float | None:
     """The matching tolerance for an attribute within a snapshot: tau for
-    numbers, the minute tolerance for times, None for text."""
+    numbers, the minute tolerance for times, None for text. ``numbers``
+    are the attribute's claimed numbers, when already gathered."""
     if attribute.kind is Kind.NUMBER:
-        return tolerance(attribute, claims.attribute_numbers(attribute.name))
+        if numbers is None:
+            numbers = [c.value.num for c in claims.claims
+                       if c.item.attribute == attribute.name]
+        return tolerance(attribute, numbers)
     if attribute.kind is Kind.TIME_OF_DAY:
         return attribute.tolerance_param
     return None
 
 
 def tolerances(claims: ClaimSet) -> dict[str, float | None]:
-    """Per-attribute matching tolerances for every attribute with claims."""
-    present = {it.attribute for it in claims.items}
-    return {name: effective_tolerance(claims.schema[name], claims)
-            for name in sorted(present)}
+    """Per-attribute matching tolerances for every attribute with claims;
+    one pass over the claims gathers each numeric attribute's numbers."""
+    numbers: dict[str, list[float]] = {}
+    for it in claims.items:
+        xs = numbers.setdefault(it.attribute, [])
+        if claims.schema[it.attribute].kind is Kind.NUMBER:
+            xs.extend([c.value.num for c in claims.by_item[it]])
+    return {name: effective_tolerance(claims.schema[name], claims, xs)
+            for name, xs in sorted(numbers.items())}
 
 
 def values_match(v1: Value, v2: Value, attribute: AttributeSpec,
@@ -218,59 +229,98 @@ def bucketize(item: DataItem, claims: ClaimSet,
     grid spacing. Every claim lands in exactly one bucket; empty buckets
     are omitted. Text values bucket by exact case-folded equality.
     """
-    item_claims = claims.by_item.get(item)
-    if not item_claims:
+    if not claims.by_item.get(item):
         raise ValueError(f"item {item} has no claims")
-    attr = claims.attribute_of(item)
-    if attr.kind is Kind.TEXT:
-        groups: dict[str, list[Claim]] = {}
-        for c in item_claims:
-            groups.setdefault(c.value.text, []).append(c)
-        return [
-            Bucket(center=Value.of_text(text), half_width=0.0,
-                   members=tuple(sorted({c.value for c in cs},
-                                        key=Value.sort_key)),
-                   provider_count=len(cs),
-                   providers=tuple(sorted(c.source for c in cs)))
-            for text, cs in sorted(groups.items())
-        ]
-    anchor = _raw_dominant(item_claims)
-    width = bucket_width(attr, tau)
-    groups_n: dict[float, list[Claim]] = {}
-    if width > 0:
-        for c in item_claims:
-            k = _bucket_index(c.value.num, anchor, width)
-            groups_n.setdefault(anchor + k * width, []).append(c)
-    else:
-        # Degenerate tolerance: exact grouping by value.
-        for c in item_claims:
-            groups_n.setdefault(c.value.num, []).append(c)
-    half = width / 2.0
-    out = []
-    for center_num in sorted(groups_n):
-        cs = groups_n[center_num]
-        # Grid centers may land marginally outside the clock range, so the
-        # time constructor's range check is bypassed deliberately.
-        center = (Value.number(center_num) if attr.kind is Kind.NUMBER
-                  else Value(Kind.TIME_OF_DAY, num=center_num))
-        out.append(Bucket(
-            center=center, half_width=half,
-            members=tuple(sorted({c.value for c in cs}, key=Value.sort_key)),
-            provider_count=len(cs),
-            providers=tuple(sorted(c.source for c in cs))))
+    return bucketize_items([item], claims, {item.attribute: tau})[0]
+
+
+def bucketize_items(items, claims: ClaimSet,
+                    taus: dict[str, float | None]) -> list[list[Bucket]]:
+    """``bucketize`` for many items with claims at once; ``taus`` maps
+    their attributes to tolerances."""
+    flat, item_of, keys, widths = claim_keys(items, claims, taus)
+    order, bucket_of, first, centres = bucket_claims(item_of, keys, widths)
+    groups: list[list[Claim]] = [[] for _ in centres]
+    for i, b in zip(order.tolist(), bucket_of.tolist()):
+        groups[b].append(flat[i])
+    out: list[list[Bucket]] = [[] for _ in items]
+    for cs, ii, w, x in zip(groups, item_of[first].tolist(),
+                            widths[first].tolist(), centres.tolist()):
+        out[ii].append(Bucket(
+            bucket_centre(cs[0].value, x), w / 2.0,
+            tuple(sorted({c.value for c in cs}, key=Value.sort_key)),
+            len(cs), tuple(sorted(c.source for c in cs))))
     return out
 
 
-def _raw_dominant(item_claims) -> float:
-    counts: dict[float, int] = {}
-    for c in item_claims:
-        counts[c.value.num] = counts.get(c.value.num, 0) + 1
-    return min((v for v in counts),
-               key=lambda v: (-counts[v], v))
+def claim_keys(items, claims: ClaimSet, taus: dict[str, float | None]):
+    """The claims of ``items`` in (item, source) order, with what
+    ``bucket_claims`` groups them by: each claim's item number, key (its
+    number or time; for text, its rank among the distinct texts, which
+    with a width of 0 makes exact classes) and grid width."""
+    per_item = [claims.by_item[it] for it in items]
+    flat = [c for cs in per_item for c in cs]
+    item_of = np.repeat(np.arange(len(items)), [len(cs) for cs in per_item])
+    keys = np.array([c.value.num for c in flat], dtype=float)
+    attrs = [claims.schema[it.attribute] for it in items]
+    widths = np.array([bucket_width(a, taus[a.name]) for a in attrs])
+    text = np.flatnonzero(np.array([a.kind is Kind.TEXT for a in attrs],
+                                   dtype=bool)[item_of]).tolist()
+    rank = {t: r for r, t in
+            enumerate(sorted({flat[k].value.text for k in text}))}
+    keys[text] = [rank[flat[k].value.text] for k in text]
+    return flat, item_of, keys, widths[item_of]
 
 
-def _bucket_index(x: float, anchor: float, width: float) -> int:
-    return math.ceil((x - anchor) / width - 0.5)
+def bucket_claims(item_of: np.ndarray, keys: np.ndarray,
+                  widths: np.ndarray):
+    """The bucketing rule, for the claims of any number of items at once.
+
+    Claims come in (item, source) order, each with its item's grid width
+    (<= 0: exact grouping). An item's anchor is its most frequent key, the
+    smallest on ties; a claim's centre is anchor + k*w with
+    k = ceil((x - anchor)/w - 0.5). Returns the claims' stable order by
+    (item, centre), the bucket of each ordered claim, and each bucket's
+    first claim (in source order) and centre.
+    """
+    by_key = np.lexsort((keys, item_of))
+    item_k, key_k = item_of[by_key], keys[by_key]
+    run = np.flatnonzero(run_starts(item_k, key_k))
+    run_len = np.diff(np.append(run, len(keys)))
+    best = np.lexsort((key_k[run], -run_len, item_k[run]))
+    top = run[best[run_starts(item_k[run][best])]]
+    anchor = np.zeros(int(item_of.max(initial=-1)) + 1)
+    anchor[item_k[top]] = key_k[top]
+    a = anchor[item_of]
+    grid = widths > 0
+    w = np.where(grid, widths, 1.0)
+    # "+ 0.0" turns ceil's -0.0 into the 0 an integer index would give.
+    k = np.ceil((keys - a) / w - 0.5) + 0.0
+    centre = np.where(grid, a + k * w, keys)
+    order = np.lexsort((centre, item_of))
+    starts = run_starts(item_of[order], centre[order])
+    return (order, np.cumsum(starts) - 1, order[starts],
+            centre[order][starts])
+
+
+def bucket_centre(first: Value, centre: float) -> Value:
+    """A bucket's centre as a value, given its first claim's value (which
+    names a text bucket). Grid centres may land marginally outside the
+    clock range, so the time constructor's range check is bypassed."""
+    if first.kind is Kind.TEXT:
+        return Value.of_text(first.text)
+    if first.kind is Kind.NUMBER:
+        return Value.number(centre)
+    return Value(Kind.TIME_OF_DAY, num=centre)
+
+
+def run_starts(*cols: np.ndarray) -> np.ndarray:
+    """True where a run of equal rows of the (sorted) columns begins."""
+    new = np.zeros(len(cols[0]), dtype=bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
 
 
 def similarity(v1: Value, v2: Value, attribute: AttributeSpec,
