@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from .fusion import (
     engine_for,
 )
 from .metrics import source_accuracy
-from .model import ClaimSet, DataItem, GoldStandard, Value
-from .normalize import tolerances, values_match
+from .model import ClaimSet, DataItem, GoldStandard, Kind, Value
+from .normalize import bucket_width, tolerances, values_match
 
 _TINY = 1e-300
 
@@ -71,7 +71,11 @@ def group_commonality(group, claims: ClaimSet,
                       taus: dict[str, float | None] | None = None,
                       ) -> GroupCommonality:
     """Pairwise-averaged commonality measures for a suspected copy group;
-    ``taus`` are the snapshot's tolerances, when already computed."""
+    ``taus`` are the snapshot's tolerances, when already computed.
+
+    Members are rows over the items: claimed or not, and a key (number,
+    time, or a code per case-folded text) matched as ``values_match``
+    does; per-pair ratios are summed in ``combinations`` order."""
     members = [s for s in group if claims.by_source.get(s)]
     excluded = tuple(sorted(set(group) - set(members)))
     if len(members) < 2:
@@ -79,32 +83,29 @@ def group_commonality(group, claims: ClaimSet,
                           "with claims")
     if taus is None:
         taus = tolerances(claims)
-    attrs = {s: {c.item.attribute for c in claims.by_source[s]}
-             for s in members}
-    objects = {s: {c.item.object_id for c in claims.by_source[s]}
-               for s in members}
-    items = {s: {c.item: c.value for c in claims.by_source[s]}
-             for s in members}
-    schema_parts: list[float] = []
-    object_parts: list[float] = []
-    value_parts: list[float] = []
-    for s1, s2 in combinations(sorted(members), 2):
-        schema_parts.append(_jaccard(attrs[s1], attrs[s2]))
-        object_parts.append(_jaccard(objects[s1], objects[s2]))
-        shared = items[s1].keys() & items[s2].keys()
-        if shared:
-            same = sum(
-                1 for it in shared
-                if values_match(items[s1][it], items[s2][it],
-                                claims.attribute_of(it),
-                                taus[it.attribute]))
-            value_parts.append(same / len(shared))
-    accs = []
-    if gold is not None:
-        for s in members:
-            a = source_accuracy(s, claims, gold, taus)
-            if a is not None:
-                accs.append(a)
+    ordered, items = sorted(members), claims.items
+    col = {(it.object_id, it.attribute): k for k, it in enumerate(items)}
+    present = np.zeros((len(ordered), len(items)), dtype=bool)
+    key = np.zeros(present.shape)
+    codes: dict[str, int] = {}
+    for r, s in enumerate(ordered):
+        cs = claims.by_source[s]
+        cols = [col[c.item.object_id, c.item.attribute] for c in cs]
+        present[r, cols] = True
+        key[r, cols] = [codes.setdefault(c.value.text.casefold(), len(codes))
+                        if c.value.kind is Kind.TEXT else c.value.num
+                        for c in cs]
+    tol = np.array([bucket_width(claims.schema[it.attribute],
+                                 taus[it.attribute]) for it in items])
+    same = [(present[i] & present[i + 1:]
+             & (np.abs(key[i] - key[i + 1:]) <= tol)).sum(1)
+            for i in range(len(ordered) - 1)]
+    value_parts = [a / n for a, n in zip(np.concatenate(same).tolist(),
+                                         _pair_counts(present)[0]) if n]
+    schema_parts = _jaccards(present, [it.attribute for it in items])
+    object_parts = _jaccards(present, [it.object_id for it in items])
+    accs = [a for s in members if gold is not None
+            and (a := source_accuracy(s, claims, gold, taus)) is not None]
     return GroupCommonality(
         schema_sim=sum(schema_parts) / len(schema_parts),
         object_sim=sum(object_parts) / len(object_parts),
@@ -115,11 +116,22 @@ def group_commonality(group, claims: ClaimSet,
         excluded=excluded)
 
 
-def _jaccard(a: set, b: set) -> float:
-    union = a | b
-    if not union:
-        return 0.0
-    return len(a & b) / len(union)
+def _pair_counts(x: np.ndarray) -> tuple[list[int], list[int]]:
+    """Intersection and union sizes of the 0/1 rows of ``x``, for every
+    pair i < j in row-major order."""
+    inter = x.astype(np.int64) @ x.T.astype(np.int64)
+    size = inter.diagonal()
+    pairs = np.triu_indices(len(x), 1)
+    return (inter[pairs].tolist(),
+            (size[:, None] + size - inter)[pairs].tolist())
+
+
+def _jaccards(present: np.ndarray, labels: list[str]) -> list[float]:
+    """Each member pair's Jaccard overlap of the labels (attributes or
+    objects) of the items they claim."""
+    code = {x: k for k, x in enumerate(dict.fromkeys(labels))}
+    onehot = np.equal.outer([code[x] for x in labels], np.arange(len(code)))
+    return [a / u for a, u in zip(*_pair_counts(present @ onehot))]
 
 
 def detect_copying(claims: ClaimSet, truth_estimate: dict[DataItem, Value],

@@ -44,30 +44,27 @@ def load_schema(path: str | Path, delimiter: str = ",",
     times).
     """
     schema: dict[str, AttributeSpec] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), 1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise LoadError(f"{path}:{lineno}: expected "
-                                f"name,kind[,tolerance_param]")
-            name = row[0].strip()
-            kind = Kind.parse(row[1])
-            param_raw = row[2].strip() if len(row) > 2 else ""
-            if param_raw:
-                try:
-                    param = float(param_raw)
-                except ValueError:
-                    raise LoadError(f"{path}:{lineno}: bad tolerance "
-                                    f"parameter {param_raw!r}") from None
-            else:
-                param = {Kind.NUMBER: default_alpha,
-                         Kind.TIME_OF_DAY: default_time_tolerance,
-                         Kind.TEXT: 0.0}[kind]
-            if name in schema:
-                raise LoadError(f"{path}:{lineno}: duplicate attribute "
-                                f"{name!r}")
-            schema[name] = AttributeSpec(name, kind, param)
+    for lineno, row in _csv_rows(path, delimiter):
+        if len(row) < 2:
+            raise LoadError(f"{path}:{lineno}: expected "
+                            f"name,kind[,tolerance_param]")
+        name = row[0].strip()
+        kind = Kind.parse(row[1])
+        param_raw = row[2].strip() if len(row) > 2 else ""
+        if param_raw:
+            try:
+                param = float(param_raw)
+            except ValueError:
+                raise LoadError(f"{path}:{lineno}: bad tolerance "
+                                f"parameter {param_raw!r}") from None
+        else:
+            param = {Kind.NUMBER: default_alpha,
+                     Kind.TIME_OF_DAY: default_time_tolerance,
+                     Kind.TEXT: 0.0}[kind]
+        if name in schema:
+            raise LoadError(f"{path}:{lineno}: duplicate attribute "
+                            f"{name!r}")
+        schema[name] = AttributeSpec(name, kind, param)
     if not schema:
         raise LoadError(f"{path}: empty schema")
     return schema
@@ -79,37 +76,22 @@ def load_claims(path: str | Path, schema: dict[str, AttributeSpec],
     """Load, normalize, validate, and index a claims file.
 
     Rejects duplicate (source, item) pairs, unparseable values, and unknown
-    attributes, naming the offending line.
+    attributes, naming the offending line. Parses each spelling once.
     """
     claims: list[Claim] = []
-    seen: set[tuple[str, DataItem]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != CLAIM_HEADER:
-            raise LoadError(f"{path}: expected header "
-                            f"{','.join(CLAIM_HEADER)!r}")
-        for lineno, row in enumerate(reader, 2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise LoadError(f"{path}:{lineno}: expected 4 columns, "
-                                f"got {len(row)}")
-            source, obj, attr_name, raw = (f.strip() for f in row)
-            attr = schema.get(attr_name)
-            if attr is None:
-                raise LoadError(f"{path}:{lineno}: unknown attribute "
-                                f"{attr_name!r}")
-            item = DataItem(obj, attr_name)
-            if (source, item) in seen:
-                raise LoadError(f"{path}:{lineno}: duplicate claim by "
-                                f"{source!r} on ({obj!r}, {attr_name!r})")
-            seen.add((source, item))
-            try:
-                value = normalize_value(raw, attr.kind)
-            except ValueParseError as exc:
-                raise LoadError(f"{path}:{lineno}: {exc}") from exc
-            claims.append(Claim(source, item, value))
+    items: dict[tuple[str, str], DataItem] = {}
+    seen: set[tuple[str, str, str]] = set()
+    for lineno, (source, obj, attr_name, raw), spellings in _rows(
+            path, CLAIM_HEADER, schema, delimiter):
+        seen.add((source, obj, attr_name))
+        if len(seen) == len(claims):
+            raise LoadError(f"{path}:{lineno}: duplicate claim by "
+                            f"{source!r} on ({obj!r}, {attr_name!r})")
+        item = items.get((obj, attr_name))
+        if item is None:
+            item = items[obj, attr_name] = DataItem(obj, attr_name)
+        claims.append(Claim(source, item, spellings.get(raw) or _parse(
+            path, lineno, spellings, raw, schema[attr_name].kind)))
     label = snapshot_label if snapshot_label is not None else Path(path).stem
     return ClaimSet(label, schema, claims)
 
@@ -122,33 +104,54 @@ def load_gold(path: str | Path, claims: ClaimSet,
     ``orphan_count``.
     """
     entries: dict[DataItem, Value] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != GOLD_HEADER:
-            raise LoadError(f"{path}: expected header "
-                            f"{','.join(GOLD_HEADER)!r}")
-        for lineno, row in enumerate(reader, 2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise LoadError(f"{path}:{lineno}: expected 3 columns, "
-                                f"got {len(row)}")
-            obj, attr_name, raw = (f.strip() for f in row)
-            attr = claims.schema.get(attr_name)
-            if attr is None:
-                raise LoadError(f"{path}:{lineno}: unknown attribute "
-                                f"{attr_name!r}")
-            item = DataItem(obj, attr_name)
-            if item in entries:
-                raise LoadError(f"{path}:{lineno}: duplicate gold row for "
-                                f"({obj!r}, {attr_name!r})")
-            try:
-                entries[item] = normalize_value(raw, attr.kind)
-            except ValueParseError as exc:
-                raise LoadError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, (obj, attr_name, raw), spellings in _rows(
+            path, GOLD_HEADER, claims.schema, delimiter):
+        item = DataItem(obj, attr_name)
+        if item in entries:
+            raise LoadError(f"{path}:{lineno}: duplicate gold row for "
+                            f"({obj!r}, {attr_name!r})")
+        entries[item] = spellings.get(raw) or _parse(
+            path, lineno, spellings, raw, claims.schema[attr_name].kind)
     orphans = sum(1 for item in entries if item not in claims.by_item)
     return GoldStandard(entries=entries, orphan_count=orphans)
+
+
+def _csv_rows(path: str | Path, delimiter: str):
+    """(line number, fields) of each non-blank row of a delimited file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), 1):
+            if row and (len(row) > 1 or row[0].strip()):
+                yield lineno, row
+
+
+def _rows(path: str | Path, header: list[str],
+          schema: dict[str, AttributeSpec], delimiter: str):
+    """(line number, stripped fields, its attribute's spelling -> value
+    memo) of each row of a claims or gold file, checked up to the value."""
+    memo: dict[str, dict[str, Value]] = {name: {} for name in schema}
+    rows = _csv_rows(path, delimiter)
+    lineno, first = next(rows, (0, None))
+    if lineno != 1 or [h.strip().lower() for h in first] != header:
+        raise LoadError(f"{path}: expected header {','.join(header)!r}")
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise LoadError(f"{path}:{lineno}: expected {len(header)} "
+                            f"columns, got {len(row)}")
+        fields = list(map(str.strip, row))
+        spellings = memo.get(fields[-2])
+        if spellings is None:
+            raise LoadError(f"{path}:{lineno}: unknown attribute "
+                            f"{fields[-2]!r}")
+        yield lineno, fields, spellings
+
+
+def _parse(path, lineno: int, spellings: dict, raw: str, kind: Kind) -> Value:
+    """Parse a spelling not in ``spellings`` yet; only successes are kept."""
+    try:
+        value = spellings[raw] = normalize_value(raw, kind)
+    except ValueParseError as exc:
+        raise LoadError(f"{path}:{lineno}: {exc}") from exc
+    return value
 
 
 def write_schema(schema: dict[str, AttributeSpec], path: str | Path,
@@ -185,22 +188,19 @@ def load_trust(path: str | Path, delimiter: str = ",") -> dict:
     """Read a trust map: ``source,trust`` rows, or ``source,attribute,trust``
     rows for per-attribute trust (keys become (source, attribute) tuples)."""
     out: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), 1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and row[-1].strip().lower() == "trust":
-                continue
-            try:
-                if len(row) == 2:
-                    out[row[0].strip()] = float(row[1])
-                elif len(row) == 3:
-                    out[(row[0].strip(), row[1].strip())] = float(row[2])
-                else:
-                    raise ValueError
-            except ValueError:
-                raise LoadError(f"{path}:{lineno}: expected "
-                                f"source[,attribute],trust") from None
+    for lineno, row in _csv_rows(path, delimiter):
+        if lineno == 1 and row[-1].strip().lower() == "trust":
+            continue
+        try:
+            if len(row) == 2:
+                out[row[0].strip()] = float(row[1])
+            elif len(row) == 3:
+                out[(row[0].strip(), row[1].strip())] = float(row[2])
+            else:
+                raise ValueError
+        except ValueError:
+            raise LoadError(f"{path}:{lineno}: expected "
+                            f"source[,attribute],trust") from None
     if not out:
         raise LoadError(f"{path}: empty trust file")
     return out
@@ -224,23 +224,20 @@ def load_known_copiers(path: str | Path,
                        delimiter: str = ",") -> dict[tuple[str, str], float]:
     """Read declared copying pairs: ``copier,original,probability``."""
     out: dict[tuple[str, str], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), 1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and row[-1].strip().lower() == "probability":
-                continue
-            if len(row) != 3:
-                raise LoadError(f"{path}:{lineno}: expected "
-                                f"copier,original,probability")
-            try:
-                prob = float(row[2])
-            except ValueError:
-                raise LoadError(f"{path}:{lineno}: bad probability "
-                                f"{row[2]!r}") from None
-            if not (0.0 <= prob <= 1.0):
-                raise LoadError(f"{path}:{lineno}: probability out of [0,1]")
-            out[(row[0].strip(), row[1].strip())] = prob
+    for lineno, row in _csv_rows(path, delimiter):
+        if lineno == 1 and row[-1].strip().lower() == "probability":
+            continue
+        if len(row) != 3:
+            raise LoadError(f"{path}:{lineno}: expected "
+                            f"copier,original,probability")
+        try:
+            prob = float(row[2])
+        except ValueError:
+            raise LoadError(f"{path}:{lineno}: bad probability "
+                            f"{row[2]!r}") from None
+        if not (0.0 <= prob <= 1.0):
+            raise LoadError(f"{path}:{lineno}: probability out of [0,1]")
+        out[(row[0].strip(), row[1].strip())] = prob
     return out
 
 

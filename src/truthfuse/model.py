@@ -181,9 +181,8 @@ class ClaimSet:
         self.snapshot_label = snapshot_label
         self.schema: dict[str, AttributeSpec] = dict(schema)
         claim_list = list(claims)
-        by_item: dict[DataItem, list[Claim]] = {}
-        by_source: dict[str, list[Claim]] = {}
-        seen: set[tuple[str, DataItem]] = set()
+        keys: list[tuple[str, str, str]] = []
+        seen: set[tuple[str, str, str]] = set()
         for c in claim_list:
             if not c.source:
                 raise LoadError("source id must be non-empty")
@@ -195,27 +194,28 @@ class ClaimSet:
                 raise KindMismatchError(
                     f"value kind {c.value.kind.value} does not match "
                     f"attribute {attr.name!r} ({attr.kind.value})")
-            key = (c.source, c.item)
-            if key in seen:
+            key = (c.item.object_id, c.item.attribute, c.source)
+            seen.add(key)
+            if len(seen) == len(keys):
                 raise LoadError(f"duplicate claim by source {c.source!r} "
                                 f"on item {c.item}")
-            seen.add(key)
-            by_item.setdefault(c.item, []).append(c)
+            keys.append(key)
+        # One sort by (item, source); every index is grouped from it.
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.claims: tuple[Claim, ...] = tuple(claim_list[i] for i in order)
+        by_item: dict[tuple[str, str], list[Claim]] = {}
+        by_source: dict[str, list[Claim]] = {}
+        for i, c in zip(order, self.claims):
+            by_item.setdefault(keys[i][:2], []).append(c)
             by_source.setdefault(c.source, []).append(c)
-        self.claims: tuple[Claim, ...] = tuple(
-            sorted(claim_list,
-                   key=lambda c: (c.item.sort_key(), c.source)))
         self.by_item: dict[DataItem, tuple[Claim, ...]] = {
-            it: tuple(sorted(cs, key=lambda c: c.source))
-            for it, cs in by_item.items()}
-        self.by_source: dict[str, tuple[Claim, ...]] = {
-            s: tuple(sorted(cs, key=lambda c: c.item.sort_key()))
-            for s, cs in by_source.items()}
+            cs[0].item: tuple(cs) for cs in by_item.values()}
         self.sources: tuple[str, ...] = tuple(sorted(by_source))
-        self.items: tuple[DataItem, ...] = tuple(
-            sorted(by_item, key=lambda it: it.sort_key()))
+        self.by_source: dict[str, tuple[Claim, ...]] = {
+            s: tuple(by_source[s]) for s in self.sources}
+        self.items: tuple[DataItem, ...] = tuple(self.by_item)
         self.object_ids: tuple[str, ...] = tuple(
-            sorted({it.object_id for it in self.items}))
+            dict.fromkeys(obj for obj, _ in by_item))
 
     def __len__(self) -> int:
         return len(self.claims)

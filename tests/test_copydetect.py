@@ -13,6 +13,7 @@ import pytest
 from truthfuse.config import load_config
 from truthfuse.copydetect import (
     CopyMatrix,
+    GroupCommonality,
     _PairIndex,
     detect_copying,
     group_commonality,
@@ -20,6 +21,7 @@ from truthfuse.copydetect import (
     run_accucopy,
 )
 from truthfuse.fusion import FusionEngine, FusionError, MethodSpec, run_fusion
+from truthfuse.metrics import source_accuracy
 from truthfuse.model import (
     AttributeSpec,
     Claim,
@@ -39,6 +41,9 @@ from truthfuse.synthetic import (
 from conftest import make_claims, make_gold
 
 CFG = load_config()
+SCHEMA_TT = {a.name: a for a in (
+    AttributeSpec("depart", Kind.TIME_OF_DAY, 10.0),
+    AttributeSpec("gate", Kind.TEXT, 0.0))}
 
 
 def pair_oracle(a1, a2, kt, kf, kd, params):
@@ -510,6 +515,55 @@ def ref_run_accucopy(engine, config, input_trust=None, known_copiers=None,
     return engine.select(votes)[0], trust, rounds, prob, weights
 
 
+def ref_group_commonality(group, claims, gold=None, taus=None):
+    members = [s for s in group if claims.by_source.get(s)]
+    excluded = tuple(sorted(set(group) - set(members)))
+    if len(members) < 2:
+        raise FusionError("group_commonality requires at least two members "
+                          "with claims")
+    if taus is None:
+        taus = tolerances(claims)
+    attrs = {s: {c.item.attribute for c in claims.by_source[s]}
+             for s in members}
+    objects = {s: {c.item.object_id for c in claims.by_source[s]}
+               for s in members}
+    items = {s: {c.item: c.value for c in claims.by_source[s]}
+             for s in members}
+    schema_parts, object_parts, value_parts = [], [], []
+    for s1, s2 in combinations(sorted(members), 2):
+        schema_parts.append(ref_jaccard(attrs[s1], attrs[s2]))
+        object_parts.append(ref_jaccard(objects[s1], objects[s2]))
+        shared = items[s1].keys() & items[s2].keys()
+        if shared:
+            same = sum(
+                1 for it in shared
+                if values_match(items[s1][it], items[s2][it],
+                                claims.attribute_of(it),
+                                taus[it.attribute]))
+            value_parts.append(same / len(shared))
+    accs = []
+    if gold is not None:
+        for s in members:
+            a = source_accuracy(s, claims, gold, taus)
+            if a is not None:
+                accs.append(a)
+    return GroupCommonality(
+        schema_sim=sum(schema_parts) / len(schema_parts),
+        object_sim=sum(object_parts) / len(object_parts),
+        value_sim=(sum(value_parts) / len(value_parts)
+                   if value_parts else None),
+        avg_accuracy=(sum(accs) / len(accs) if accs else None),
+        size=len(members),
+        excluded=excluded)
+
+
+def ref_jaccard(a, b):
+    union = a | b
+    if not union:
+        return 0.0
+    return len(a & b) / len(union)
+
+
 # -- differential tests: arrays against the reference loops ------------------
 
 
@@ -677,3 +731,57 @@ class TestVectorisedAgainstLoops:
             tracemalloc.stop()
         assert len(r.copy_matrix.prob) == 16 * 3 * 2
         assert peak < 4_000_000, peak
+
+
+class TestGroupCommonalityAgainstLoop:
+    """``group_commonality`` equals the per-pair loop exactly (floats
+    compared with ``==``: the same ratios, summed in the same order)."""
+
+    def check(self, group, claims, gold=None):
+        want = ref_group_commonality(group, claims, gold)
+        assert group_commonality(group, claims, gold) == want
+        taus = tolerances(claims)
+        assert group_commonality(group, claims, gold, taus) == want
+        return want
+
+    def test_copier_fixture(self):
+        claims, gold, _ = copier_scenario(seed=5, n_attrs=3)
+        for group in (claims.sources, ["s02", "s03", "s04", "s05"],
+                      ["s05", "s02"]):
+            for g in (gold, None):
+                self.check(list(group), claims, g)
+
+    def test_partial_coverage_and_ghosts(self):
+        claims, gold, _ = copier_scenario(seed=7, n_attrs=2)
+        rows = [c for c in claims.claims
+                if not (c.source == "s06" and c.item.attribute == "a1")]
+        claims = ClaimSet("snap", claims.schema, rows)
+        got = self.check(["s06", "ghost", "s01", "s06", "s03"], claims, gold)
+        assert got.excluded == ("ghost",) and got.size == 4
+
+    def test_negative_median_never_matches(self):
+        # tau = 0.01 * median < 0, so even equal numbers do not match.
+        claims = make_claims([(s, f"o{i}", "price", -2.0 - (s == "s3"))
+                              for s in ("s1", "s2", "s3") for i in range(4)])
+        assert tolerances(claims)["price"] < 0
+        assert self.check(["s1", "s2", "s3"], claims).value_sim == 0.0
+
+    def test_numbers_near_the_tolerance(self):
+        # tau = 0.01 * median = 0.0101: sources 0.01 to 0.02 apart.
+        values = {"s1": 1.0, "s2": 1.01, "s3": 1.011, "s4": 1.02, "s5": 1.0}
+        claims = make_claims([(s, f"o{i}", "price", v + (i == 2) * 0.001)
+                              for s, v in values.items() for i in range(3)])
+        assert 0.0 < self.check(list(values), claims).value_sim < 1.0
+
+    def test_times_and_text_differing_in_case(self):
+        depart, gate = SCHEMA_TT["depart"], SCHEMA_TT["gate"]
+        values = {"s1": (600, "A1"), "s2": (609, "a1"), "s3": (611, "b2"),
+                  "s4": (1439, "A1 ")}
+        claims = ClaimSet("snap", SCHEMA_TT, [
+            c for s, (m, g) in values.items() for i in range(3)
+            for c in (Claim(s, DataItem(f"o{i}", depart.name),
+                            Value.time(m + i if s == "s1" else m)),
+                      Claim(s, DataItem(f"o{i}", gate.name),
+                            Value(Kind.TEXT, text=g)))])
+        want = self.check(list(values), claims)
+        assert 0.0 < want.value_sim < 1.0
