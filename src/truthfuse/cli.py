@@ -410,10 +410,12 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
     engine = FusionEngine(claims, config.fusion)
     vote = run_fusion(MethodSpec("vote"), claims, config, engine=engine)
     trust = {s: config.fusion.init_trust_bayes for s in claims.sources}
+    accuracy = None
     if gold is not None:
-        trust = {s: t if (a := metrics.source_accuracy(
-            s, claims, gold, engine.taus)) is None else a
-            for s, t in trust.items()}
+        accuracy = {s: metrics.source_accuracy(s, claims, gold, engine.taus)
+                    for s in claims.sources}
+        trust = {s: t if accuracy[s] is None else accuracy[s]
+                 for s, t in trust.items()}
     matrix = cd.detect_copying(claims, vote.selected, trust, config.copy,
                                engine)
     out = _out_dir(args)
@@ -428,7 +430,8 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
     for remark, members in groups:
         if len(members) < 2:
             continue
-        g = cd.group_commonality(members, claims, gold, engine.taus)
+        g = cd.group_commonality(members, claims, gold, engine.taus,
+                                 accuracy)
         rows.append((remark, g.size, g.schema_sim, g.object_sim,
                      g.value_sim, g.avg_accuracy))
     dataio.write_rows(out / "groups.csv",
@@ -497,7 +500,8 @@ def _evaluate_methods(args, config: RunConfig,
     reports = [evalharness.timed_run(m, claims, config, gold,
                                      engine=engines[m.per_attribute_trust])
                for m in methods]
-    del engines     # the curve builds its own, one source prefix at a time
+    taus = next(iter(engines.values())).taus
+    del engines     # the curve builds its own for each source prefix
     curve = evalharness.incremental_curve(methods, claims, gold, config)
 
     report_objs = []
@@ -520,7 +524,7 @@ def _evaluate_methods(args, config: RunConfig,
         dom_rows += [(report.method, r["lo"], r["hi"], r["count"],
                       r["precision"], r["vote_precision"])
                      for r in evalharness.precision_by_dominance(
-                         result, gold, profiles, claims)]
+                         result, gold, profiles, claims, taus=taus)]
         timing_rows.append((report.method, report.wall_time * 1000.0,
                             report.rounds))
 

@@ -69,9 +69,11 @@ class GroupCommonality:
 def group_commonality(group, claims: ClaimSet,
                       gold: GoldStandard | None = None,
                       taus: dict[str, float | None] | None = None,
+                      accuracy: dict[str, float | None] | None = None,
                       ) -> GroupCommonality:
     """Pairwise-averaged commonality measures for a suspected copy group;
-    ``taus`` are the snapshot's tolerances, when already computed.
+    ``taus`` are the snapshot's tolerances and ``accuracy`` each source's
+    ``source_accuracy`` against ``gold``, when already computed.
 
     Members are rows over the items: claimed or not, and a key (number,
     time, or a code per case-folded text) matched as ``values_match``
@@ -104,8 +106,11 @@ def group_commonality(group, claims: ClaimSet,
                                          _pair_counts(present)[0]) if n]
     schema_parts = _jaccards(present, [it.attribute for it in items])
     object_parts = _jaccards(present, [it.object_id for it in items])
-    accs = [a for s in members if gold is not None
-            and (a := source_accuracy(s, claims, gold, taus)) is not None]
+    if accuracy is None and gold is not None:
+        accuracy = {s: source_accuracy(s, claims, gold, taus)
+                    for s in members}
+    accs = [a for s in members if accuracy is not None
+            and (a := accuracy[s]) is not None]
     return GroupCommonality(
         schema_sim=sum(schema_parts) / len(schema_parts),
         object_sim=sum(object_parts) / len(object_parts),

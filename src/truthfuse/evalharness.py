@@ -9,6 +9,7 @@ nondeterministic fields and are kept out of comparison-sensitive artifacts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ from .fusion import (
     FusionResult,
     MethodSpec,
     engine_for,
+    fuse_segments,
     run_fusion,
     sample_trust,
 )
@@ -127,6 +129,15 @@ def shared_engines(methods: Sequence[MethodSpec], claims: ClaimSet,
             for flag in {m.per_attribute_trust for m in methods}}
 
 
+# Claims over all the source prefixes of one stack of engines. Stacking
+# pays while a round's numpy calls cost more in call overhead than in
+# arithmetic, i.e. for small prefixes: a desk-scale curve (a few thousand
+# claims over all prefixes) runs as one stack. Past that, a larger stack
+# only adds memory and the rounds spent on frozen segments, so at paper
+# scale (up to 140k claims per prefix) a large prefix runs alone.
+_STACK_CLAIMS = 20_000
+
+
 def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
                       claims: ClaimSet, gold: GoldStandard,
                       config: RunConfig) -> list[CurvePoint]:
@@ -134,9 +145,13 @@ def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
     record recall against the full (fixed) gold standard at each step.
 
     ``methods`` is one method or a sequence of them. Sources are ranked and
-    each prefix is restricted once; each prefix's engines (one per
-    per-attribute flag) are shared by every method and dropped before the
-    next prefix, so memory stays flat. Points are ordered by method (as
+    each prefix is restricted once. Consecutive prefixes are taken in
+    batches of at most ``_STACK_CLAIMS`` claims (at least one prefix each),
+    whose engines (one per per-attribute flag) are shared by every method
+    and freed when the batch is done. Every method but AccuCopy runs once
+    per batch, on the ``stack`` of the batch's engines with its flag (kept
+    while the next method has the same flag); AccuCopy runs per prefix, as
+    its copy detector indexes one engine. Points are ordered by method (as
     given), then by k.
     """
     if isinstance(methods, MethodSpec):
@@ -144,27 +159,53 @@ def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
     if not gold.entries:
         raise ValueError("gold standard is empty")
     ranked = rank_sources(claims, gold)
-    recalls = [_prefix_recalls(methods, claims.restrict(ranked[:k]), gold,
-                               config)
-               for k in range(1, len(ranked) + 1)]
-    return [CurvePoint(k=k, recall=per_method[i], added_source=ranked[k - 1],
+    sizes = itertools.accumulate(len(claims.by_source[s]) for s in ranked)
+    recalls: list[list[float]] = [[] for _ in methods]
+    for batch in _batches(list(sizes), _STACK_CLAIMS):
+        for per_method, more in zip(recalls, _batch_recalls(
+                methods, [claims.restrict(ranked[:k]) for k in batch], gold,
+                config)):
+            per_method += more
+    return [CurvePoint(k=k, recall=recall, added_source=ranked[k - 1],
                        method=m.label())
-            for i, m in enumerate(methods)
-            for k, per_method in enumerate(recalls, start=1)]
+            for m, per_method in zip(methods, recalls)
+            for k, recall in enumerate(per_method, start=1)]
 
 
-def _prefix_recalls(methods: Sequence[MethodSpec], subset: ClaimSet,
-                    gold: GoldStandard, config: RunConfig) -> list[float]:
-    """Each method's recall on one source prefix; the prefix's engines
-    are freed on return."""
-    engines = shared_engines(methods, subset, config)
-    recalls = []
+def _batch_recalls(methods: Sequence[MethodSpec], subsets: list[ClaimSet],
+                   gold: GoldStandard,
+                   config: RunConfig) -> list[list[float]]:
+    """Each method's recall on each source prefix of one batch; the
+    batch's engines are freed on return."""
+    prefixes = [shared_engines(methods, sub, config) for sub in subsets]
+    recalls: list[list[float]] = []
+    stack = None
     for m in methods:
-        engine = engines[m.per_attribute_trust]
-        result = run_fusion(m, subset, config, engine=engine)
-        recalls.append(precision_recall(result, gold, subset,
-                                        engine.taus)[1])
+        parts = [engines[m.per_attribute_trust] for engines in prefixes]
+        if m.name == "accucopy":
+            results = [run_fusion(m, e.claims, config, engine=e)
+                       for e in parts]
+        else:
+            if stack is None or stack.parts != tuple(parts):
+                stack = FusionEngine.stack(parts)
+            results = fuse_segments(m, stack)
+        recalls.append([precision_recall(r, gold, e.claims, e.taus)[1]
+                        for r, e in zip(results, parts)])
     return recalls
+
+
+def _batches(sizes: list[int], budget: int) -> list[list[int]]:
+    """Prefix lengths k = 1, 2, ... in consecutive batches whose summed
+    ``sizes[k - 1]`` stay within ``budget``; a batch holds at least one."""
+    out: list[list[int]] = []
+    total = budget
+    for k, n in enumerate(sizes, start=1):
+        if total + n > budget:
+            out.append([])
+            total = 0
+        out[-1].append(k)
+        total += n
+    return out
 
 
 def dominance_bucket_edges(width: float = 0.1) -> list[float]:
@@ -178,16 +219,19 @@ def precision_by_dominance(result: FusionResult, gold: GoldStandard,
                            profiles: dict[DataItem, ItemProfile],
                            claims: ClaimSet,
                            edges: Sequence[float] | None = None,
+                           taus: dict[str, float | None] | None = None,
                            ) -> list[dict]:
     """Per-bucket precision of the method and of the vote baseline over
-    gold items, stratified by dominance factor.
+    gold items, stratified by dominance factor; ``taus`` are the
+    snapshot's tolerances, when already computed.
 
     Buckets are half-open [lo, hi) except the last, which closes at 1.0.
     Empty buckets carry an explicit None precision, never 0.
     """
     if edges is None:
         edges = dominance_bucket_edges()
-    taus = tolerances(claims)
+    if taus is None:
+        taus = tolerances(claims)
     rows = []
     for b in range(len(edges) - 1):
         lo, hi = edges[b], edges[b + 1]
@@ -261,7 +305,7 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
     dev = diff = None
     prec_with = None
     if method.name != "vote":
-        sampled = sample_trust(method, claims, gold, config)
+        sampled = sample_trust(method, claims, gold, config, engine.taus)
         if result.trust:
             dev = trust_deviation(sampled, result.trust)
             diff = trust_difference(sampled, result.trust)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,7 +107,12 @@ def method_labels() -> list[str]:
 @dataclass
 class FusionResult:
     """Outcome of a fusion run: a selected value per item, the final trust
-    map, and convergence diagnostics."""
+    map, and convergence diagnostics.
+
+    ``wall_time`` is the run's time on its built engine, without building
+    it. Runs that shared a stacked engine (each method's source-addition
+    curve) all carry the time of their whole batch (``fuse_segments``).
+    """
 
     method: MethodSpec
     selected: dict[DataItem, Value]
@@ -132,6 +138,24 @@ class FusionState:
     value_trust: np.ndarray | None = None
 
 
+class _Segments(NamedTuple):
+    """A partition of an index range (virtual sources or candidates) into
+    consecutive segments, one per engine stacked together."""
+
+    start: np.ndarray   # first index of each segment
+    of: np.ndarray      # segment of each index
+
+    @classmethod
+    def of_sizes(cls, sizes: Sequence[int]) -> "_Segments":
+        """Consecutive segments of the given sizes, in order."""
+        return cls(np.cumsum([0, *sizes[:-1]]),
+                   np.repeat(np.arange(len(sizes)), sizes))
+
+    def slices(self) -> list[slice]:
+        ends = [*self.start[1:].tolist(), len(self.of)]
+        return [slice(a, b) for a, b in zip(self.start.tolist(), ends)]
+
+
 def _fan_out(rows: np.ndarray, start: np.ndarray, count: np.ndarray):
     """Each row repeated once for every index of [start, start + count),
     paired with those indices."""
@@ -146,7 +170,13 @@ class FusionEngine:
     Candidates are tolerance buckets; claims index into (virtual source,
     candidate) pairs. The engine is read-only after construction; distinct
     runs on it are independent.
+
+    Virtual sources and candidates are split into segments: one for an
+    engine built from claims, one per part for an engine ``stack``ed from
+    several. Rounds never mix values across segments.
     """
+
+    _parts: tuple["FusionEngine", ...] = ()
 
     def __init__(self, claims: ClaimSet, config: FusionConfig,
                  per_attribute: bool = False):
@@ -189,6 +219,8 @@ class FusionEngine:
                             zip(first.tolist(), centres.tolist())]
         self.n_cands = len(self.cand_values)
         self.n_vsrc = len(self.vsrc_list)
+        self.vsrc_segs = _Segments.of_sizes([self.n_vsrc])
+        self.cand_segs = _Segments.of_sizes([self.n_cands])
         self.claim_item = self.cand_item[self.claim_cand]
         self._claim_key = keys[order]
         self._claim_gran = np.array([c.value.granularity or 0.0
@@ -207,6 +239,54 @@ class FusionEngine:
         self._build_format_pairs(np.array([a.kind is Kind.NUMBER
                                            for a in cand_attr], dtype=bool))
         self._pop_term = self._build_popularity_term()
+
+    @classmethod
+    def stack(cls, parts: Sequence["FusionEngine"]) -> "FusionEngine":
+        """One engine over the disjoint union of ``parts``, a segment each.
+
+        It is assembled from the parts' arrays with index offsets, not
+        built from claims, and serves the round loop only: results are
+        assembled by the parts (``fuse_segments``). One part is its own
+        stack.
+        """
+        cfg = parts[0].cfg
+        if any(p.cfg != cfg for p in parts):
+            raise FusionError("stacked engines need one fusion config")
+        if len(parts) == 1:
+            return parts[0]
+        eng = cls.__new__(cls)
+        eng.cfg, eng._parts = cfg, tuple(parts)
+        sizes = {n: [getattr(p, n) for p in parts]
+                 for n in ("n_vsrc", "n_cands", "n_items")}
+        sizes["claims"] = [len(p.claim_cand) for p in parts]
+        offsets = {n: _Segments.of_sizes(v).start.tolist()
+                   for n, v in sizes.items()}
+
+        def cat(name: str, size: str | None = None) -> np.ndarray:
+            arrays = [getattr(p, name) for p in parts]
+            if size is not None:
+                arrays = [a + o for a, o in zip(arrays, offsets[size])]
+            return np.concatenate(arrays)
+
+        for name, size in (("claim_vsrc", "n_vsrc"), ("claim_cand", "n_cands"),
+                           ("claim_item", "n_items"), ("cand_item", "n_items"),
+                           ("item_start", "n_cands"), ("sim_i", "n_cands"),
+                           ("sim_j", "n_cands"), ("fmt_claim", "claims"),
+                           ("fmt_cand", "n_cands"), ("sim_w", None),
+                           ("src_nvals", None), ("cand_counts", None),
+                           ("item_nprov", None), ("item_ncand", None),
+                           ("_pop_term", None)):
+            setattr(eng, name, cat(name, size))
+        eng.n_vsrc, eng.n_cands, eng.n_items = (
+            sum(sizes[n]) for n in ("n_vsrc", "n_cands", "n_items"))
+        eng.vsrc_segs = _Segments.of_sizes(sizes["n_vsrc"])
+        eng.cand_segs = _Segments.of_sizes(sizes["n_cands"])
+        return eng
+
+    @property
+    def parts(self) -> tuple["FusionEngine", ...]:
+        """The engines of this one's segments: itself unless stacked."""
+        return self._parts or (self,)
 
     def _build_similarity(self, cand_attr: list, centres: np.ndarray) -> None:
         """Ordered pairs of distinct candidates on one item with positive
@@ -299,18 +379,25 @@ class FusionEngine:
     def _per_item_max(self, per_cand: np.ndarray) -> np.ndarray:
         return np.maximum.reduceat(per_cand, self.item_start)
 
-    def _norm_max(self, x: np.ndarray) -> np.ndarray:
-        m = float(np.max(np.abs(x))) if x.size else 0.0
-        return x / m if m > 0 else x
+    @staticmethod
+    def _norm_max(x: np.ndarray, segs: _Segments) -> np.ndarray:
+        """Each segment of ``x`` over its largest magnitude; a segment of
+        zeros stays as it is."""
+        m = np.maximum.reduceat(np.abs(x), segs.start)
+        return x / np.where(m > 0, m, 1.0)[segs.of]
 
     @staticmethod
-    def _rescale01(x: np.ndarray) -> np.ndarray:
-        lo, hi = float(np.min(x)), float(np.max(x))
-        if hi <= lo:
-            # All-equal family: no spread to rescale; confine to the unit
-            # range so reciprocal weights cannot amplify it round over round.
-            return np.clip(x, 0.0, 1.0)
-        return (x - lo) / (hi - lo)
+    def _rescale01(x: np.ndarray, segs: _Segments) -> np.ndarray:
+        """Each segment of ``x`` mapped affinely onto [0, 1]."""
+        lo = np.minimum.reduceat(x, segs.start)
+        hi = np.maximum.reduceat(x, segs.start)
+        # All-equal family: no spread to rescale; confine to the unit range
+        # so reciprocal weights cannot amplify it round over round. Its
+        # affine form divides by 1 so that it raises no warning.
+        flat = hi <= lo
+        spread = (x - np.where(flat, 0.0, lo)[segs.of]) \
+            / np.where(flat, 1.0, hi - lo)[segs.of]
+        return np.where(flat[segs.of], np.clip(x, 0.0, 1.0), spread)
 
     def _boost(self, votes: np.ndarray,
                rho: float | None = None) -> np.ndarray:
@@ -380,21 +467,25 @@ class FusionEngine:
         if method == "vote":
             return self.cand_counts.copy()
         if method in ("hub", "avglog"):
-            return self._norm_max(self._weighted_cand_sum(trust, weights))
+            return self._norm_max(self._weighted_cand_sum(trust, weights),
+                                  self.cand_segs)
         if method == "invest":
             base = self._invest_base(trust, weights)
-            return self._norm_max(base ** self.cfg.invest_exponent)
+            return self._norm_max(base ** self.cfg.invest_exponent,
+                                  self.cand_segs)
         if method == "pooledinvest":
             return self._pooled_votes(self._invest_base(trust, weights))
         if method == "cosine":
             return self._cosine_votes(trust, weights)
         if method == "2-estimates":
             return self._rescale01(self._estimates_votes(trust, None,
-                                                         weights))
+                                                         weights),
+                                   self.cand_segs)
         if method == "3-estimates":
             vt = (value_trust if value_trust is not None
                   else np.full(self.n_cands, self.cfg.init_value_trust))
-            return self._rescale01(self._estimates_votes(trust, vt, weights))
+            return self._rescale01(self._estimates_votes(trust, vt, weights),
+                                   self.cand_segs)
         if method == "truthfinder":
             per_claim = -np.log(1.0 - self._clamp(trust))[self.claim_vsrc]
             votes = self._claim_sum(per_claim, weights)
@@ -520,9 +611,10 @@ class FusionEngine:
         raise FusionError(f"no initialization for method {method!r}")
 
     def step(self, method: str, state: FusionState,
-             weights: np.ndarray | None = None) -> tuple[FusionState, float]:
-        """Advance one fixed-point round; returns the new state and the
-        max absolute trust change."""
+             weights: np.ndarray | None = None,
+             ) -> tuple[FusionState, np.ndarray]:
+        """Advance one fixed-point round; returns the new state and each
+        segment's max absolute change (``_state_delta``)."""
         if method in ("hub", "avglog"):
             raw = np.bincount(self.claim_vsrc,
                               weights=state.votes[self.claim_cand],
@@ -530,7 +622,7 @@ class FusionEngine:
             if method == "avglog":
                 # +1 smoothing keeps single-value sources from log(1) = 0.
                 raw = raw / self.src_nvals * np.log1p(self.src_nvals)
-            trust = self._norm_max(raw)
+            trust = self._norm_max(raw, self.vsrc_segs)
             votes = self.votes_once(method, trust, weights=weights)
         elif method in ("invest", "pooledinvest"):
             inv_w = (state.trust / self.src_nvals)[self.claim_vsrc]
@@ -543,7 +635,8 @@ class FusionEngine:
                 self.claim_vsrc,
                 weights=state.votes[self.claim_cand] * share,
                 minlength=self.n_vsrc)
-            trust = self._norm_max(raw) if method == "invest" else raw
+            trust = (self._norm_max(raw, self.vsrc_segs)
+                     if method == "invest" else raw)
             votes = self.votes_once(method, trust, weights=weights)
         elif method == "cosine":
             trust = (self.cfg.cosine_damping * state.trust
@@ -552,7 +645,8 @@ class FusionEngine:
             votes = self.votes_once(method, trust, weights=weights)
         elif method == "2-estimates":
             votes = self.votes_once(method, state.trust, weights=weights)
-            trust = self._rescale01(self._estimates_trust(votes, None))
+            trust = self._rescale01(self._estimates_trust(votes, None),
+                                    self.vsrc_segs)
         elif method == "3-estimates":
             votes = self.votes_once(method, state.trust,
                                     value_trust=state.value_trust,
@@ -563,7 +657,8 @@ class FusionEngine:
             value_trust = np.clip(
                 self._estimates_value_trust(votes, state.trust),
                 self.cfg.trust_clamp, 1.0 - self.cfg.trust_clamp)
-            trust = self._rescale01(self._estimates_trust(votes, value_trust))
+            trust = self._rescale01(self._estimates_trust(votes, value_trust),
+                                    self.vsrc_segs)
             new = FusionState(state.round + 1, trust, votes, value_trust)
             return new, self._state_delta(state, new)
         elif method == "truthfinder":
@@ -585,16 +680,18 @@ class FusionEngine:
         new = FusionState(state.round + 1, trust, votes, state.value_trust)
         return new, self._state_delta(state, new)
 
-    def _state_delta(self, old: FusionState, new: FusionState) -> float:
-        """Max absolute change across trust and votes.
+    def _state_delta(self, old: FusionState, new: FusionState) -> np.ndarray:
+        """Per segment, the max absolute change across trust and votes.
 
         Trust alone can be transiently stationary while votes still move
         (e.g. the investment trust update is uniform on uniform-coverage
         data for one round), so both families gate convergence.
         """
-        delta = float(np.max(np.abs(new.trust - old.trust)))
-        delta = max(delta, float(np.max(np.abs(new.votes - old.votes))))
-        return delta
+        trust = np.maximum.reduceat(np.abs(new.trust - old.trust),
+                                    self.vsrc_segs.start)
+        votes = np.maximum.reduceat(np.abs(new.votes - old.votes),
+                                    self.cand_segs.start)
+        return np.where(votes > trust, votes, trust)
 
     def _cosine_trust(self, votes: np.ndarray) -> np.ndarray:
         own = votes[self.claim_cand]
@@ -717,47 +814,77 @@ def run_fusion(method: MethodSpec, claims: ClaimSet, config: RunConfig,
                             engine=engine)
     engine = engine_for(claims, config.fusion, method.per_attribute_trust,
                         engine)
+    if input_trust is None or method.name == "vote":
+        return fuse_segments(method, engine)[0]
     t0 = time.perf_counter()
-    bayes = method.name in ("truthfinder", "accupr", "popaccu", "accusim",
-                            "accuformat")
-
-    if method.name == "vote":
-        votes = engine.cand_counts.copy()
-        conf = votes / engine.item_nprov[engine.cand_item]
-        return engine.build_result(method, votes, np.ones(engine.n_vsrc),
-                                   rounds=0, converged=True,
-                                   wall_time=time.perf_counter() - t0,
-                                   deltas=[], confidence=conf)
-
-    if input_trust is not None:
-        trust = engine.trust_array(input_trust)
-        votes = engine.votes_once(method.name, trust)
-        conf = None
-        if bayes:
-            conf = engine.posteriors(votes,
-                                     observed_only=method.name == "popaccu")
-        return engine.build_result(method, votes, trust, rounds=1,
-                                   converged=True,
-                                   wall_time=time.perf_counter() - t0,
-                                   deltas=[], confidence=conf)
-
-    state = engine.init_state(method.name)
-    deltas: list[float] = []
-    converged = False
-    while state.round < config.fusion.round_cap:
-        state, delta = engine.step(method.name, state)
-        deltas.append(delta)
-        if delta < config.fusion.epsilon:
-            converged = True
-            break
+    trust = engine.trust_array(input_trust)
+    votes = engine.votes_once(method.name, trust)
     conf = None
-    if bayes:
+    if method.name in _BAYES:
+        conf = engine.posteriors(votes, observed_only=method.name == "popaccu")
+    return engine.build_result(method, votes, trust, rounds=1,
+                               converged=True,
+                               wall_time=time.perf_counter() - t0,
+                               deltas=[], confidence=conf)
+
+
+# Methods whose confidence is the posterior of the selected value.
+_BAYES = ("truthfinder", "accupr", "popaccu", "accusim", "accuformat")
+
+
+def fuse_segments(method: MethodSpec,
+                  engine: FusionEngine) -> list[FusionResult]:
+    """``method``'s run without input trust on every segment of ``engine``
+    (one for a plain engine, one per part of a ``stack``), as one result
+    per part in order.
+
+    The vote baseline never iterates. Other methods run the fixed-point
+    rounds on all segments at once: a segment stops at its first round
+    whose change is under ``epsilon`` (converged) or at the round cap, and
+    its state is frozen from then on, so each result equals a run on its
+    part alone. Every result's ``wall_time`` is that of the whole call
+    before results are assembled, shared by all segments.
+    """
+    t0 = time.perf_counter()
+    cfg, n = engine.cfg, len(engine.parts)
+    state = engine.init_state(method.name)
+    converged = np.full(n, method.name == "vote")
+    live, deltas = ~converged, [[] for _ in range(n)]
+    while live.any() and state.round < cfg.round_cap:
+        new, delta = engine.step(method.name, state)
+        if not live.all():
+            new = _freeze(engine, state, new, live)
+        for k in np.flatnonzero(live).tolist():
+            deltas[k].append(float(delta[k]))
+        done = live & (delta < cfg.epsilon)
+        converged |= done
+        live &= ~done
+        state = new
+    conf = None
+    if method.name == "vote":
+        conf = state.votes / engine.item_nprov[engine.cand_item]
+    elif method.name in _BAYES:
         conf = engine.posteriors(state.votes,
                                  observed_only=method.name == "popaccu")
-    return engine.build_result(method, state.votes, state.trust,
-                               rounds=state.round, converged=converged,
-                               wall_time=time.perf_counter() - t0,
-                               deltas=deltas, confidence=conf)
+    wall = time.perf_counter() - t0
+    return [part.build_result(
+        method, state.votes[c], state.trust[v], rounds=len(d),
+        converged=ok, wall_time=wall, deltas=d,
+        confidence=None if conf is None else conf[c])
+        for part, v, c, d, ok in zip(engine.parts, engine.vsrc_segs.slices(),
+                                     engine.cand_segs.slices(), deltas,
+                                     converged.tolist())]
+
+
+def _freeze(engine: FusionEngine, old: FusionState, new: FusionState,
+            live: np.ndarray) -> FusionState:
+    """``new``, with the segments that are not ``live`` kept at ``old``."""
+    v, c = live[engine.vsrc_segs.of], live[engine.cand_segs.of]
+    return FusionState(
+        new.round, np.where(v, new.trust, old.trust),
+        np.where(c, new.votes, old.votes),
+        None if new.value_trust is None
+        else np.where(c, new.value_trust, old.value_trust))
 
 
 def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
@@ -781,9 +908,11 @@ def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
 
 
 def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
-                 config: RunConfig) -> dict:
+                 config: RunConfig,
+                 taus: dict[str, float | None] | None = None) -> dict:
     """Each method's trust formula evaluated once with the gold standard
-    substituted for the selected values.
+    substituted for the selected values; ``taus`` are the snapshot's
+    tolerances, when already computed.
 
     Accuracy-style methods sample the gold accuracy (clamped away from 0
     and 1); link-style methods sample one trust update over binary gold
@@ -795,7 +924,9 @@ def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
     """
     if not gold.entries:
         raise FusionError("sample_trust requires a non-empty gold standard")
-    global_map = _sample_global(method.name, claims, gold, config)
+    if taus is None:
+        taus = tolerances(claims)
+    global_map = _sample_global(method.name, claims, gold, config, taus)
     if not method.per_attribute_trust:
         return global_map
     out: dict = {}
@@ -805,7 +936,8 @@ def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
         sub_gold_entries = {it: v for it, v in gold.entries.items()
                             if it.attribute == attr}
         sub_gold = GoldStandard(sub_gold_entries)
-        per_attr = (_sample_global(method.name, claims, sub_gold, config)
+        per_attr = (_sample_global(method.name, claims, sub_gold, config,
+                                   taus)
                     if sub_gold_entries else {})
         for source in claims.sources:
             if (source, attr) not in provided_pairs:
@@ -825,9 +957,9 @@ _ACCURACY_SAMPLED = ("truthfinder", "accupr", "popaccu", "accusim",
 
 
 def _sample_global(name: str, claims: ClaimSet, gold: GoldStandard,
-                   config: RunConfig) -> dict[str, float]:
+                   config: RunConfig,
+                   taus: dict[str, float | None]) -> dict[str, float]:
     cfg = config.fusion
-    taus = tolerances(claims)
     if name == "vote":
         return {s: 1.0 for s in claims.sources}
     if name in _ACCURACY_SAMPLED:

@@ -27,6 +27,7 @@ from truthfuse.model import (
     Claim,
     ClaimSet,
     DataItem,
+    GoldStandard,
     Kind,
     Value,
 )
@@ -742,6 +743,12 @@ class TestGroupCommonalityAgainstLoop:
         assert group_commonality(group, claims, gold) == want
         taus = tolerances(claims)
         assert group_commonality(group, claims, gold, taus) == want
+        if gold is not None:
+            # the map ``copydetect`` computes for every source, None kept
+            accuracy = {s: source_accuracy(s, claims, gold, taus)
+                        for s in claims.sources}
+            assert group_commonality(group, claims, gold, taus,
+                                     accuracy) == want
         return want
 
     def test_copier_fixture(self):
@@ -758,6 +765,15 @@ class TestGroupCommonalityAgainstLoop:
         claims = ClaimSet("snap", claims.schema, rows)
         got = self.check(["s06", "ghost", "s01", "s06", "s03"], claims, gold)
         assert got.excluded == ("ghost",) and got.size == 4
+
+    def test_member_without_gold_overlap(self):
+        claims, gold, _ = copier_scenario(seed=7, n_attrs=2)
+        covered = {c.item for c in claims.by_source["s06"]}
+        gold = GoldStandard({it: v for it, v in gold.entries.items()
+                             if it not in covered})
+        assert source_accuracy("s06", claims, gold) is None
+        got = self.check(["s06", "s02", "s03"], claims, gold)
+        assert got.avg_accuracy is not None
 
     def test_negative_median_never_matches(self):
         # tau = 0.01 * median < 0, so even equal numbers do not match.

@@ -15,6 +15,7 @@ from truthfuse.fusion import (
     FusionEngine,
     FusionError,
     MethodSpec,
+    _Segments,
     accu_posteriors,
     method_labels,
     run_fusion,
@@ -209,7 +210,8 @@ class TestEstimates:
         engine = FusionEngine(make_claims([("s1", "o1", "price", 1.0)]),
                               CFG.fusion)
         x = np.array([0.7, 0.7, 0.7])
-        assert engine._rescale01(x).tolist() == [0.7, 0.7, 0.7]
+        one_segment = _Segments.of_sizes([3])
+        assert engine._rescale01(x, one_segment).tolist() == [0.7, 0.7, 0.7]
 
 
 class TestNormalizedBounds:
