@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import copydetect as cd
 from . import dataio, evalharness, metrics
 from .config import CopyParams, FusionConfig, RunConfig, load_config
@@ -222,10 +224,10 @@ def _cmd_profile(args, config: RunConfig) -> int:
          for s, sp in sorted(source_profiles.items())],
         config.delimiter)
     if snapshots:
-        rows = [(s, snap.snapshot_label,
-                 metrics.source_accuracy(s, snap, snap_gold))
+        rows = [(s, snap.snapshot_label, acc)
                 for s in claims.sources
-                for snap, snap_gold in snapshots]
+                for (snap, _), acc in zip(
+                    snapshots, source_profiles[s].snapshot_accuracy)]
         dataio.write_rows(out / "accuracy_over_time.csv",
                           ["source", "snapshot", "accuracy"], rows,
                           config.delimiter)
@@ -412,8 +414,12 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
     trust = {s: config.fusion.init_trust_bayes for s in claims.sources}
     accuracy = None
     if gold is not None:
-        accuracy = {s: metrics.source_accuracy(s, claims, gold, engine.taus)
-                    for s in claims.sources}
+        # Each source's share of its gold-covered claims that match gold.
+        match = engine.gold_match(gold.entries)
+        covered, correct = (np.bincount(engine.claim_vsrc, w).tolist() for w
+                            in (match.item[engine.claim_item], match.claim))
+        accuracy = {s: c / n if n else None for s, c, n in
+                    zip(engine.vsrc_list, correct, covered)}
         trust = {s: t if accuracy[s] is None else accuracy[s]
                  for s, t in trust.items()}
     matrix = cd.detect_copying(claims, vote.selected, trust, config.copy,

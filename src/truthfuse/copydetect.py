@@ -36,7 +36,7 @@ from .fusion import (
 )
 from .metrics import source_accuracy
 from .model import ClaimSet, DataItem, GoldStandard, Kind, Value
-from .normalize import bucket_width, tolerances, values_match
+from .normalize import bucket_width, tolerances
 
 _TINY = 1e-300
 
@@ -153,13 +153,8 @@ def detect_copying(claims: ClaimSet, truth_estimate: dict[DataItem, Value],
     """
     engine = engine_for(claims, engine.cfg if engine else FusionConfig(),
                         False, engine)
-    true_cand = np.zeros(engine.n_cands, dtype=bool)
-    for c in np.flatnonzero(engine.item_ncand[engine.cand_item] > 1).tolist():
-        item = engine.items[int(engine.cand_item[c])]
-        truth = truth_estimate.get(item)
-        true_cand[c] = truth is not None and values_match(
-            engine.cand_values[c], truth, claims.attribute_of(item),
-            engine.taus[item.attribute])
+    true_cand = ((engine.item_ncand[engine.cand_item] > 1)
+                 & engine.gold_match(truth_estimate).cand)
     names = engine.vsrc_list
     pairs = _PairIndex(engine)
     prob = pairs.posteriors(true_cand, np.array(

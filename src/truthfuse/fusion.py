@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import FusionConfig, RunConfig
-from .metrics import source_accuracy
 from .model import (
     ClaimSet,
     DataItem,
@@ -36,12 +35,11 @@ from .normalize import (
     SimilarityParams,
     bucket_centre,
     bucket_claims,
-    bucketize_items,
+    bucket_width,
     claim_keys,
     run_starts,
     similarity,
     tolerances,
-    values_match,
 )
 
 METHOD_NAMES = (
@@ -62,6 +60,10 @@ _ALIASES = {
     "twoestimates": "2-estimates", "2estimates": "2-estimates",
     "threeestimates": "3-estimates", "3estimates": "3-estimates",
 }
+
+# Methods whose trust is an accuracy (``FusionEngine.mean_trust``).
+_ACCURACY_FAMILY = ("truthfinder", "accupr", "popaccu", "accusim",
+                    "accuformat", "accucopy")
 
 
 class FusionError(TruthFuseError):
@@ -136,6 +138,14 @@ class FusionState:
     trust: np.ndarray
     votes: np.ndarray
     value_trust: np.ndarray | None = None
+
+
+class GoldMatch(NamedTuple):
+    """A truth map matched against an engine's claims (``gold_match``)."""
+
+    item: np.ndarray    # per item: the truth map covers it
+    claim: np.ndarray   # per claim: its own value matches its item's truth
+    cand: np.ndarray    # per candidate: its centre matches its item's truth
 
 
 class _Segments(NamedTuple):
@@ -223,6 +233,7 @@ class FusionEngine:
         self.cand_segs = _Segments.of_sizes([self.n_cands])
         self.claim_item = self.cand_item[self.claim_cand]
         self._claim_key = keys[order]
+        self._cand_key = centres
         self._claim_gran = np.array([c.value.granularity or 0.0
                                      for c in flat])[order]
         self.src_nvals = np.bincount(self.claim_vsrc,
@@ -454,6 +465,37 @@ class FusionEngine:
     def trust_map(self, trust: np.ndarray) -> dict:
         return {key: float(trust[i]) for i, key in enumerate(self.vsrc_list)}
 
+    def gold_match(self, truth: Mapping[DataItem, Value]) -> "GoldMatch":
+        """Which claims and candidates agree with ``truth`` on the items it
+        covers: ``values_match`` in array form, on each claim's own value
+        and each candidate's centre. Numbers and times match within their
+        item's grid width (``bucket_width``), on linear minutes, so a
+        negative tolerance matches nothing; text by case-folded equality.
+        """
+        width = {a: bucket_width(self.claims.schema[a], tau)
+                 for a, tau in self.taus.items()}
+        on = np.zeros(self.n_items, dtype=bool)
+        # A NaN truth (no truth, or text) fails every numeric test.
+        x, w = np.full(self.n_items, np.nan), np.zeros(self.n_items)
+        text: dict[int, str] = {}
+        for i, it in enumerate(self.items):
+            v = truth.get(it)
+            if v is not None:
+                on[i] = True
+                if v.kind is Kind.TEXT:
+                    text[i] = v.text.casefold()
+                else:
+                    x[i], w[i] = v.num, width[it.attribute]
+        cand = np.abs(self._cand_key - x[self.cand_item]) <= w[self.cand_item]
+        claim = (np.abs(self._claim_key - x[self.claim_item])
+                 <= w[self.claim_item])
+        for c in np.flatnonzero(np.isin(self.cand_item, list(text))).tolist():
+            cand[c] = (self.cand_values[c].text.casefold()
+                       == text[int(self.cand_item[c])])
+        # A text candidate's claims all spell its value.
+        claim |= np.isin(self.claim_item, list(text)) & cand[self.claim_cand]
+        return GoldMatch(on, claim, cand)
+
     # -- vote rules (one pass, given fixed trust) ------------------------
 
     def votes_once(self, method: str, trust: np.ndarray,
@@ -574,9 +616,89 @@ class FusionEngine:
         return expd / denom
 
     def trust_from_posteriors(self, post: np.ndarray) -> np.ndarray:
-        avg = np.bincount(self.claim_vsrc, weights=post[self.claim_cand],
-                          minlength=self.n_vsrc) / self.src_nvals
-        return self._clamp(avg)
+        return self.mean_trust(post[self.claim_cand])
+
+    # -- trust rules (one update, given fixed votes) -----------------------
+    # Each sums over the claims of each group: by default a virtual source,
+    # or the group code (dense from 0) ``group`` gives each claim.
+
+    def _group_sum(self, per_claim: np.ndarray,
+                   group: np.ndarray | None = None) -> np.ndarray:
+        if group is None:
+            return np.bincount(self.claim_vsrc, weights=per_claim,
+                               minlength=self.n_vsrc)
+        return np.bincount(group, weights=per_claim)
+
+    def _group_size(self, group: np.ndarray | None) -> np.ndarray:
+        """Each group's number of claims, at least 1."""
+        if group is None:
+            return self.src_nvals
+        return np.maximum(np.bincount(group), 1)
+
+    def mean_trust(self, per_claim: np.ndarray,
+                   group: np.ndarray | None = None) -> np.ndarray:
+        """The accuracy rule: each group's mean over its claims of their
+        probability of truth (a posterior, or 0/1 against gold), clamped."""
+        return self._clamp(self._group_sum(per_claim, group)
+                           / self._group_size(group))
+
+    def _hub_trust(self, method: str, votes: np.ndarray,
+                   group: np.ndarray | None = None) -> np.ndarray:
+        """Hub's summed votes of each group's candidates; AvgLog's mean,
+        times log(1 + claims)."""
+        raw = self._group_sum(votes[self.claim_cand], group)
+        if method == "avglog":
+            n = self._group_size(group)
+            # +1 smoothing keeps single-value sources from log(1) = 0.
+            # numpy's log1p and the math module's differ in the last bit
+            # on a few integers (2, 13, 47, ...); rounds have always taken
+            # the former and trust sampling the latter.
+            log = (np.log1p(n) if group is None
+                   else np.array([math.log1p(k) for k in n.tolist()]))
+            raw = raw / n * log
+        return raw
+
+    def _invest_trust(self, votes: np.ndarray, trust: np.ndarray | float,
+                      group: np.ndarray | None = None) -> np.ndarray:
+        """Each group's share of its candidates' votes, by the trust (per
+        group, or one for all) it invested evenly over its claims."""
+        inv_w = (trust / self._group_size(group))[
+            self.claim_vsrc if group is None else group]
+        inv_sum = np.bincount(self.claim_cand, weights=inv_w,
+                              minlength=self.n_cands)
+        share = np.divide(inv_w, inv_sum[self.claim_cand],
+                          out=np.zeros_like(inv_w),
+                          where=inv_sum[self.claim_cand] > 0)
+        return self._group_sum(votes[self.claim_cand] * share, group)
+
+    def _cosine_trust(self, votes: np.ndarray,
+                      group: np.ndarray | None = None) -> np.ndarray:
+        own = votes[self.claim_cand]
+        item_sum = self._per_item_sum(votes)
+        item_sq = self._per_item_sum(votes * votes)
+        num = self._group_sum(2.0 * own - item_sum[self.claim_item], group)
+        nvals = self._group_sum(self.item_ncand[self.claim_item], group)
+        sq = self._group_sum(item_sq[self.claim_item], group)
+        den = np.sqrt(nvals * sq)
+        cos = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return np.clip(cos, -1.0, 1.0)
+
+    def _estimates_trust(self, votes: np.ndarray,
+                         value_trust: np.ndarray | None,
+                         group: np.ndarray | None = None) -> np.ndarray:
+        own = votes[self.claim_cand]
+        if value_trust is None:
+            item_anti = self._per_item_sum(1.0 - votes)
+            per_claim = own + item_anti[self.claim_item] - (1.0 - own)
+        else:
+            u = 1.0 / np.maximum(1.0 - value_trust, self.cfg.trust_clamp)
+            u_own = u[self.claim_cand]
+            item_anti = self._per_item_sum((1.0 - votes) * u)
+            per_claim = (own * u_own + item_anti[self.claim_item]
+                         - (1.0 - own) * u_own)
+        num = self._group_sum(per_claim, group)
+        den = self._group_sum(self.item_ncand[self.claim_item], group)
+        return num / np.maximum(den, 1.0)
 
     # -- iterative rounds -------------------------------------------------
 
@@ -601,8 +723,7 @@ class FusionEngine:
             return FusionState(0, np.ones(self.n_vsrc),
                                np.zeros(self.n_cands),
                                np.full(self.n_cands, cfg.init_value_trust))
-        if method in ("truthfinder", "accupr", "popaccu", "accusim",
-                      "accuformat", "accucopy"):
+        if method in _ACCURACY_FAMILY:
             return FusionState(0, np.full(self.n_vsrc, cfg.init_trust_bayes),
                                np.zeros(self.n_cands))
         if method == "vote":
@@ -616,27 +737,13 @@ class FusionEngine:
         """Advance one fixed-point round; returns the new state and each
         segment's max absolute change (``_state_delta``)."""
         if method in ("hub", "avglog"):
-            raw = np.bincount(self.claim_vsrc,
-                              weights=state.votes[self.claim_cand],
-                              minlength=self.n_vsrc)
-            if method == "avglog":
-                # +1 smoothing keeps single-value sources from log(1) = 0.
-                raw = raw / self.src_nvals * np.log1p(self.src_nvals)
-            trust = self._norm_max(raw, self.vsrc_segs)
+            trust = self._norm_max(self._hub_trust(method, state.votes),
+                                   self.vsrc_segs)
             votes = self.votes_once(method, trust, weights=weights)
         elif method in ("invest", "pooledinvest"):
-            inv_w = (state.trust / self.src_nvals)[self.claim_vsrc]
-            inv_sum = np.bincount(self.claim_cand, weights=inv_w,
-                                  minlength=self.n_cands)
-            share = np.divide(inv_w, inv_sum[self.claim_cand],
-                              out=np.zeros_like(inv_w),
-                              where=inv_sum[self.claim_cand] > 0)
-            raw = np.bincount(
-                self.claim_vsrc,
-                weights=state.votes[self.claim_cand] * share,
-                minlength=self.n_vsrc)
-            trust = (self._norm_max(raw, self.vsrc_segs)
-                     if method == "invest" else raw)
+            trust = self._invest_trust(state.votes, state.trust)
+            if method == "invest":
+                trust = self._norm_max(trust, self.vsrc_segs)
             votes = self.votes_once(method, trust, weights=weights)
         elif method == "cosine":
             trust = (self.cfg.cosine_damping * state.trust
@@ -664,17 +771,11 @@ class FusionEngine:
         elif method == "truthfinder":
             votes = self.votes_once(method, state.trust, weights=weights)
             damp = 1.0 - np.exp(-self.cfg.truthfinder_gamma * votes)
-            trust = self._clamp(
-                np.bincount(self.claim_vsrc,
-                            weights=damp[self.claim_cand],
-                            minlength=self.n_vsrc) / self.src_nvals)
-        elif method in ("accupr", "accusim", "accuformat"):
+            trust = self.trust_from_posteriors(damp)
+        elif method in ("accupr", "accusim", "accuformat", "popaccu"):
             votes = self.votes_once(method, state.trust, weights=weights)
-            trust = self.trust_from_posteriors(self.posteriors(votes))
-        elif method == "popaccu":
-            votes = self.votes_once(method, state.trust, weights=weights)
-            trust = self.trust_from_posteriors(
-                self.posteriors(votes, observed_only=True))
+            trust = self.trust_from_posteriors(self.posteriors(
+                votes, observed_only=method == "popaccu"))
         else:
             raise FusionError(f"no round rule for method {method!r}")
         new = FusionState(state.round + 1, trust, votes, state.value_trust)
@@ -692,42 +793,6 @@ class FusionEngine:
         votes = np.maximum.reduceat(np.abs(new.votes - old.votes),
                                     self.cand_segs.start)
         return np.where(votes > trust, votes, trust)
-
-    def _cosine_trust(self, votes: np.ndarray) -> np.ndarray:
-        own = votes[self.claim_cand]
-        item_sum = self._per_item_sum(votes)
-        item_sq = self._per_item_sum(votes * votes)
-        num = np.bincount(self.claim_vsrc,
-                          weights=2.0 * own - item_sum[self.claim_item],
-                          minlength=self.n_vsrc)
-        nvals = np.bincount(self.claim_vsrc,
-                            weights=self.item_ncand[self.claim_item],
-                            minlength=self.n_vsrc)
-        sq = np.bincount(self.claim_vsrc,
-                         weights=item_sq[self.claim_item],
-                         minlength=self.n_vsrc)
-        den = np.sqrt(nvals * sq)
-        cos = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return np.clip(cos, -1.0, 1.0)
-
-    def _estimates_trust(self, votes: np.ndarray,
-                         value_trust: np.ndarray | None) -> np.ndarray:
-        own = votes[self.claim_cand]
-        if value_trust is None:
-            item_anti = self._per_item_sum(1.0 - votes)
-            per_claim = own + item_anti[self.claim_item] - (1.0 - own)
-        else:
-            u = 1.0 / np.maximum(1.0 - value_trust, self.cfg.trust_clamp)
-            u_own = u[self.claim_cand]
-            item_anti = self._per_item_sum((1.0 - votes) * u)
-            per_claim = (own * u_own + item_anti[self.claim_item]
-                         - (1.0 - own) * u_own)
-        num = np.bincount(self.claim_vsrc, weights=per_claim,
-                          minlength=self.n_vsrc)
-        den = np.bincount(self.claim_vsrc,
-                          weights=self.item_ncand[self.claim_item],
-                          minlength=self.n_vsrc)
-        return num / np.maximum(den, 1.0)
 
     def _estimates_value_trust(self, votes: np.ndarray,
                                trust: np.ndarray) -> np.ndarray:
@@ -909,145 +974,75 @@ def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
 
 def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
                  config: RunConfig,
-                 taus: dict[str, float | None] | None = None) -> dict:
-    """Each method's trust formula evaluated once with the gold standard
-    substituted for the selected values; ``taus`` are the snapshot's
-    tolerances, when already computed.
+                 engine: FusionEngine | None = None) -> dict:
+    """The method's own trust update (``FusionEngine.step``'s) applied once
+    to gold votes, over the claims on gold items.
 
-    Accuracy-style methods sample the gold accuracy (clamped away from 0
-    and 1); link-style methods sample one trust update over binary gold
-    votes; the cosine method samples the cosine against the gold selection
-    vector. Sources with no gold overlap fall back to the method's default
-    initialization. Per-attribute variants sample per (source, attribute),
-    falling back to the source's global sample when an attribute has fewer
-    gold observations than the configured minimum.
+    A candidate votes 1 when its centre matches the gold value, else 0 (+1
+    and -1 for Cosine); the accuracy family takes each claim's own value.
+    Link methods invest from uniform trust. Only Hub, AvgLog and Invest
+    (scaled to a maximum of 1) and the accuracy family (clamped) are
+    normalised. A source with no gold overlap takes 0 (link methods,
+    Cosine), 1 (Estimates) or ``init_trust_bayes`` (accuracy family).
+    Per-attribute variants sample each (source, attribute), scaled within
+    the attribute, and take the source's global sample when the attribute
+    has no gold item or the pair fewer gold-covered claims than
+    ``attr_min_gold``. ``engine`` is checked as in ``run_fusion``.
     """
     if not gold.entries:
         raise FusionError("sample_trust requires a non-empty gold standard")
-    if taus is None:
-        taus = tolerances(claims)
-    global_map = _sample_global(method.name, claims, gold, config, taus)
-    if not method.per_attribute_trust:
-        return global_map
-    out: dict = {}
-    provided_pairs = {(c.source, c.item.attribute) for c in claims.claims}
-    attrs = sorted({it.attribute for it in claims.items})
-    for attr in attrs:
-        sub_gold_entries = {it: v for it, v in gold.entries.items()
-                            if it.attribute == attr}
-        sub_gold = GoldStandard(sub_gold_entries)
-        per_attr = (_sample_global(method.name, claims, sub_gold, config,
-                                   taus)
-                    if sub_gold_entries else {})
-        for source in claims.sources:
-            if (source, attr) not in provided_pairs:
-                continue
-            covered = sum(
-                1 for c in claims.by_source[source]
-                if c.item.attribute == attr and c.item in gold.entries)
-            if covered >= config.fusion.attr_min_gold and source in per_attr:
-                out[(source, attr)] = per_attr[source]
-            else:
-                out[(source, attr)] = global_map[source]
-    return out
-
-
-_ACCURACY_SAMPLED = ("truthfinder", "accupr", "popaccu", "accusim",
-                     "accuformat", "accucopy")
-
-
-def _sample_global(name: str, claims: ClaimSet, gold: GoldStandard,
-                   config: RunConfig,
-                   taus: dict[str, float | None]) -> dict[str, float]:
     cfg = config.fusion
-    if name == "vote":
-        return {s: 1.0 for s in claims.sources}
-    if name in _ACCURACY_SAMPLED:
-        out = {}
-        for s in claims.sources:
-            acc = source_accuracy(s, claims, gold, taus)
-            if acc is None:
-                acc = cfg.init_trust_bayes
-            out[s] = float(np.clip(acc, cfg.trust_clamp,
-                                   1.0 - cfg.trust_clamp))
-        return out
-
-    # Link- and agreement-style methods: one trust update over binary
-    # gold votes, restricted to gold-covered claims. Rows carry
-    # (candidate key, own value correct, #candidates, #correct candidates).
-    per_source: dict[str, list[tuple[tuple, bool, int, int]]] = {
-        s: [] for s in claims.sources}
-    covered = [it for it in sorted(gold.entries, key=DataItem.sort_key)
-               if it in claims.by_item]
-    for item, buckets in zip(covered,
-                             bucketize_items(covered, claims, taus)):
-        oks = [values_match(b.center, gold.entries[item],
-                            claims.attribute_of(item), taus[item.attribute])
-               for b in buckets]
-        for bi, (b, ok) in enumerate(zip(buckets, oks)):
-            for s in b.providers:
-                per_source[s].append(((item, bi), ok, len(buckets),
-                                      sum(oks)))
-
-    if name in ("hub", "avglog", "invest", "pooledinvest"):
-        raw: dict[str, float] = {}
-        if name in ("invest", "pooledinvest"):
-            # Uniform prior trust: investment shares depend only on the
-            # numbers of provided values.
-            nv = {s: max(len(per_source[s]), 1) for s in claims.sources}
-            inv_sum: dict[tuple, float] = {}
-            for s, rows in per_source.items():
-                for cand, _, _, _ in rows:
-                    inv_sum[cand] = inv_sum.get(cand, 0.0) + 1.0 / nv[s]
-        for s, rows in per_source.items():
-            if not rows:
-                raw[s] = 0.0
-                continue
-            correct = sum(1 for _, ok, _, _ in rows if ok)
-            if name == "hub":
-                raw[s] = float(correct)
-            elif name == "avglog":
-                raw[s] = correct / len(rows) * math.log1p(len(rows))
-            else:
-                raw[s] = sum((1.0 / nv[s]) / inv_sum[cand]
-                             for cand, ok, _, _ in rows if ok)
-        if name == "pooledinvest":
-            return raw
-        top = max(raw.values(), default=0.0)
-        return {s: (v / top if top > 0 else 0.0) for s, v in raw.items()}
-
-    if name == "cosine":
-        out = {}
-        for s, rows in per_source.items():
-            if not rows:
-                out[s] = 0.0
-                continue
-            num = sum((1.0 if ok else -1.0) * 2
-                      - _gold_vector_sum(nc, n_correct)
-                      for _, ok, nc, n_correct in rows)
-            den = sum(nc for _, _, nc, _ in rows)
-            out[s] = num / den if den else 0.0
-        return out
-
-    if name in ("2-estimates", "3-estimates"):
-        out = {}
-        for s, rows in per_source.items():
-            if not rows:
-                out[s] = 1.0
-                continue
-            num = 0.0
-            den = 0
-            for _, ok, nc, n_correct in rows:
-                own = 1.0 if ok else 0.0
-                num += 2.0 * own + nc - 1.0 - n_correct
-                den += nc
-            out[s] = num / den if den else 1.0
-        return out
-
-    raise FusionError(f"no sampling rule for method {name!r}")
+    engine = engine_for(claims, cfg, method.per_attribute_trust, engine)
+    match = engine.gold_match(gold.entries)
+    if not method.per_attribute_trust:
+        return engine.trust_map(_sampled(method.name, engine, match,
+                                         np.arange(engine.n_vsrc),
+                                         [engine.n_vsrc]))
+    # Virtual sources are (source, attribute) pairs; the per-attribute
+    # groups list them by attribute, then source.
+    pairs = engine.vsrc_list
+    order = sorted(range(len(pairs)), key=lambda v: pairs[v][::-1])
+    rank = np.argsort(order)
+    attrs = [pairs[v][1] for v in order]
+    per_attr = _sampled(method.name, engine, match, rank,
+                        [attrs.count(a) for a in dict.fromkeys(attrs)])
+    source = np.unique([s for s, _ in pairs], return_inverse=True)[1]
+    whole = _sampled(method.name, engine, match, source,
+                     [len(claims.sources)])
+    n_covered = np.bincount(rank[engine.claim_vsrc],
+                            weights=match.item[engine.claim_item])
+    gold_attrs = {it.attribute for it in gold.entries}
+    return {pairs[v]: float(
+        per_attr[k] if a in gold_attrs and n_covered[k] >= cfg.attr_min_gold
+        else whole[source[v]])
+        for k, (v, a) in enumerate(zip(order, attrs))}
 
 
-def _gold_vector_sum(n_candidates: int, n_correct: int) -> float:
-    """Sum of the gold selection vector (+1 matching, -1 otherwise) over an
-    item's candidates."""
-    return 2.0 * n_correct - n_candidates
+def _sampled(name: str, engine: FusionEngine, match: GoldMatch,
+             group_of_vsrc: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """``name``'s sampled trust (``sample_trust``) of the groups of virtual
+    sources given by ``group_of_vsrc``, normalised within consecutive
+    segments of ``sizes`` groups."""
+    n, segs = sum(sizes), _Segments.of_sizes(sizes)
+    # Claims off gold items form one more group, dropped at the end.
+    group = np.where(match.item[engine.claim_item],
+                     group_of_vsrc[engine.claim_vsrc], n)
+    votes, default = match.cand.astype(float), 0.0
+    if name in ("hub", "avglog"):
+        trust = engine._norm_max(engine._hub_trust(name, votes, group)[:n],
+                                 segs)
+    elif name in ("invest", "pooledinvest"):
+        trust = engine._invest_trust(votes, 1.0, group)[:n]
+        if name == "invest":
+            trust = engine._norm_max(trust, segs)
+    elif name == "cosine":
+        trust = engine._cosine_trust(2.0 * votes - 1.0, group)
+    elif name in ("2-estimates", "3-estimates"):
+        trust, default = engine._estimates_trust(votes, None, group), 1.0
+    elif name in _ACCURACY_FAMILY:
+        trust = engine.mean_trust(match.claim.astype(float), group)
+        default = engine._clamp(np.float64(engine.cfg.init_trust_bayes))
+    else:   # Vote: every source alike
+        return np.ones(n)
+    return np.where(np.bincount(group, minlength=n + 1)[:n] > 0, trust[:n],
+                    default)

@@ -40,7 +40,8 @@ class ItemProfile:
 @dataclass(frozen=True)
 class SourceProfile:
     """Per-source quality: accuracy vs. gold, gold coverage, and stability
-    of accuracy over a series of snapshots."""
+    of accuracy over a series of snapshots (``snapshot_accuracy``: one per
+    snapshot, None where undefined)."""
 
     source: str
     claim_count: int
@@ -48,6 +49,7 @@ class SourceProfile:
     coverage: float
     accuracy_series: tuple[float, ...] = ()
     accuracy_deviation: float | None = None
+    snapshot_accuracy: tuple[float | None, ...] = ()
 
 
 def item_redundancy(item: DataItem, claims: ClaimSet) -> float:
@@ -210,17 +212,18 @@ def profile_sources(claims: ClaimSet, gold: GoldStandard | None,
                     snapshots: Sequence[tuple[ClaimSet, GoldStandard]] = (),
                     ) -> dict[str, SourceProfile]:
     """Per-source profiles; when (snapshot, gold) pairs are given, the
-    accuracy series and its deviation are filled in."""
+    accuracy series and its deviation are filled in, with each snapshot's
+    tolerances computed once."""
     taus = tolerances(claims)
+    snap_taus = [taus if snap is claims else tolerances(snap)
+                 for snap, _ in snapshots]
     out: dict[str, SourceProfile] = {}
     for s in claims.sources:
         acc = source_accuracy(s, claims, gold, taus) if gold else None
         cov = source_coverage(s, claims, gold) if gold else 0.0
-        series: list[float] = []
-        for snap, snap_gold in snapshots:
-            a = source_accuracy(s, snap, snap_gold)
-            if a is not None:
-                series.append(a)
+        per_snap = tuple(source_accuracy(s, snap, snap_gold, t)
+                         for (snap, snap_gold), t in zip(snapshots, snap_taus))
+        series = [a for a in per_snap if a is not None]
         out[s] = SourceProfile(
             source=s,
             claim_count=len(claims.by_source.get(s, ())),
@@ -229,5 +232,6 @@ def profile_sources(claims: ClaimSet, gold: GoldStandard | None,
             accuracy_series=tuple(series),
             accuracy_deviation=(accuracy_deviation(series)
                                 if series else None),
+            snapshot_accuracy=per_snap,
         )
     return out
