@@ -33,8 +33,11 @@ for p in incremental_curve(method, claims, gold, config):
     print(f"  k={p.k} (+{p.added_source})  recall={p.recall:.3f} {bar}")
 print("adding the low-quality copier block only hurts.\n")
 
-result = tf.run_fusion(method, claims, config)
-rows = precision_by_dominance(result, gold, tf.profile_items(claims), claims)
+# One engine and its gold match serve the run, its scores and the report.
+engine = tf.FusionEngine(claims, config.fusion, method.per_attribute_trust)
+match = engine.gold_match(gold.entries)
+result = tf.run_fusion(method, claims, config, engine=engine)
+rows = precision_by_dominance(result, gold, claims, match=match)
 print("== precision by dominance factor ==")
 print(f"  {'bucket':>12} {'items':>6} {'method':>7} {'vote':>6}")
 for row in rows:
@@ -45,7 +48,7 @@ for row in rows:
 print("the gains concentrate where no value has a strong majority.\n")
 
 print("== one-method report ==")
-report = timed_run(method, claims, config, gold)
+report = timed_run(method, claims, config, gold, engine=engine, match=match)
 print(f"  precision={report.precision:.3f} recall={report.recall:.3f} "
       f"with-trust={report.precision_with_trust:.3f}")
 print(f"  trust deviation={report.trust_deviation:.3f} "

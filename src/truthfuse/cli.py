@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import copydetect as cd
 from . import dataio, evalharness, metrics
 from .config import CopyParams, FusionConfig, RunConfig, load_config
@@ -266,15 +264,16 @@ def _load_snapshot_series(args, claims: ClaimSet, gold, config: RunConfig):
 
 def _write_attribute_summary(out: Path, claims: ClaimSet, profiles,
                              config: RunConfig) -> None:
+    per_attr: dict[str, tuple[list, set]] = {}
+    for it in claims.items:
+        ps, providers = per_attr.setdefault(it.attribute, ([], set()))
+        ps.append(profiles[it])
+        providers.update(c.source for c in claims.by_item[it])
     rows = []
-    for name in sorted({it.attribute for it in claims.items}):
-        attr = claims.schema[name]
-        ps = [profiles[it] for it in claims.items if it.attribute == name]
+    for name, (ps, providers) in sorted(per_attr.items()):
         devs = [p.deviation for p in ps if p.deviation is not None]
-        providers = len({c.source for c in claims.claims
-                         if c.item.attribute == name})
         rows.append((
-            name, attr.kind.value, providers, len(ps),
+            name, claims.schema[name].kind.value, len(providers), len(ps),
             sum(p.num_values for p in ps) / len(ps),
             sum(p.entropy for p in ps) / len(ps),
             sum(devs) / len(devs) if devs else None))
@@ -318,10 +317,11 @@ def _write_histograms(out: Path, claims: ClaimSet, profiles,
                       _hist([metrics.item_redundancy(it, claims)
                              for it in items], 0.1, hard_max=1.0),
                       config.delimiter)
+    redundancy = metrics.object_redundancies(claims)
     dataio.write_rows(out / "hist_object_redundancy.csv",
                       ["lo", "hi", "count"],
-                      _hist([metrics.object_redundancy(o, claims)
-                             for o in claims.object_ids], 0.1, hard_max=1.0),
+                      _hist([redundancy[o] for o in claims.object_ids], 0.1,
+                            hard_max=1.0),
                       config.delimiter)
 
 
@@ -414,12 +414,8 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
     trust = {s: config.fusion.init_trust_bayes for s in claims.sources}
     accuracy = None
     if gold is not None:
-        # Each source's share of its gold-covered claims that match gold.
-        match = engine.gold_match(gold.entries)
-        covered, correct = (np.bincount(engine.claim_vsrc, w).tolist() for w
-                            in (match.item[engine.claim_item], match.claim))
-        accuracy = {s: c / n if n else None for s, c, n in
-                    zip(engine.vsrc_list, correct, covered)}
+        accuracy = {s: acc for s, (acc, _) in metrics.source_scores(
+            claims, gold, engine.gold_match(gold.entries)).items()}
         trust = {s: t if accuracy[s] is None else accuracy[s]
                  for s, t in trust.items()}
     matrix = cd.detect_copying(claims, vote.selected, trust, config.copy,
@@ -501,20 +497,27 @@ def _evaluate_methods(args, config: RunConfig,
                       methods: list[MethodSpec]) -> int:
     claims, gold = _load_inputs(args, config, need_gold=True)
     out = _out_dir(args)
-    profiles = metrics.profile_items(claims)
     engines = evalharness.shared_engines(methods, claims, config)
+    # Both flags' engines bucket alike: one gold match scores every run.
+    match = next(iter(engines.values())).gold_match(gold.entries)
     reports = [evalharness.timed_run(m, claims, config, gold,
-                                     engine=engines[m.per_attribute_trust])
+                                     engine=engines[m.per_attribute_trust],
+                                     match=match)
                for m in methods]
-    taus = next(iter(engines.values())).taus
-    del engines     # the curve builds its own for each source prefix
-    curve = evalharness.incremental_curve(methods, claims, gold, config)
+    dom_rows = [(report.method, r["lo"], r["hi"], r["count"],
+                 r["precision"], r["vote_precision"])
+                for report in reports
+                for r in evalharness.precision_by_dominance(
+                    report.result, gold, claims, match=match)]
+    ranked = evalharness.rank_sources(claims, gold, match)
+    # The curve builds its own engines for each source prefix.
+    del engines, match
+    curve = evalharness.incremental_curve(methods, claims, gold, config,
+                                          ranked)
 
     report_objs = []
-    dom_rows = []
     timing_rows = []
     for report in reports:
-        result = report.result
         report_objs.append({
             "method": report.method,
             "precision": report.precision,
@@ -524,13 +527,9 @@ def _evaluate_methods(args, config: RunConfig,
             "trust_difference": report.trust_difference,
             "rounds": report.rounds,
             "converged": report.converged,
-            "tie_count": result.tie_count,
+            "tie_count": report.result.tie_count,
             "wall_time_ms": round(report.wall_time * 1000.0, 3),
         })
-        dom_rows += [(report.method, r["lo"], r["hi"], r["count"],
-                      r["precision"], r["vote_precision"])
-                     for r in evalharness.precision_by_dominance(
-                         result, gold, profiles, claims, taus=taus)]
         timing_rows.append((report.method, report.wall_time * 1000.0,
                             report.rounds))
 

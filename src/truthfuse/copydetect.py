@@ -34,7 +34,7 @@ from .fusion import (
     MethodSpec,
     engine_for,
 )
-from .metrics import source_accuracy
+from .metrics import source_scores
 from .model import ClaimSet, DataItem, GoldStandard, Kind, Value
 from .normalize import bucket_width, tolerances
 
@@ -73,7 +73,7 @@ def group_commonality(group, claims: ClaimSet,
                       ) -> GroupCommonality:
     """Pairwise-averaged commonality measures for a suspected copy group;
     ``taus`` are the snapshot's tolerances and ``accuracy`` each source's
-    ``source_accuracy`` against ``gold``, when already computed.
+    accuracy against ``gold`` (``source_scores``), when already computed.
 
     Members are rows over the items: claimed or not, and a key (number,
     time, or a code per case-folded text) matched as ``values_match``
@@ -107,8 +107,8 @@ def group_commonality(group, claims: ClaimSet,
     schema_parts = _jaccards(present, [it.attribute for it in items])
     object_parts = _jaccards(present, [it.object_id for it in items])
     if accuracy is None and gold is not None:
-        accuracy = {s: source_accuracy(s, claims, gold, taus)
-                    for s in members}
+        accuracy = {s: acc for s, (acc, _) in
+                    source_scores(claims, gold).items()}
     accs = [a for s in members if accuracy is not None
             and (a := accuracy[s]) is not None]
     return GroupCommonality(
@@ -306,7 +306,7 @@ class _PairIndex:
     def __init__(self, engine: FusionEngine):
         per_attr, vsrcs = engine.per_attribute, engine.vsrc_list
         block = _codes([vk[1] if per_attr else 0 for vk in vsrcs])
-        self.loc = _codes([vk[0] if per_attr else vk for vk in vsrcs])
+        self.loc = engine.vsrc_source
         item_row = _codes([it.object_id if per_attr else it
                            for it in engine.items])
         self.blocks, w = int(block.max()) + 1, int(self.loc.max()) + 1

@@ -15,19 +15,21 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .config import RunConfig
 from .fusion import (
     FusionEngine,
     FusionResult,
+    GoldMatch,
     MethodSpec,
     engine_for,
     fuse_segments,
     run_fusion,
     sample_trust,
 )
-from .metrics import ItemProfile, source_accuracy, source_coverage
-from .model import ClaimSet, DataItem, GoldStandard
-from .normalize import tolerances, values_match
+from .metrics import scoring_match, source_scores
+from .model import ClaimSet, GoldStandard
 
 
 @dataclass(frozen=True)
@@ -61,28 +63,18 @@ class CurvePoint:
 
 def precision_recall(result: FusionResult, gold: GoldStandard,
                      claims: ClaimSet,
-                     taus: dict[str, float | None] | None = None,
-                     ) -> tuple[float, float]:
-    """Precision over output-and-gold items; recall over all gold items.
+                     match: GoldMatch | None = None) -> tuple[float, float]:
+    """Precision over output-and-gold items; recall over all gold items,
+    counted on the gold match (``scoring_match``).
 
     With full source coverage the two coincide, since every gold item is
     then output.
     """
     if not gold.entries:
         raise ValueError("gold standard is empty")
-    if taus is None:
-        taus = tolerances(claims)
-    correct = 0
-    output_on_gold = 0
-    for item in gold.entries:
-        selected = result.selected.get(item)
-        if selected is None:
-            continue
-        output_on_gold += 1
-        attr = claims.schema[item.attribute]
-        if values_match(selected, gold.entries[item], attr,
-                        taus.get(item.attribute)):
-            correct += 1
+    match = scoring_match(claims, gold, match, result)
+    correct = int(np.count_nonzero(match.cand[result.chosen]))
+    output_on_gold = int(np.count_nonzero(match.item))
     precision = correct / output_on_gold if output_on_gold else 0.0
     recall = correct / len(gold.entries)
     return precision, recall
@@ -107,14 +99,14 @@ def trust_difference(sampled: dict, computed: dict) -> float:
             - sum(sampled[s] for s in common)) / len(common)
 
 
-def rank_sources(claims: ClaimSet, gold: GoldStandard) -> list[str]:
-    """Sources ordered by coverage x accuracy (descending), undefined
-    accuracy last, ties by source id."""
-    taus = tolerances(claims)
+def rank_sources(claims: ClaimSet, gold: GoldStandard,
+                 match: GoldMatch | None = None) -> list[str]:
+    """Sources ordered by coverage x accuracy (``source_scores``,
+    descending), undefined accuracy last, ties by source id."""
+    scores = source_scores(claims, gold, match)
 
     def key(s: str):
-        acc = source_accuracy(s, claims, gold, taus)
-        cov = source_coverage(s, claims, gold)
+        acc, cov = scores[s]
         product = -1.0 if acc is None else acc * cov
         return (-product, s)
 
@@ -140,25 +132,28 @@ _STACK_CLAIMS = 20_000
 
 def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
                       claims: ClaimSet, gold: GoldStandard,
-                      config: RunConfig) -> list[CurvePoint]:
+                      config: RunConfig, ranked: Sequence[str] | None = None,
+                      ) -> list[CurvePoint]:
     """Fuse growing prefixes of the ranked sources with each method and
     record recall against the full (fixed) gold standard at each step.
 
-    ``methods`` is one method or a sequence of them. Sources are ranked and
-    each prefix is restricted once. Consecutive prefixes are taken in
+    ``methods`` is one method or a sequence of them. Sources are ranked
+    (``ranked`` is ``rank_sources(claims, gold)``, when already computed)
+    and each prefix is restricted once. Consecutive prefixes are taken in
     batches of at most ``_STACK_CLAIMS`` claims (at least one prefix each),
-    whose engines (one per per-attribute flag) are shared by every method
-    and freed when the batch is done. Every method but AccuCopy runs once
-    per batch, on the ``stack`` of the batch's engines with its flag (kept
-    while the next method has the same flag); AccuCopy runs per prefix, as
-    its copy detector indexes one engine. Points are ordered by method (as
-    given), then by k.
+    whose engines (one per per-attribute flag) and gold match are shared by
+    every method and freed when the batch is done. Every method but
+    AccuCopy runs once per batch, on the ``stack`` of the batch's engines
+    with its flag (kept while the next method has the same flag); AccuCopy
+    runs per prefix, as its copy detector indexes one engine. Points are
+    ordered by method (as given), then by k.
     """
     if isinstance(methods, MethodSpec):
         methods = [methods]
     if not gold.entries:
         raise ValueError("gold standard is empty")
-    ranked = rank_sources(claims, gold)
+    if ranked is None:
+        ranked = rank_sources(claims, gold)
     sizes = itertools.accumulate(len(claims.by_source[s]) for s in ranked)
     recalls: list[list[float]] = [[] for _ in methods]
     for batch in _batches(list(sizes), _STACK_CLAIMS):
@@ -176,8 +171,10 @@ def _batch_recalls(methods: Sequence[MethodSpec], subsets: list[ClaimSet],
                    gold: GoldStandard,
                    config: RunConfig) -> list[list[float]]:
     """Each method's recall on each source prefix of one batch; the
-    batch's engines are freed on return."""
+    batch's engines and gold matches are freed on return."""
     prefixes = [shared_engines(methods, sub, config) for sub in subsets]
+    matches = [next(iter(engines.values())).gold_match(gold.entries)
+               for engines in prefixes]
     recalls: list[list[float]] = []
     stack = None
     for m in methods:
@@ -189,8 +186,8 @@ def _batch_recalls(methods: Sequence[MethodSpec], subsets: list[ClaimSet],
             if stack is None or stack.parts != tuple(parts):
                 stack = FusionEngine.stack(parts)
             results = fuse_segments(m, stack)
-        recalls.append([precision_recall(r, gold, e.claims, e.taus)[1]
-                        for r, e in zip(results, parts)])
+        recalls.append([precision_recall(r, gold, e.claims, match=match)[1]
+                        for r, e, match in zip(results, parts, matches)])
     return recalls
 
 
@@ -216,50 +213,33 @@ def dominance_bucket_edges(width: float = 0.1) -> list[float]:
 
 
 def precision_by_dominance(result: FusionResult, gold: GoldStandard,
-                           profiles: dict[DataItem, ItemProfile],
                            claims: ClaimSet,
                            edges: Sequence[float] | None = None,
-                           taus: dict[str, float | None] | None = None,
-                           ) -> list[dict]:
-    """Per-bucket precision of the method and of the vote baseline over
-    gold items, stratified by dominance factor; ``taus`` are the
-    snapshot's tolerances, when already computed.
+                           match: GoldMatch | None = None) -> list[dict]:
+    """Per-bucket precision of the method and of Vote (on the gold match's
+    engine, ``scoring_match``) over gold items, stratified by the share of
+    an item's providers behind Vote's value (dominance factor).
 
     Buckets are half-open [lo, hi) except the last, which closes at 1.0.
     Empty buckets carry an explicit None precision, never 0.
     """
     if edges is None:
         edges = dominance_bucket_edges()
-    if taus is None:
-        taus = tolerances(claims)
+    match = scoring_match(claims, gold, match, result)
+    vote, _ = match.engine.select(match.engine.cand_counts)
+    on = match.item
+    factor = (match.engine.cand_counts[vote] / match.engine.item_nprov)[on]
+    method_ok = match.cand[result.chosen][on]
+    vote_ok = match.cand[vote][on]
     rows = []
-    for b in range(len(edges) - 1):
-        lo, hi = edges[b], edges[b + 1]
-        last = b == len(edges) - 2
-        total = 0
-        method_ok = 0
-        vote_ok = 0
-        for item in gold.entries:
-            prof = profiles.get(item)
-            sel = result.selected.get(item)
-            if prof is None or sel is None:
-                continue
-            f = prof.dominance_factor
-            if not (lo <= f < hi or (last and f == hi)):
-                continue
-            total += 1
-            attr = claims.schema[item.attribute]
-            truth = gold.entries[item]
-            if values_match(sel, truth, attr, taus.get(item.attribute)):
-                method_ok += 1
-            if values_match(prof.dominant, truth, attr,
-                            taus.get(item.attribute)):
-                vote_ok += 1
-        rows.append({
-            "lo": lo, "hi": hi, "count": total,
-            "precision": method_ok / total if total else None,
-            "vote_precision": vote_ok / total if total else None,
-        })
+    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        inside = (lo <= factor) & ((factor < hi) | (factor == hi)
+                                   & (b == len(edges) - 2))
+        n, m, v = (int(np.count_nonzero(inside & ok))
+                   for ok in (True, method_ok, vote_ok))
+        rows.append({"lo": lo, "hi": hi, "count": n,
+                     "precision": m / n if n else None,
+                     "vote_precision": v / n if n else None})
     return rows
 
 
@@ -273,8 +253,10 @@ def time_series_summary(method: MethodSpec,
         raise ValueError("need one gold standard per snapshot")
     precisions = []
     for snap, gold in zip(snapshots, golds):
-        result = run_fusion(method, snap, config)
-        p, _ = precision_recall(result, gold, snap)
+        engine = FusionEngine(snap, config.fusion, method.per_attribute_trust)
+        result = run_fusion(method, snap, config, engine=engine)
+        p, _ = precision_recall(result, gold, snap,
+                                engine.gold_match(gold.entries))
         precisions.append(p)
     mean = sum(precisions) / len(precisions)
     std = math.sqrt(sum((p - mean) ** 2 for p in precisions)
@@ -285,12 +267,14 @@ def time_series_summary(method: MethodSpec,
 def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
               gold: GoldStandard,
               with_input_trust: bool = True,
-              engine: FusionEngine | None = None) -> EvalReport:
+              engine: FusionEngine | None = None,
+              match: GoldMatch | None = None) -> EvalReport:
     """Run a method end to end and assemble its report.
 
     The default run and the input-trust re-run share ``engine`` (which
-    other methods may share too), or one engine built here. Wall time
-    covers the default run on that prebuilt engine only (engine
+    other methods may share too), or one engine built here, and are scored
+    on ``match`` (taken on either flag's engine) or on the engine's. Wall
+    time covers the default run on that prebuilt engine only (engine
     construction, I/O and sampling excluded). Trust deviation/difference
     compare the default-initialization run's converged trust against the
     gold-sampled trust; the optional input-trust pass reruns the method
@@ -298,10 +282,12 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
     """
     engine = engine_for(claims, config.fusion, method.per_attribute_trust,
                         engine)
+    if match is None:
+        match = engine.gold_match(gold.entries)
     t0 = time.perf_counter()
     result = run_fusion(method, claims, config, engine=engine)
     wall = time.perf_counter() - t0
-    precision, recall = precision_recall(result, gold, claims, engine.taus)
+    precision, recall = precision_recall(result, gold, claims, match=match)
     dev = diff = None
     prec_with = None
     if method.name != "vote":
@@ -313,7 +299,7 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
             with_trust = run_fusion(method, claims, config,
                                     input_trust=sampled, engine=engine)
             prec_with, _ = precision_recall(with_trust, gold, claims,
-                                            engine.taus)
+                                            match=match)
     return EvalReport(
         method=method.label(),
         precision=precision,

@@ -111,6 +111,8 @@ class FusionResult:
     """Outcome of a fusion run: a selected value per item, the final trust
     map, and convergence diagnostics.
 
+    ``chosen`` is each item's selected candidate on the engines over
+    ``claims``, which gold scores read.
     ``wall_time`` is the run's time on its built engine, without building
     it. Runs that shared a stacked engine (each method's source-addition
     curve) all carry the time of their whole batch (``fuse_segments``).
@@ -127,6 +129,8 @@ class FusionResult:
     tie_count: int
     trust_deltas: list[float] = field(default_factory=list)
     copy_matrix: object | None = None   # filled by copy-aware fusion
+    claims: ClaimSet | None = field(default=None, compare=False, repr=False)
+    chosen: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -146,6 +150,7 @@ class GoldMatch(NamedTuple):
     item: np.ndarray    # per item: the truth map covers it
     claim: np.ndarray   # per claim: its own value matches its item's truth
     cand: np.ndarray    # per candidate: its centre matches its item's truth
+    engine: "FusionEngine"
 
 
 class _Segments(NamedTuple):
@@ -208,6 +213,7 @@ class FusionEngine:
         src_index = {s: k for k, s in enumerate(claims.sources)}
         vsrc = np.array([src_index[c.source] for c in flat])
         self.vsrc_list = list(claims.sources)
+        self.vsrc_source = np.arange(len(claims.sources))
         if per_attribute:
             names = list(self.taus)
             code = vsrc * len(names) + np.array(
@@ -215,6 +221,7 @@ class FusionEngine:
             used = np.zeros(len(self.vsrc_list) * len(names), dtype=bool)
             used[code] = True
             vsrc = (np.cumsum(used) - 1)[code]
+            self.vsrc_source = np.flatnonzero(used) // len(names)
             self.vsrc_list = [(self.vsrc_list[c // len(names)],
                                names[c % len(names)])
                               for c in np.flatnonzero(used).tolist()]
@@ -494,7 +501,7 @@ class FusionEngine:
                        == text[int(self.cand_item[c])])
         # A text candidate's claims all spell its value.
         claim |= np.isin(self.claim_item, list(text)) & cand[self.claim_cand]
-        return GoldMatch(on, claim, cand)
+        return GoldMatch(on, claim, cand, self)
 
     # -- vote rules (one pass, given fixed trust) ------------------------
 
@@ -835,7 +842,7 @@ class FusionEngine:
             method=method, selected=selected, selected_vote=selected_vote,
             confidence=conf_map, trust=trust_out, rounds_used=rounds,
             converged=converged, wall_time=wall_time, tie_count=ties,
-            trust_deltas=deltas)
+            trust_deltas=deltas, claims=self.claims, chosen=chosen)
 
 
 def engine_for(claims: ClaimSet, config: FusionConfig, per_attribute: bool,
@@ -1006,7 +1013,7 @@ def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
     attrs = [pairs[v][1] for v in order]
     per_attr = _sampled(method.name, engine, match, rank,
                         [attrs.count(a) for a in dict.fromkeys(attrs)])
-    source = np.unique([s for s, _ in pairs], return_inverse=True)[1]
+    source = engine.vsrc_source
     whole = _sampled(method.name, engine, match, source,
                      [len(claims.sources)])
     n_covered = np.bincount(rank[engine.claim_vsrc],

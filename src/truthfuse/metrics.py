@@ -11,6 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from .config import FusionConfig
+from .fusion import FusionEngine, FusionError, FusionResult, GoldMatch
 from .model import (
     ClaimSet,
     DataItem,
@@ -19,8 +23,7 @@ from .model import (
     UndefinedDeviationError,
     Value,
 )
-from .normalize import (Bucket, bucketize, bucketize_items, tolerances,
-                        values_match)
+from .normalize import Bucket, bucketize, tolerances
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,16 @@ def item_redundancy(item: DataItem, claims: ClaimSet) -> float:
 
 def object_redundancy(object_id: str, claims: ClaimSet) -> float:
     """Fraction of sources that provide any attribute of the object."""
-    if not claims.sources:
-        return 0.0
-    providers = {c.source for c in claims.claims
-                 if c.item.object_id == object_id}
-    return len(providers) / len(claims.sources)
+    return object_redundancies(claims).get(object_id, 0.0)
+
+
+def object_redundancies(claims: ClaimSet) -> dict[str, float]:
+    """``object_redundancy`` of every object with claims, in one pass."""
+    providers: dict[str, set[str]] = {}
+    for it in claims.items:
+        providers.setdefault(it.object_id, set()).update(
+            c.source for c in claims.by_item[it])
+    return {o: len(ps) / len(claims.sources) for o, ps in providers.items()}
 
 
 def entropy(buckets: Sequence[Bucket]) -> float:
@@ -151,53 +159,59 @@ def profile_items(claims: ClaimSet) -> dict[DataItem, ItemProfile]:
             for item in claims.items}
 
 
+def scoring_match(claims: ClaimSet, gold: GoldStandard,
+                  match: GoldMatch | None = None,
+                  result: FusionResult | None = None) -> GoldMatch:
+    """The gold match that scores on ``claims`` reduce: ``match``, taken on
+    either flag's engine (both bucket alike), or a new engine's. It and
+    ``result`` are checked to be over ``claims``."""
+    if match is None:
+        match = FusionEngine(claims, FusionConfig()).gold_match(gold.entries)
+    if match.engine.claims is not claims or (
+            result is not None and result.claims is not claims):
+        raise FusionError("gold match or result is over other claims")
+    return match
+
+
 def precision_of_dominant(claims: ClaimSet, gold: GoldStandard,
-                          taus: dict[str, float | None] | None = None) -> float:
+                          match: GoldMatch | None = None) -> float:
     """Fraction of claim-covered gold items whose dominant value matches the
-    gold value under tolerant matching."""
+    gold value: Vote's precision on the engine of ``scoring_match``."""
     if not gold.entries:
         raise ValueError("gold standard is empty")
-    if taus is None:
-        taus = tolerances(claims)
-    items = [it for it in sorted(gold.entries, key=DataItem.sort_key)
-             if it in claims.by_item]
-    if not items:
+    match = scoring_match(claims, gold, match)
+    covered = int(np.count_nonzero(match.item))
+    if not covered:
         raise ValueError("no gold item is covered by any claim")
-    correct = sum(
-        values_match(dominant(buckets)[0], gold.entries[it],
-                     claims.attribute_of(it), taus[it.attribute])
-        for it, buckets in zip(items, bucketize_items(items, claims, taus)))
-    return correct / len(items)
+    vote, _ = match.engine.select(match.engine.cand_counts)
+    return int(np.count_nonzero(match.cand[vote])) / covered
+
+
+def source_scores(claims: ClaimSet, gold: GoldStandard,
+                  match: GoldMatch | None = None,
+                  ) -> dict[str, tuple[float | None, float]]:
+    """Each source's accuracy (share of its claims on gold items that match
+    gold; None, distinct from 0, when it has none) and coverage (fraction
+    of gold items it provides), counted on ``scoring_match``."""
+    match = scoring_match(claims, gold, match)
+    source = match.engine.vsrc_source[match.engine.claim_vsrc]
+    on_gold, correct = (
+        np.bincount(source[m], minlength=len(claims.sources)).tolist()
+        for m in (match.item[match.engine.claim_item], match.claim))
+    return {s: (c / n if n else None, n / len(gold.entries) if n else 0.0)
+            for s, c, n in zip(claims.sources, correct, on_gold)}
 
 
 def source_accuracy(source: str, claims: ClaimSet, gold: GoldStandard,
-                    taus: dict[str, float | None] | None = None) -> float | None:
+                    match: GoldMatch | None = None) -> float | None:
     """Fraction of the source's gold-covered claims that match the gold
     value; None (undefined, distinct from 0) when it covers no gold item."""
-    if taus is None:
-        taus = tolerances(claims)
-    correct = 0
-    covered = 0
-    for c in claims.by_source.get(source, ()):
-        truth = gold.entries.get(c.item)
-        if truth is None:
-            continue
-        covered += 1
-        attr = claims.attribute_of(c.item)
-        if values_match(c.value, truth, attr, taus[c.item.attribute]):
-            correct += 1
-    if covered == 0:
-        return None
-    return correct / covered
+    return source_scores(claims, gold, match).get(source, (None, 0.0))[0]
 
 
 def source_coverage(source: str, claims: ClaimSet, gold: GoldStandard) -> float:
     """Fraction of gold items the source provides."""
-    if not gold.entries:
-        return 0.0
-    provided = sum(1 for c in claims.by_source.get(source, ())
-                   if c.item in gold.entries)
-    return provided / len(gold.entries)
+    return source_scores(claims, gold).get(source, (None, 0.0))[1]
 
 
 def accuracy_deviation(series: Sequence[float]) -> float:
@@ -212,18 +226,17 @@ def profile_sources(claims: ClaimSet, gold: GoldStandard | None,
                     snapshots: Sequence[tuple[ClaimSet, GoldStandard]] = (),
                     ) -> dict[str, SourceProfile]:
     """Per-source profiles; when (snapshot, gold) pairs are given, the
-    accuracy series and its deviation are filled in, with each snapshot's
-    tolerances computed once."""
-    taus = tolerances(claims)
-    snap_taus = [taus if snap is claims else tolerances(snap)
-                 for snap, _ in snapshots]
+    accuracy series and its deviation are filled in; a series entry that
+    repeats the primary snapshot reuses its ``source_scores``."""
+    primary = source_scores(claims, gold) if gold else {}
+    per_snap = [primary if snap is claims and snap_gold is gold
+                else source_scores(snap, snap_gold)
+                for snap, snap_gold in snapshots]
     out: dict[str, SourceProfile] = {}
     for s in claims.sources:
-        acc = source_accuracy(s, claims, gold, taus) if gold else None
-        cov = source_coverage(s, claims, gold) if gold else 0.0
-        per_snap = tuple(source_accuracy(s, snap, snap_gold, t)
-                         for (snap, snap_gold), t in zip(snapshots, snap_taus))
-        series = [a for a in per_snap if a is not None]
+        acc, cov = primary.get(s, (None, 0.0))
+        per = tuple(scores.get(s, (None, 0.0))[0] for scores in per_snap)
+        series = [a for a in per if a is not None]
         out[s] = SourceProfile(
             source=s,
             claim_count=len(claims.by_source.get(s, ())),
@@ -232,6 +245,6 @@ def profile_sources(claims: ClaimSet, gold: GoldStandard | None,
             accuracy_series=tuple(series),
             accuracy_deviation=(accuracy_deviation(series)
                                 if series else None),
-            snapshot_accuracy=per_snap,
+            snapshot_accuracy=per,
         )
     return out

@@ -7,7 +7,11 @@ import json
 import re
 import pytest
 
+from truthfuse import cli, dataio, metrics
 from truthfuse.cli import main
+from truthfuse.config import load_config
+
+from conftest import edge_snapshot, synthetic_snapshot
 
 SPEC = {
     "label": "cli-demo",
@@ -94,6 +98,31 @@ class TestProfile:
         assert sources[0].endswith("accuracy_deviation")
         # identical snapshots give a zero deviation series
         assert sources[1].endswith(",0")
+
+
+def test_attribute_summary_matches_per_attribute_loop(tmp_path):
+    """``attributes.csv`` equals the table of one scan per attribute."""
+    config = load_config()
+    for claims, _ in (edge_snapshot(), synthetic_snapshot()):
+        profiles = metrics.profile_items(claims)
+        cli._write_attribute_summary(tmp_path, claims, profiles, config)
+        rows = []
+        for name in sorted({it.attribute for it in claims.items}):
+            ps = [profiles[it] for it in claims.items if it.attribute == name]
+            devs = [p.deviation for p in ps if p.deviation is not None]
+            providers = len({c.source for c in claims.claims
+                             if c.item.attribute == name})
+            rows.append((
+                name, claims.schema[name].kind.value, providers, len(ps),
+                sum(p.num_values for p in ps) / len(ps),
+                sum(p.entropy for p in ps) / len(ps),
+                sum(devs) / len(devs) if devs else None))
+        dataio.write_rows(tmp_path / "want.csv",
+                          ["attribute", "kind", "providers", "items",
+                           "avg_num_values", "avg_entropy", "avg_deviation"],
+                          rows, config.delimiter)
+        assert ((tmp_path / "attributes.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
 
 
 class TestFuse:

@@ -21,7 +21,7 @@ from truthfuse.copydetect import (
     run_accucopy,
 )
 from truthfuse.fusion import FusionEngine, FusionError, MethodSpec, run_fusion
-from truthfuse.metrics import source_accuracy
+from truthfuse.metrics import source_accuracy, source_scores
 from truthfuse.model import (
     AttributeSpec,
     Claim,
@@ -40,6 +40,7 @@ from truthfuse.synthetic import (
 )
 
 from conftest import make_claims, make_gold
+from test_gold_scores import ref_source_accuracy
 
 CFG = load_config()
 SCHEMA_TT = {a.name: a for a in (
@@ -545,7 +546,7 @@ def ref_group_commonality(group, claims, gold=None, taus=None):
     accs = []
     if gold is not None:
         for s in members:
-            a = source_accuracy(s, claims, gold, taus)
+            a = ref_source_accuracy(s, claims, gold, taus)
             if a is not None:
                 accs.append(a)
     return GroupCommonality(
@@ -745,8 +746,8 @@ class TestGroupCommonalityAgainstLoop:
         assert group_commonality(group, claims, gold, taus) == want
         if gold is not None:
             # the map ``copydetect`` computes for every source, None kept
-            accuracy = {s: source_accuracy(s, claims, gold, taus)
-                        for s in claims.sources}
+            accuracy = {s: acc for s, (acc, _) in
+                        source_scores(claims, gold).items()}
             assert group_commonality(group, claims, gold, taus,
                                      accuracy) == want
         return want

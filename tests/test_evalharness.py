@@ -19,7 +19,7 @@ from truthfuse.evalharness import (
     trust_difference,
 )
 from truthfuse.fusion import MethodSpec, run_fusion
-from truthfuse.metrics import precision_of_dominant, profile_items
+from truthfuse.metrics import precision_of_dominant
 from truthfuse.model import Kind
 from truthfuse.synthetic import (
     SyntheticAttribute,
@@ -162,7 +162,7 @@ class TestPrecisionByDominance:
                               for i in range(4)])
         gold = make_gold([("o1", "price", 10.0)])
         r = run_fusion(MethodSpec("vote"), claims, CFG)
-        rows = precision_by_dominance(r, gold, profile_items(claims), claims)
+        rows = precision_by_dominance(r, gold, claims)
         top = rows[-1]
         assert top["count"] == 1
         assert top["precision"] == 1.0
@@ -172,7 +172,7 @@ class TestPrecisionByDominance:
                               for i in range(4)])
         gold = make_gold([("o1", "price", 10.0)])
         r = run_fusion(MethodSpec("vote"), claims, CFG)
-        rows = precision_by_dominance(r, gold, profile_items(claims), claims)
+        rows = precision_by_dominance(r, gold, claims)
         empties = [row for row in rows if row["count"] == 0]
         assert empties
         assert all(row["precision"] is None for row in empties)
@@ -190,7 +190,7 @@ class TestPrecisionByDominance:
         gold = make_gold([("o1", "price", 10.0)])
         trust = {"good": 0.99, "bad1": 0.3, "bad2": 0.3}
         r = run_fusion(MethodSpec("accupr"), claims, CFG, input_trust=trust)
-        rows = precision_by_dominance(r, gold, profile_items(claims), claims)
+        rows = precision_by_dominance(r, gold, claims)
         bucket = [row for row in rows if row["count"] == 1][0]
         assert bucket["lo"] <= 2 / 3 < bucket["hi"]
         assert bucket["precision"] == 1.0

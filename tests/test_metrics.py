@@ -15,6 +15,7 @@ from truthfuse.metrics import (
     dominant,
     entropy,
     item_redundancy,
+    object_redundancies,
     object_redundancy,
     precision_of_dominant,
     profile_item,
@@ -29,7 +30,13 @@ from truthfuse.model import (
 )
 from truthfuse.normalize import bucketize
 
-from conftest import make_claims, make_gold
+from conftest import (
+    copier_snapshot,
+    edge_snapshot,
+    make_claims,
+    make_gold,
+    synthetic_snapshot,
+)
 
 
 def buckets_for(counts, attr="price", tau=0.5, spread=10.0):
@@ -76,6 +83,14 @@ class TestRedundancy:
         assert object_redundancy("o1", cs) == 0.6
         assert object_redundancy("o2", cs) == 1.0
         assert object_redundancy("none", cs) == 0.0
+
+    def test_all_objects_at_once_match_the_per_object_loop(self):
+        for claims, _ in (copier_snapshot(), edge_snapshot(),
+                          synthetic_snapshot()):
+            want = {o: len({c.source for c in claims.claims
+                            if c.item.object_id == o}) / len(claims.sources)
+                    for o in claims.object_ids}
+            assert object_redundancies(claims) == want
 
 
 class TestEntropy:

@@ -21,24 +21,11 @@ from truthfuse.fusion import (
     METHOD_NAMES,
     sample_trust,
 )
-from truthfuse.metrics import source_accuracy
-from truthfuse.model import (
-    AttributeSpec,
-    Claim,
-    ClaimSet,
-    DataItem,
-    GoldStandard,
-    Kind,
-    Value,
-)
+from truthfuse.model import ClaimSet, DataItem, GoldStandard
 from truthfuse.normalize import bucketize_items, tolerances, values_match
-from truthfuse.synthetic import (
-    SyntheticAttribute,
-    SyntheticSpec,
-    generate_synthetic,
-)
 
-from test_shared_engine import copier_snapshot
+from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
+from test_gold_scores import ref_source_accuracy
 
 CFG = load_config()
 
@@ -89,7 +76,7 @@ def _ref_sample_global(name, claims, gold, config, taus):
     if name in _ACCURACY_SAMPLED:
         out = {}
         for s in claims.sources:
-            acc = source_accuracy(s, claims, gold, taus)
+            acc = ref_source_accuracy(s, claims, gold, taus)
             if acc is None:
                 acc = cfg.init_trust_bayes
             out[s] = float(np.clip(acc, cfg.trust_clamp,
@@ -167,77 +154,6 @@ def _with_min_gold(n: int) -> RunConfig:
         CFG, fusion=dataclasses.replace(CFG.fusion, attr_min_gold=n))
 
 
-def synthetic_snapshot():
-    """A seeded synthetic snapshot with a number, a time and a text
-    attribute, and a gold standard thinned to every other item so that
-    coverage is partial."""
-    spec = SyntheticSpec(
-        n_sources=7, n_items=24,
-        attributes=(SyntheticAttribute("price", Kind.NUMBER, 0.01),
-                    SyntheticAttribute("depart", Kind.TIME_OF_DAY, 10.0),
-                    SyntheticAttribute("gate", Kind.TEXT, 0.0)),
-        accuracies=(0.95, 0.9, 0.8, 0.7, 0.6, 0.5, 0.3),
-        coverage=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4),
-        false_pool=4)
-    claims, gold, _ = generate_synthetic(spec, seed=5)
-    thinned = dict(sorted(gold.entries.items(),
-                          key=lambda kv: kv[0].sort_key())[::2])
-    return claims, GoldStandard(thinned)
-
-
-EDGE_SCHEMA = {a.name: a for a in (
-    AttributeSpec("change", Kind.NUMBER, 0.05),
-    AttributeSpec("depart", Kind.TIME_OF_DAY, 10.0),
-    AttributeSpec("gate", Kind.TEXT, 0.0),
-    AttributeSpec("volume", Kind.NUMBER, 0.01))}
-
-
-def _v(attr: str, raw) -> Value:
-    kind = EDGE_SCHEMA[attr].kind
-    if kind is Kind.NUMBER:
-        return Value.number(raw)
-    if kind is Kind.TIME_OF_DAY:
-        return Value.time(raw)
-    # Built directly, not case-folded, so that spellings differ in case.
-    return Value(Kind.TEXT, text=raw)
-
-
-def edge_snapshot():
-    """Hand-made edge cases: a ``change`` column with a negative median
-    (negative tolerance), departures near 00:00 and 23:55, gates that
-    differ only in case, a source (s5) with no gold overlap, an attribute
-    (``volume``) with no gold item, and gold items no claim covers."""
-    rows = [
-        ("s1", "o1", "change", -0.50), ("s2", "o1", "change", -0.50),
-        ("s3", "o1", "change", -0.52), ("s4", "o1", "change", 0.10),
-        ("s1", "o2", "change", -1.20), ("s2", "o2", "change", -1.10),
-        ("s3", "o2", "change", -1.20),
-        ("s1", "o3", "change", -0.30), ("s4", "o3", "change", -0.30),
-        ("s1", "o1", "depart", 0), ("s2", "o1", "depart", 1435),
-        ("s3", "o1", "depart", 5), ("s4", "o1", "depart", 0),
-        ("s1", "o2", "depart", 1435), ("s2", "o2", "depart", 1439),
-        ("s3", "o2", "depart", 10), ("s4", "o2", "depart", 1425),
-        ("s1", "o3", "depart", 720), ("s3", "o3", "depart", 731),
-        ("s1", "o1", "gate", "A1"), ("s2", "o1", "gate", "a1"),
-        ("s3", "o1", "gate", "B2"), ("s4", "o1", "gate", "A1"),
-        ("s1", "o2", "gate", "c3"), ("s2", "o2", "gate", "C3"),
-        ("s3", "o2", "gate", "c3"),
-        ("s1", "o1", "volume", 1000.0), ("s2", "o1", "volume", 1004.0),
-        ("s3", "o1", "volume", 1100.0), ("s5", "o1", "volume", 1000.0),
-        ("s5", "o4", "change", -0.70), ("s5", "o4", "gate", "Z9"),
-    ]
-    claims = ClaimSet("edge", EDGE_SCHEMA, [
-        Claim(s, DataItem(o, a), _v(a, x)) for s, o, a, x in rows])
-    gold = GoldStandard({DataItem(o, a): _v(a, x) for o, a, x in [
-        ("o1", "change", -0.50), ("o2", "change", -1.20),
-        ("o3", "change", -0.30),
-        ("o1", "depart", 0), ("o2", "depart", 1439), ("o3", "depart", 725),
-        ("o1", "gate", "a1"), ("o2", "gate", "C3"),
-        ("o9", "change", -2.0), ("o9", "gate", "x"), ("o8", "depart", 60),
-    ]})
-    return claims, gold
-
-
 SNAPSHOTS = {"synthetic": synthetic_snapshot, "copier": copier_snapshot,
              "edge": edge_snapshot}
 
@@ -268,7 +184,7 @@ def test_edge_snapshot_exercises_its_cases():
     claims, gold = edge_snapshot()
     taus = tolerances(claims)
     assert taus["change"] < 0
-    assert source_accuracy("s5", claims, gold, taus) is None
+    assert ref_source_accuracy("s5", claims, gold, taus) is None
     assert not any(it.attribute == "volume" for it in gold.entries)
     assert any(it not in claims.by_item for it in gold.entries)
     # Text matching ignores case; a negative tolerance matches nothing.
@@ -384,7 +300,7 @@ def test_claim_match_gives_source_accuracy():
                               minlength=engine.n_vsrc)
         for s, c, n in zip(engine.vsrc_list, correct.tolist(),
                            covered.tolist()):
-            ref = source_accuracy(s, claims, gold, engine.taus)
+            ref = ref_source_accuracy(s, claims, gold, engine.taus)
             assert (c / n if n else None) == ref, s
 
 

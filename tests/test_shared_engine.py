@@ -19,9 +19,9 @@ from truthfuse.fusion import (
     run_fusion,
     sample_trust,
 )
-from truthfuse.model import Claim, ClaimSet, DataItem, GoldStandard, Value
+from truthfuse.model import ClaimSet
 
-from conftest import SCHEMA
+from conftest import copier_snapshot
 
 CFG = load_config()
 
@@ -29,48 +29,6 @@ CFG = load_config()
 COMPARE_METHODS = ([MethodSpec.parse(m) for m in method_labels()]
                    + [MethodSpec.parse("AccuSimAttr"),
                       MethodSpec.parse("AccuFormatAttr")])
-
-
-def copier_snapshot():
-    """Nine sources over 30 objects with a price, a departure time and a
-    gate. Sources 7-9 copy source 6 (which is often wrong); false prices
-    are near misses inside the similarity window or coarse spellings that
-    subsume a finer value, so similarity and format credit both apply."""
-    rng = random.Random(11)
-    accuracy = {f"s{i}": a for i, a in enumerate(
-        (0.95, 0.9, 0.85, 0.8, 0.7, 0.45), start=1)}
-    claims = []
-    truth = {}
-    for o in range(30):
-        obj = f"o{o:02d}"
-        price = 100.0 + 7.3 * o
-        depart = (37 * o) % 1380
-        gate = f"g{o % 9}"
-        truth[DataItem(obj, "price")] = Value.number(price)
-        truth[DataItem(obj, "depart")] = Value.time(depart)
-        truth[DataItem(obj, "gate")] = Value.of_text(gate)
-        own = {}
-        for s, acc in accuracy.items():
-            ok = rng.random() < acc
-            if ok:
-                p = Value.number(price)
-            elif rng.random() < 0.5:
-                p = Value.number(price + rng.choice((-1, 1))
-                                 * rng.uniform(3.0, 9.0))
-            else:
-                p = Value.number(round(price, -1), granularity=10.0)
-            own[s] = (p,
-                      Value.time(depart if ok or rng.random() < 0.3
-                                 else (depart + rng.choice((15, 30, 45)))
-                                 % 1440),
-                      Value.of_text(gate if ok else f"x{rng.randrange(3)}"))
-        own.update({c: own["s6"] for c in ("s7", "s8", "s9")})
-        for s, (p, d, g) in own.items():
-            if rng.random() < 0.9:
-                claims.append(Claim(s, DataItem(obj, "price"), p))
-                claims.append(Claim(s, DataItem(obj, "depart"), d))
-                claims.append(Claim(s, DataItem(obj, "gate"), g))
-    return ClaimSet("shared", SCHEMA, claims), GoldStandard(truth)
 
 
 @pytest.fixture(scope="module")
