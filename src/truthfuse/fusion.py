@@ -4,7 +4,8 @@ Every method shares one skeleton: per-item vote counts and per-source
 trust scores are updated in alternation until the trust change drops under
 a threshold, then the highest-vote value on each item is selected as true.
 Methods differ in their vote rule, trust rule, initialization, and
-normalization step. Conflicting values are grouped into tolerance buckets
+normalization step, which live in one rule object per method (``_RULES``)
+and nowhere else. Conflicting values are grouped into tolerance buckets
 first, so the baseline vote method selects exactly the dominant bucketed
 value.
 
@@ -42,28 +43,10 @@ from .normalize import (
     tolerances,
 )
 
-METHOD_NAMES = (
-    "vote", "hub", "avglog", "invest", "pooledinvest", "cosine",
-    "2-estimates", "3-estimates", "truthfinder", "accupr", "popaccu",
-    "accusim", "accuformat", "accucopy",
-)
-
-_CANONICAL = {
-    "vote": "Vote", "hub": "Hub", "avglog": "AvgLog", "invest": "Invest",
-    "pooledinvest": "PooledInvest", "cosine": "Cosine",
-    "2-estimates": "2-Estimates", "3-estimates": "3-Estimates",
-    "truthfinder": "TruthFinder", "accupr": "AccuPr", "popaccu": "PopAccu",
-    "accusim": "AccuSim", "accuformat": "AccuFormat", "accucopy": "AccuCopy",
-}
-
 _ALIASES = {
     "twoestimates": "2-estimates", "2estimates": "2-estimates",
     "threeestimates": "3-estimates", "3estimates": "3-estimates",
 }
-
-# Methods whose trust is an accuracy (``FusionEngine.mean_trust``).
-_ACCURACY_FAMILY = ("truthfinder", "accupr", "popaccu", "accusim",
-                    "accuformat", "accucopy")
 
 
 class FusionError(TruthFuseError):
@@ -78,10 +61,7 @@ class MethodSpec:
     per_attribute_trust: bool = False
 
     def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise FusionError(
-                f"unknown method {self.name!r}; valid methods: "
-                f"{', '.join(method_labels())}")
+        _rule(self.name)
 
     @classmethod
     def parse(cls, token: str) -> "MethodSpec":
@@ -98,12 +78,12 @@ class MethodSpec:
         return cls(t, per_attr)
 
     def label(self) -> str:
-        return _CANONICAL[self.name] + ("Attr" if self.per_attribute_trust
-                                        else "")
+        return _RULES[self.name].label + ("Attr" if self.per_attribute_trust
+                                          else "")
 
 
 def method_labels() -> list[str]:
-    return [_CANONICAL[m] for m in METHOD_NAMES]
+    return [rule.label for rule in _RULES.values()]
 
 
 @dataclass
@@ -503,7 +483,7 @@ class FusionEngine:
         claim |= np.isin(self.claim_item, list(text)) & cand[self.claim_cand]
         return GoldMatch(on, claim, cand, self)
 
-    # -- vote rules (one pass, given fixed trust) ------------------------
+    # -- method rules (one object per method in ``_RULES``) ---------------
 
     def votes_once(self, method: str, trust: np.ndarray,
                    value_trust: np.ndarray | None = None,
@@ -513,47 +493,31 @@ class FusionEngine:
         ``weights`` are optional per-claim independence weights (copy-aware
         fusion); they scale each claim's vote contribution.
         """
-        if method == "vote":
-            return self.cand_counts.copy()
-        if method in ("hub", "avglog"):
-            return self._norm_max(self._weighted_cand_sum(trust, weights),
-                                  self.cand_segs)
-        if method == "invest":
-            base = self._invest_base(trust, weights)
-            return self._norm_max(base ** self.cfg.invest_exponent,
-                                  self.cand_segs)
-        if method == "pooledinvest":
-            return self._pooled_votes(self._invest_base(trust, weights))
-        if method == "cosine":
-            return self._cosine_votes(trust, weights)
-        if method == "2-estimates":
-            return self._rescale01(self._estimates_votes(trust, None,
-                                                         weights),
-                                   self.cand_segs)
-        if method == "3-estimates":
-            vt = (value_trust if value_trust is not None
-                  else np.full(self.n_cands, self.cfg.init_value_trust))
-            return self._rescale01(self._estimates_votes(trust, vt, weights),
-                                   self.cand_segs)
-        if method == "truthfinder":
-            per_claim = -np.log(1.0 - self._clamp(trust))[self.claim_vsrc]
-            votes = self._claim_sum(per_claim, weights)
-            return self._boost(votes)
-        if method in ("accupr", "accusim", "accuformat"):
-            t = self._clamp(trust)
-            per_claim = np.log(self.cfg.n_false * t / (1.0 - t))
-            votes = self._claim_sum(per_claim[self.claim_vsrc], weights)
-            if method == "accuformat":
-                votes = self._format_credit(votes, trust, weights)
-            if method in ("accusim", "accuformat"):
-                votes = self._boost(votes)
-            return votes
-        if method == "popaccu":
-            t = self._clamp(trust)
-            per_claim = np.log(t / (1.0 - t))
-            votes = self._claim_sum(per_claim[self.claim_vsrc], weights)
-            return votes + self._pop_term
-        raise FusionError(f"no vote rule for method {method!r}")
+        return _rule(method).votes(self, trust, value_trust, weights)
+
+    def init_state(self, method: str) -> FusionState:
+        return _rule(method).init(self)
+
+    def step(self, method: str, state: FusionState,
+             weights: np.ndarray | None = None,
+             ) -> tuple[FusionState, np.ndarray]:
+        """Advance one fixed-point round; returns the new state and each
+        segment's max absolute change (``_state_delta``)."""
+        new = _rule(method).round(self, state, weights)
+        return new, self._state_delta(state, new)
+
+    def _state_delta(self, old: FusionState, new: FusionState) -> np.ndarray:
+        """Per segment, the max absolute change across trust and votes.
+
+        Trust alone can be transiently stationary while votes still move
+        (e.g. the investment trust update is uniform on uniform-coverage
+        data for one round), so both families gate convergence.
+        """
+        trust = np.maximum.reduceat(np.abs(new.trust - old.trust),
+                                    self.vsrc_segs.start)
+        votes = np.maximum.reduceat(np.abs(new.votes - old.votes),
+                                    self.cand_segs.start)
+        return np.where(votes > trust, votes, trust)
 
     def _claim_sum(self, per_claim: np.ndarray,
                    weights: np.ndarray | None) -> np.ndarray:
@@ -561,47 +525,6 @@ class FusionEngine:
             per_claim = per_claim * weights
         return np.bincount(self.claim_cand, weights=per_claim,
                            minlength=self.n_cands)
-
-    def _weighted_cand_sum(self, trust: np.ndarray,
-                           weights: np.ndarray | None) -> np.ndarray:
-        return self._claim_sum(trust[self.claim_vsrc], weights)
-
-    def _invest_base(self, trust: np.ndarray,
-                     weights: np.ndarray | None) -> np.ndarray:
-        return self._claim_sum((trust / self.src_nvals)[self.claim_vsrc],
-                               weights)
-
-    def _pooled_votes(self, base: np.ndarray) -> np.ndarray:
-        h = self.cfg.pooled_exponent
-        powed = np.power(np.maximum(base, 0.0), h)
-        denom = self._per_item_sum(powed)[self.cand_item]
-        total = self._per_item_sum(base)[self.cand_item]
-        return np.where(denom > 0, np.divide(
-            powed, denom, out=np.zeros_like(powed),
-            where=denom > 0) * total, base)
-
-    def _cosine_votes(self, trust: np.ndarray,
-                      weights: np.ndarray | None) -> np.ndarray:
-        cube = np.power(trust, self.cfg.cosine_trust_power)
-        support = self._claim_sum(cube[self.claim_vsrc], weights)
-        item_total = self._per_item_sum(support)[self.cand_item]
-        num = 2.0 * support - item_total
-        return np.divide(num, item_total,
-                         out=np.zeros_like(num),
-                         where=np.abs(item_total) > 1e-300)
-
-    def _estimates_votes(self, trust: np.ndarray,
-                         value_trust: np.ndarray | None,
-                         weights: np.ndarray | None) -> np.ndarray:
-        t_support = self._weighted_cand_sum(trust, weights)
-        item_t = self._per_item_sum(t_support)[self.cand_item]
-        nprov = self.item_nprov[self.cand_item]
-        if value_trust is None:
-            num = t_support + (nprov - self.cand_counts) - (item_t - t_support)
-        else:
-            num = (value_trust * (2.0 * t_support - item_t)
-                   + nprov - self.cand_counts)
-        return num / nprov
 
     # -- posteriors (Bayesian family) ------------------------------------
 
@@ -625,12 +548,11 @@ class FusionEngine:
     def trust_from_posteriors(self, post: np.ndarray) -> np.ndarray:
         return self.mean_trust(post[self.claim_cand])
 
-    # -- trust rules (one update, given fixed votes) -----------------------
-    # Each sums over the claims of each group: by default a virtual source,
-    # or the group code (dense from 0) ``group`` gives each claim.
+    # -- sums over the claims of each group -------------------------------
 
     def _group_sum(self, per_claim: np.ndarray,
                    group: np.ndarray | None = None) -> np.ndarray:
+        """Per virtual source, or per code (dense from 0) ``group`` gives."""
         if group is None:
             return np.bincount(self.claim_vsrc, weights=per_claim,
                                minlength=self.n_vsrc)
@@ -648,169 +570,6 @@ class FusionEngine:
         probability of truth (a posterior, or 0/1 against gold), clamped."""
         return self._clamp(self._group_sum(per_claim, group)
                            / self._group_size(group))
-
-    def _hub_trust(self, method: str, votes: np.ndarray,
-                   group: np.ndarray | None = None) -> np.ndarray:
-        """Hub's summed votes of each group's candidates; AvgLog's mean,
-        times log(1 + claims)."""
-        raw = self._group_sum(votes[self.claim_cand], group)
-        if method == "avglog":
-            n = self._group_size(group)
-            # +1 smoothing keeps single-value sources from log(1) = 0.
-            # numpy's log1p and the math module's differ in the last bit
-            # on a few integers (2, 13, 47, ...); rounds have always taken
-            # the former and trust sampling the latter.
-            log = (np.log1p(n) if group is None
-                   else np.array([math.log1p(k) for k in n.tolist()]))
-            raw = raw / n * log
-        return raw
-
-    def _invest_trust(self, votes: np.ndarray, trust: np.ndarray | float,
-                      group: np.ndarray | None = None) -> np.ndarray:
-        """Each group's share of its candidates' votes, by the trust (per
-        group, or one for all) it invested evenly over its claims."""
-        inv_w = (trust / self._group_size(group))[
-            self.claim_vsrc if group is None else group]
-        inv_sum = np.bincount(self.claim_cand, weights=inv_w,
-                              minlength=self.n_cands)
-        share = np.divide(inv_w, inv_sum[self.claim_cand],
-                          out=np.zeros_like(inv_w),
-                          where=inv_sum[self.claim_cand] > 0)
-        return self._group_sum(votes[self.claim_cand] * share, group)
-
-    def _cosine_trust(self, votes: np.ndarray,
-                      group: np.ndarray | None = None) -> np.ndarray:
-        own = votes[self.claim_cand]
-        item_sum = self._per_item_sum(votes)
-        item_sq = self._per_item_sum(votes * votes)
-        num = self._group_sum(2.0 * own - item_sum[self.claim_item], group)
-        nvals = self._group_sum(self.item_ncand[self.claim_item], group)
-        sq = self._group_sum(item_sq[self.claim_item], group)
-        den = np.sqrt(nvals * sq)
-        cos = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return np.clip(cos, -1.0, 1.0)
-
-    def _estimates_trust(self, votes: np.ndarray,
-                         value_trust: np.ndarray | None,
-                         group: np.ndarray | None = None) -> np.ndarray:
-        own = votes[self.claim_cand]
-        if value_trust is None:
-            item_anti = self._per_item_sum(1.0 - votes)
-            per_claim = own + item_anti[self.claim_item] - (1.0 - own)
-        else:
-            u = 1.0 / np.maximum(1.0 - value_trust, self.cfg.trust_clamp)
-            u_own = u[self.claim_cand]
-            item_anti = self._per_item_sum((1.0 - votes) * u)
-            per_claim = (own * u_own + item_anti[self.claim_item]
-                         - (1.0 - own) * u_own)
-        num = self._group_sum(per_claim, group)
-        den = self._group_sum(self.item_ncand[self.claim_item], group)
-        return num / np.maximum(den, 1.0)
-
-    # -- iterative rounds -------------------------------------------------
-
-    def init_state(self, method: str) -> FusionState:
-        cfg = self.cfg
-        if method in ("hub", "avglog"):
-            return FusionState(0, np.zeros(self.n_vsrc),
-                               np.full(self.n_cands, cfg.init_vote))
-        if method == "invest":
-            votes = self.cand_counts / self.item_nprov[self.cand_item]
-            return FusionState(0, np.ones(self.n_vsrc), votes)
-        if method == "pooledinvest":
-            votes = 1.0 / self.item_ncand[self.cand_item]
-            return FusionState(0, np.ones(self.n_vsrc), votes)
-        if method == "cosine":
-            return FusionState(0, np.ones(self.n_vsrc),
-                               np.ones(self.n_cands))
-        if method == "2-estimates":
-            return FusionState(0, np.ones(self.n_vsrc),
-                               np.zeros(self.n_cands))
-        if method == "3-estimates":
-            return FusionState(0, np.ones(self.n_vsrc),
-                               np.zeros(self.n_cands),
-                               np.full(self.n_cands, cfg.init_value_trust))
-        if method in _ACCURACY_FAMILY:
-            return FusionState(0, np.full(self.n_vsrc, cfg.init_trust_bayes),
-                               np.zeros(self.n_cands))
-        if method == "vote":
-            return FusionState(0, np.ones(self.n_vsrc),
-                               self.cand_counts.copy())
-        raise FusionError(f"no initialization for method {method!r}")
-
-    def step(self, method: str, state: FusionState,
-             weights: np.ndarray | None = None,
-             ) -> tuple[FusionState, np.ndarray]:
-        """Advance one fixed-point round; returns the new state and each
-        segment's max absolute change (``_state_delta``)."""
-        if method in ("hub", "avglog"):
-            trust = self._norm_max(self._hub_trust(method, state.votes),
-                                   self.vsrc_segs)
-            votes = self.votes_once(method, trust, weights=weights)
-        elif method in ("invest", "pooledinvest"):
-            trust = self._invest_trust(state.votes, state.trust)
-            if method == "invest":
-                trust = self._norm_max(trust, self.vsrc_segs)
-            votes = self.votes_once(method, trust, weights=weights)
-        elif method == "cosine":
-            trust = (self.cfg.cosine_damping * state.trust
-                     + (1.0 - self.cfg.cosine_damping)
-                     * self._cosine_trust(state.votes))
-            votes = self.votes_once(method, trust, weights=weights)
-        elif method == "2-estimates":
-            votes = self.votes_once(method, state.trust, weights=weights)
-            trust = self._rescale01(self._estimates_trust(votes, None),
-                                    self.vsrc_segs)
-        elif method == "3-estimates":
-            votes = self.votes_once(method, state.trust,
-                                    value_trust=state.value_trust,
-                                    weights=weights)
-            # The affine [0,1] rescale covers the vote and source-trust
-            # families; the per-value error rate is truncated instead, so a
-            # low-ranked true value cannot see its votes inverted.
-            value_trust = np.clip(
-                self._estimates_value_trust(votes, state.trust),
-                self.cfg.trust_clamp, 1.0 - self.cfg.trust_clamp)
-            trust = self._rescale01(self._estimates_trust(votes, value_trust),
-                                    self.vsrc_segs)
-            new = FusionState(state.round + 1, trust, votes, value_trust)
-            return new, self._state_delta(state, new)
-        elif method == "truthfinder":
-            votes = self.votes_once(method, state.trust, weights=weights)
-            damp = 1.0 - np.exp(-self.cfg.truthfinder_gamma * votes)
-            trust = self.trust_from_posteriors(damp)
-        elif method in ("accupr", "accusim", "accuformat", "popaccu"):
-            votes = self.votes_once(method, state.trust, weights=weights)
-            trust = self.trust_from_posteriors(self.posteriors(
-                votes, observed_only=method == "popaccu"))
-        else:
-            raise FusionError(f"no round rule for method {method!r}")
-        new = FusionState(state.round + 1, trust, votes, state.value_trust)
-        return new, self._state_delta(state, new)
-
-    def _state_delta(self, old: FusionState, new: FusionState) -> np.ndarray:
-        """Per segment, the max absolute change across trust and votes.
-
-        Trust alone can be transiently stationary while votes still move
-        (e.g. the investment trust update is uniform on uniform-coverage
-        data for one round), so both families gate convergence.
-        """
-        trust = np.maximum.reduceat(np.abs(new.trust - old.trust),
-                                    self.vsrc_segs.start)
-        votes = np.maximum.reduceat(np.abs(new.votes - old.votes),
-                                    self.cand_segs.start)
-        return np.where(votes > trust, votes, trust)
-
-    def _estimates_value_trust(self, votes: np.ndarray,
-                               trust: np.ndarray) -> np.ndarray:
-        r = 1.0 / np.maximum(1.0 - trust, self.cfg.trust_clamp)
-        r_support = np.bincount(self.claim_cand,
-                                weights=r[self.claim_vsrc],
-                                minlength=self.n_cands)
-        item_r = self._per_item_sum(r_support)[self.cand_item]
-        return (votes * r_support
-                + (1.0 - votes) * (item_r - r_support)) \
-            / self.item_nprov[self.cand_item]
 
     # -- result assembly --------------------------------------------------
 
@@ -836,13 +595,326 @@ class FusionEngine:
             selected[it] = self.cand_values[c]
             selected_vote[it] = float(votes[c])
             conf_map[it] = float(conf[i])
-        trust_out = ({} if method.name == "vote"
-                     else self.trust_map(trust))
+        trust_out = (self.trust_map(trust) if _RULES[method.name].iterates
+                     else {})
         return FusionResult(
             method=method, selected=selected, selected_vote=selected_vote,
             confidence=conf_map, trust=trust_out, rounds_used=rounds,
             converged=converged, wall_time=wall_time, tie_count=ties,
             trust_deltas=deltas, claims=self.claims, chosen=chosen)
+
+
+# -- method rules ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One method's rules on an engine ``e``: ``init``, ``votes``, a trust
+    update over virtual sources or ``group`` codes (shared by rounds and
+    ``sample_trust``), ``round`` (voting through ``e.votes_once``),
+    ``sample`` (gold trust, with a default) and ``confidence``."""
+
+    label: str
+    iterates = True     # False: select on the first votes, without rounds
+    posterior = False   # confidence is each value's posterior
+
+    @property
+    def name(self) -> str:
+        return self.label.lower()
+
+    def votes(self, e, trust, value_trust, weights):
+        raise FusionError(f"{self.label} has no vote pass in the engine")
+
+    def round(self, e, state, weights):
+        raise FusionError(f"{self.label} has no rounds in the engine")
+
+    def confidence(self, e, votes):
+        return None     # a value's share of its item's positive votes
+
+    def _vote_on(self, e, state, trust, weights):
+        votes = e.votes_once(self.name, trust, weights=weights)
+        return FusionState(state.round + 1, trust, votes, state.value_trust)
+
+
+class _Vote(_Rule):
+    """Each value's number of providers."""
+
+    iterates = False
+
+    def init(self, e):
+        return FusionState(0, np.ones(e.n_vsrc), e.cand_counts.copy())
+
+    def votes(self, e, trust, value_trust, weights):
+        return e.cand_counts.copy()
+
+    def sample(self, e, match, group, segs):
+        return np.ones(len(segs.of)), 1.0     # every source alike
+
+    def confidence(self, e, votes):
+        return votes / e.item_nprov[e.cand_item]
+
+
+@dataclass(frozen=True)
+class _Hub(_Rule):
+    """Hub: votes sum trust and trust sums votes, both scaled to a maximum
+    of 1. AvgLog's trust is the mean vote times log(1 + claims)."""
+
+    avg_log: bool = False
+
+    def init(self, e):
+        return FusionState(0, np.zeros(e.n_vsrc),
+                           np.full(e.n_cands, e.cfg.init_vote))
+
+    def votes(self, e, trust, value_trust, weights):
+        return e._norm_max(e._claim_sum(trust[e.claim_vsrc], weights),
+                           e.cand_segs)
+
+    def trust(self, e, votes, group=None):
+        raw = e._group_sum(votes[e.claim_cand], group)
+        if self.avg_log:
+            n = e._group_size(group)
+            # +1 smoothing keeps single-value sources from log(1) = 0.
+            # numpy's log1p and the math module's differ in the last bit
+            # on a few integers (2, 13, 47, ...); rounds have always taken
+            # the former and trust sampling the latter.
+            log = (np.log1p(n) if group is None
+                   else np.array([math.log1p(k) for k in n.tolist()]))
+            raw = raw / n * log
+        return raw
+
+    def round(self, e, state, weights):
+        trust = e._norm_max(self.trust(e, state.votes), e.vsrc_segs)
+        return self._vote_on(e, state, trust, weights)
+
+    def sample(self, e, match, group, segs):
+        trust = self.trust(e, match.cand.astype(float), group)
+        return e._norm_max(trust[:len(segs.of)], segs), 0.0
+
+
+@dataclass(frozen=True)
+class _Invest(_Rule):
+    """Invest: sources invest trust evenly over their claims and earn their
+    share of the votes, both scaled to a maximum of 1; PooledInvest pools."""
+
+    pooled: bool = False
+
+    def init(self, e):
+        votes = (1.0 / e.item_ncand[e.cand_item] if self.pooled
+                 else e.cand_counts / e.item_nprov[e.cand_item])
+        return FusionState(0, np.ones(e.n_vsrc), votes)
+
+    def votes(self, e, trust, value_trust, weights):
+        base = e._claim_sum((trust / e.src_nvals)[e.claim_vsrc], weights)
+        if not self.pooled:
+            return e._norm_max(base ** e.cfg.invest_exponent, e.cand_segs)
+        powed = np.power(np.maximum(base, 0.0), e.cfg.pooled_exponent)
+        denom = e._per_item_sum(powed)[e.cand_item]
+        total = e._per_item_sum(base)[e.cand_item]
+        return np.where(denom > 0, np.divide(
+            powed, denom, out=np.zeros_like(powed),
+            where=denom > 0) * total, base)
+
+    def trust(self, e, votes, trust, group=None):
+        """Each group's share of its candidates' votes, by the trust (per
+        group, or one for all) it invested evenly over its claims."""
+        inv_w = (trust / e._group_size(group))[
+            e.claim_vsrc if group is None else group]
+        inv_sum = np.bincount(e.claim_cand, weights=inv_w,
+                              minlength=e.n_cands)
+        share = np.divide(inv_w, inv_sum[e.claim_cand],
+                          out=np.zeros_like(inv_w),
+                          where=inv_sum[e.claim_cand] > 0)
+        return e._group_sum(votes[e.claim_cand] * share, group)
+
+    def _scaled(self, e, trust, segs):
+        return trust if self.pooled else e._norm_max(trust, segs)
+
+    def round(self, e, state, weights):
+        trust = self._scaled(e, self.trust(e, state.votes, state.trust),
+                             e.vsrc_segs)
+        return self._vote_on(e, state, trust, weights)
+
+    def sample(self, e, match, group, segs):
+        trust = self.trust(e, match.cand.astype(float), 1.0, group)
+        return self._scaled(e, trust[:len(segs.of)], segs), 0.0
+
+
+class _Cosine(_Rule):
+    """Cosine: votes in [-1, 1]; trust is the damped cosine between a
+    source's claims and the votes."""
+
+    def init(self, e):
+        return FusionState(0, np.ones(e.n_vsrc), np.ones(e.n_cands))
+
+    def votes(self, e, trust, value_trust, weights):
+        cube = np.power(trust, e.cfg.cosine_trust_power)
+        support = e._claim_sum(cube[e.claim_vsrc], weights)
+        item_total = e._per_item_sum(support)[e.cand_item]
+        num = 2.0 * support - item_total
+        return np.divide(num, item_total, out=np.zeros_like(num),
+                         where=np.abs(item_total) > 1e-300)
+
+    def trust(self, e, votes, group=None):
+        own = votes[e.claim_cand]
+        item_sum = e._per_item_sum(votes)
+        item_sq = e._per_item_sum(votes * votes)
+        num = e._group_sum(2.0 * own - item_sum[e.claim_item], group)
+        nvals = e._group_sum(e.item_ncand[e.claim_item], group)
+        sq = e._group_sum(item_sq[e.claim_item], group)
+        den = np.sqrt(nvals * sq)
+        cos = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return np.clip(cos, -1.0, 1.0)
+
+    def round(self, e, state, weights):
+        damping = e.cfg.cosine_damping
+        trust = (damping * state.trust
+                 + (1.0 - damping) * self.trust(e, state.votes))
+        return self._vote_on(e, state, trust, weights)
+
+    def sample(self, e, match, group, segs):
+        gold = 2.0 * match.cand.astype(float) - 1.0    # +1 true, -1 false
+        return self.trust(e, gold, group), 0.0
+
+
+@dataclass(frozen=True)
+class _Estimates(_Rule):
+    """2-Estimates: votes and trust rescaled onto [0, 1]; 3-Estimates adds
+    each value's error rate (value trust)."""
+
+    order3: bool = False
+
+    def init(self, e):
+        value_trust = (np.full(e.n_cands, e.cfg.init_value_trust)
+                       if self.order3 else None)
+        return FusionState(0, np.ones(e.n_vsrc), np.zeros(e.n_cands),
+                           value_trust)
+
+    def votes(self, e, trust, value_trust, weights):
+        if value_trust is None or not self.order3:
+            value_trust = self.init(e).value_trust
+        return e._rescale01(self.raw_votes(e, trust, value_trust, weights),
+                            e.cand_segs)
+
+    def raw_votes(self, e, trust, value_trust, weights):
+        t_support = e._claim_sum(trust[e.claim_vsrc], weights)
+        item_t = e._per_item_sum(t_support)[e.cand_item]
+        nprov = e.item_nprov[e.cand_item]
+        if value_trust is None:
+            num = t_support + (nprov - e.cand_counts) - (item_t - t_support)
+        else:
+            num = (value_trust * (2.0 * t_support - item_t)
+                   + nprov - e.cand_counts)
+        return num / nprov
+
+    def trust(self, e, votes, value_trust, group=None):
+        own = votes[e.claim_cand]
+        if value_trust is None:
+            item_anti = e._per_item_sum(1.0 - votes)
+            per_claim = own + item_anti[e.claim_item] - (1.0 - own)
+        else:
+            u = 1.0 / np.maximum(1.0 - value_trust, e.cfg.trust_clamp)
+            u_own = u[e.claim_cand]
+            item_anti = e._per_item_sum((1.0 - votes) * u)
+            per_claim = (own * u_own + item_anti[e.claim_item]
+                         - (1.0 - own) * u_own)
+        num = e._group_sum(per_claim, group)
+        den = e._group_sum(e.item_ncand[e.claim_item], group)
+        return num / np.maximum(den, 1.0)
+
+    def round(self, e, state, weights):
+        votes = e.votes_once(self.name, state.trust,
+                             value_trust=state.value_trust, weights=weights)
+        value_trust = None
+        if self.order3:
+            r = 1.0 / np.maximum(1.0 - state.trust, e.cfg.trust_clamp)
+            r_support = e._claim_sum(r[e.claim_vsrc], None)
+            item_r = e._per_item_sum(r_support)[e.cand_item]
+            value_trust = (votes * r_support
+                           + (1.0 - votes) * (item_r - r_support)) \
+                / e.item_nprov[e.cand_item]
+            # The affine [0,1] rescale covers the vote and source-trust
+            # families; the per-value error rate is truncated instead, so a
+            # low-ranked true value cannot see its votes inverted.
+            value_trust = np.clip(value_trust, e.cfg.trust_clamp,
+                                  1.0 - e.cfg.trust_clamp)
+        trust = e._rescale01(self.trust(e, votes, value_trust), e.vsrc_segs)
+        return FusionState(state.round + 1, trust, votes, value_trust)
+
+    def sample(self, e, match, group, segs):
+        # 3-Estimates samples the 2-Estimates rule (no value trust).
+        return self.trust(e, match.cand.astype(float), None, group), 1.0
+
+
+class _Accuracy(_Rule):
+    """Trust is the mean probability of truth of a source's claims
+    (``mean_trust``). AccuCopy votes in ``copydetect.run_accucopy``."""
+
+    def init(self, e):
+        return FusionState(0, np.full(e.n_vsrc, e.cfg.init_trust_bayes),
+                           np.zeros(e.n_cands))
+
+    def sample(self, e, match, group, segs):
+        return (e.mean_trust(match.claim.astype(float), group),
+                e._clamp(np.float64(e.cfg.init_trust_bayes)))
+
+
+@dataclass(frozen=True)
+class _Posterior(_Accuracy):
+    """AccuPr: votes sum log(n_false * t / (1 - t)); PopAccu log(t / (1 - t))
+    plus popularity; AccuSim and AccuFormat add similar and coarse values'.
+    TruthFinder sums -log(1 - t); its truth is 1 - exp(-gamma * vote)."""
+
+    truthfinder: bool = False
+    popularity: bool = False
+    similarity: bool = False
+    formats: bool = False
+    posterior = True
+
+    def votes(self, e, trust, value_trust, weights):
+        t = e._clamp(trust)
+        if self.truthfinder:
+            per_claim = -np.log(1.0 - t)
+        elif self.popularity:
+            per_claim = np.log(t / (1.0 - t))
+        else:
+            per_claim = np.log(e.cfg.n_false * t / (1.0 - t))
+        votes = e._claim_sum(per_claim[e.claim_vsrc], weights)
+        if self.popularity:
+            votes = votes + e._pop_term
+        if self.formats:
+            votes = e._format_credit(votes, trust, weights)
+        return e._boost(votes) if self.similarity else votes
+
+    def round(self, e, state, weights):
+        votes = e.votes_once(self.name, state.trust, weights=weights)
+        truth = (1.0 - np.exp(-e.cfg.truthfinder_gamma * votes)
+                 if self.truthfinder else self.confidence(e, votes))
+        return FusionState(state.round + 1, e.trust_from_posteriors(truth),
+                           votes, state.value_trust)
+
+    def confidence(self, e, votes):
+        return e.posteriors(votes, observed_only=self.popularity)
+
+
+_RULES: dict[str, _Rule] = {rule.name: rule for rule in (
+    _Vote("Vote"), _Hub("Hub"), _Hub("AvgLog", avg_log=True),
+    _Invest("Invest"), _Invest("PooledInvest", pooled=True),
+    _Cosine("Cosine"), _Estimates("2-Estimates"),
+    _Estimates("3-Estimates", order3=True),
+    _Posterior("TruthFinder", truthfinder=True, similarity=True),
+    _Posterior("AccuPr"), _Posterior("PopAccu", popularity=True),
+    _Posterior("AccuSim", similarity=True),
+    _Posterior("AccuFormat", similarity=True, formats=True),
+    _Accuracy("AccuCopy"),
+)}
+METHOD_NAMES = tuple(_RULES)
+
+
+def _rule(name: str) -> _Rule:
+    if name not in _RULES:
+        raise FusionError(f"unknown method {name!r}; valid methods: "
+                          f"{', '.join(method_labels())}")
+    return _RULES[name]
 
 
 def engine_for(claims: ClaimSet, config: FusionConfig, per_attribute: bool,
@@ -886,22 +958,17 @@ def run_fusion(method: MethodSpec, claims: ClaimSet, config: RunConfig,
                             engine=engine)
     engine = engine_for(claims, config.fusion, method.per_attribute_trust,
                         engine)
-    if input_trust is None or method.name == "vote":
+    rule = _RULES[method.name]
+    if input_trust is None or not rule.iterates:
         return fuse_segments(method, engine)[0]
     t0 = time.perf_counter()
     trust = engine.trust_array(input_trust)
     votes = engine.votes_once(method.name, trust)
-    conf = None
-    if method.name in _BAYES:
-        conf = engine.posteriors(votes, observed_only=method.name == "popaccu")
     return engine.build_result(method, votes, trust, rounds=1,
                                converged=True,
                                wall_time=time.perf_counter() - t0,
-                               deltas=[], confidence=conf)
-
-
-# Methods whose confidence is the posterior of the selected value.
-_BAYES = ("truthfinder", "accupr", "popaccu", "accusim", "accuformat")
+                               deltas=[],
+                               confidence=rule.confidence(engine, votes))
 
 
 def fuse_segments(method: MethodSpec,
@@ -918,9 +985,9 @@ def fuse_segments(method: MethodSpec,
     before results are assembled, shared by all segments.
     """
     t0 = time.perf_counter()
-    cfg, n = engine.cfg, len(engine.parts)
+    cfg, n, rule = engine.cfg, len(engine.parts), _RULES[method.name]
     state = engine.init_state(method.name)
-    converged = np.full(n, method.name == "vote")
+    converged = np.full(n, not rule.iterates)
     live, deltas = ~converged, [[] for _ in range(n)]
     while live.any() and state.round < cfg.round_cap:
         new, delta = engine.step(method.name, state)
@@ -932,12 +999,7 @@ def fuse_segments(method: MethodSpec,
         converged |= done
         live &= ~done
         state = new
-    conf = None
-    if method.name == "vote":
-        conf = state.votes / engine.item_nprov[engine.cand_item]
-    elif method.name in _BAYES:
-        conf = engine.posteriors(state.votes,
-                                 observed_only=method.name == "popaccu")
+    conf = rule.confidence(engine, state.votes)
     wall = time.perf_counter() - t0
     return [part.build_result(
         method, state.votes[c], state.trust[v], rounds=len(d),
@@ -963,12 +1025,16 @@ def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
                     variant: str = "accupr",
                     per_attribute: bool = False,
                     ) -> dict[DataItem, dict[Value, float]]:
-    """Per-item truth posteriors for the Bayesian vote rules under fixed
-    trust (one vote pass)."""
+    """Per-item truth posteriors under fixed trust (one vote pass) for a
+    ``variant`` whose confidence is a posterior (not AccuCopy's)."""
+    rule = _RULES.get(variant)
+    if rule is None or not rule.posterior:
+        valid = [n for n, r in _RULES.items() if r.posterior]
+        raise FusionError(f"no posteriors for {variant!r}; valid variants: "
+                          f"{', '.join(valid)}")
     engine = FusionEngine(claims, config.fusion, per_attribute)
-    t = engine.trust_array(trust)
-    votes = engine.votes_once(variant, t)
-    post = engine.posteriors(votes, observed_only=variant == "popaccu")
+    votes = engine.votes_once(variant, engine.trust_array(trust))
+    post = rule.confidence(engine, votes)
     out: dict[DataItem, dict[Value, float]] = {}
     for c in range(engine.n_cands):
         item = engine.items[int(engine.cand_item[c])]
@@ -983,18 +1049,15 @@ def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
                  config: RunConfig,
                  engine: FusionEngine | None = None) -> dict:
     """The method's own trust update (``FusionEngine.step``'s) applied once
-    to gold votes, over the claims on gold items.
+    to gold votes, over the claims on gold items, as its rule's ``sample``
+    says; 3-Estimates takes the 2-Estimates update, without value trust.
 
-    A candidate votes 1 when its centre matches the gold value, else 0 (+1
-    and -1 for Cosine); the accuracy family takes each claim's own value.
-    Link methods invest from uniform trust. Only Hub, AvgLog and Invest
-    (scaled to a maximum of 1) and the accuracy family (clamped) are
-    normalised. A source with no gold overlap takes 0 (link methods,
-    Cosine), 1 (Estimates) or ``init_trust_bayes`` (accuracy family).
-    Per-attribute variants sample each (source, attribute), scaled within
-    the attribute, and take the source's global sample when the attribute
-    has no gold item or the pair fewer gold-covered claims than
-    ``attr_min_gold``. ``engine`` is checked as in ``run_fusion``.
+    A candidate votes 1 when its centre matches the gold value, else 0; the
+    accuracy family takes each claim's own value. Per-attribute variants
+    sample each (source, attribute), scaled within the attribute, and take
+    the source's global sample when the attribute has no gold item or the
+    pair fewer gold-covered claims than ``attr_min_gold``. ``engine`` is
+    checked as in ``run_fusion``.
     """
     if not gold.entries:
         raise FusionError("sample_trust requires a non-empty gold standard")
@@ -1034,22 +1097,6 @@ def _sampled(name: str, engine: FusionEngine, match: GoldMatch,
     # Claims off gold items form one more group, dropped at the end.
     group = np.where(match.item[engine.claim_item],
                      group_of_vsrc[engine.claim_vsrc], n)
-    votes, default = match.cand.astype(float), 0.0
-    if name in ("hub", "avglog"):
-        trust = engine._norm_max(engine._hub_trust(name, votes, group)[:n],
-                                 segs)
-    elif name in ("invest", "pooledinvest"):
-        trust = engine._invest_trust(votes, 1.0, group)[:n]
-        if name == "invest":
-            trust = engine._norm_max(trust, segs)
-    elif name == "cosine":
-        trust = engine._cosine_trust(2.0 * votes - 1.0, group)
-    elif name in ("2-estimates", "3-estimates"):
-        trust, default = engine._estimates_trust(votes, None, group), 1.0
-    elif name in _ACCURACY_FAMILY:
-        trust = engine.mean_trust(match.claim.astype(float), group)
-        default = engine._clamp(np.float64(engine.cfg.init_trust_bayes))
-    else:   # Vote: every source alike
-        return np.ones(n)
+    trust, default = _rule(name).sample(engine, match, group, segs)
     return np.where(np.bincount(group, minlength=n + 1)[:n] > 0, trust[:n],
                     default)

@@ -15,6 +15,7 @@ from truthfuse.fusion import (
     FusionEngine,
     FusionError,
     MethodSpec,
+    _RULES,
     _Segments,
     accu_posteriors,
     method_labels,
@@ -160,14 +161,15 @@ class TestCosine:
     def test_full_agreement_component_is_one(self):
         claims = make_claims([("s1", "o1", "price", 10.0)])
         engine = FusionEngine(claims, CFG.fusion)
-        assert engine._cosine_trust(np.array([1.0]))[0] == pytest.approx(1.0)
+        cos = _RULES["cosine"].trust(engine, np.array([1.0]))
+        assert cos[0] == pytest.approx(1.0)
 
     def test_full_disagreement_negative(self):
         claims = make_claims([("s1", "o1", "price", 10.0),
                               ("s2", "o1", "price", 99.0)])
         engine = FusionEngine(claims, CFG.fusion)
         # votes concentrated on s1's value
-        cos = engine._cosine_trust(np.array([1.0, 0.0]))
+        cos = _RULES["cosine"].trust(engine, np.array([1.0, 0.0]))
         assert cos[1] < 0.0
 
     def test_toy5_converges_to_majority(self, toy5):
@@ -182,14 +184,16 @@ class TestEstimates:
         # With all trust fixed at 1 the raw complement-vote averages are
         # 0.6 and 0.4.
         engine = FusionEngine(toy5, CFG.fusion)
-        raw = engine._estimates_votes(np.ones(engine.n_vsrc), None, None)
+        raw = _RULES["2-estimates"].raw_votes(engine, np.ones(engine.n_vsrc),
+                                              None, None)
         assert sorted(np.round(raw, 12).tolist()) == [0.4, 0.6]
 
     def test_unanimous_item_full_trust_vote(self):
         claims = make_claims([("s1", "o1", "price", 10.0),
                               ("s2", "o1", "price", 10.0)])
         engine = FusionEngine(claims, CFG.fusion)
-        raw = engine._estimates_votes(np.ones(engine.n_vsrc), None, None)
+        raw = _RULES["2-estimates"].raw_votes(engine, np.ones(engine.n_vsrc),
+                                              None, None)
         assert raw.tolist() == [1.0]
 
     def test_order3_initializes_value_trust(self, toy5):
