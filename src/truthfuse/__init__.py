@@ -8,7 +8,6 @@ from .copydetect import (
     detect_copying,
     group_commonality,
     independence_weights,
-    run_accucopy,
 )
 from .dataio import (
     load_claims,

@@ -108,10 +108,6 @@ _SECTIONS = {
 _RUN_KEYS = ("delimiter",)
 
 
-def default_config() -> RunConfig:
-    return RunConfig()
-
-
 def save_config(cfg: RunConfig, path: str | Path) -> None:
     parser = configparser.ConfigParser()
     for section, cls in _SECTIONS.items():

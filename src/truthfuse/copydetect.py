@@ -1,39 +1,33 @@
-"""Pairwise copy-probability estimation and copy-aware fusion.
+"""Pairwise copy-probability estimation and AccuCopy's copy state.
 
 Copying between sources is inferred from the values they share on
 contested items: sharing a value that the current truth estimate marks as
 false is strong evidence of copying, sharing the true value is weak
 evidence, and disagreement is evidence of independence. Vote counts from a
 suspected copier are discounted by the probability it provided each value
-independently.
+independently (AccuCopy, a rule of ``fusion`` whose state is ``Copying``).
 
 The detector deliberately ignores value similarity; on heavily numeric
 data it is known to over-report copying between sources that provide
 near-true values (the votes it discounts there are honest near-misses).
 
 Detection is array algebra over an engine's claims (``_PairIndex``), in
-pair arrays of blocks x sources^2 cells (a block per attribute in
-per-attribute runs). An AccuCopy round costs one integer Gram matrix, a
-posterior per co-covered pair and a product per claim over its bucket.
+pair arrays of blocks x sources^2 cells (a block per attribute of a
+per-attribute run, and per stacked part). An AccuCopy round costs one
+integer Gram matrix, a posterior per co-covered pair and a product per
+claim over its bucket.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
-from .config import CopyParams, FusionConfig, RunConfig
-from .fusion import (
-    FusionEngine,
-    FusionError,
-    FusionResult,
-    MethodSpec,
-    engine_for,
-)
+from .config import CopyParams, FusionConfig
+from .fusion import FusionEngine, FusionError, _Segments, engine_for
 from .metrics import source_scores
 from .model import ClaimSet, DataItem, GoldStandard, Kind, Value
 from .normalize import bucket_width, tolerances
@@ -193,86 +187,77 @@ def _pair_posterior(a1: np.ndarray, a2: np.ndarray, kt: np.ndarray,
 
 def independence_weights(matrix: CopyMatrix, claims: ClaimSet,
                          params: CopyParams) -> dict[tuple, float]:
-    """Per-(source, item) probability that the source provided its value
-    independently: the product over same-value co-claimants s' of
-    (1 - copy_rate * P(source copies s'))."""
-    engine = FusionEngine(claims, FusionConfig())
-    pairs = _PairIndex(engine)
+    """Per-(virtual source, item) probability that the source provided its
+    value independently: the product over same-value co-claimants s' of
+    (1 - copy_rate * P(source copies s')). Virtual sources are the matrix's
+    (sources, or (source, attribute) pairs); ``FusionError`` if unknown."""
+    engine = FusionEngine(claims, FusionConfig(), any(
+        isinstance(a, tuple) for a, _ in matrix.prob))
     index = {s: i for i, s in enumerate(engine.vsrc_list)}
-    prob = pairs.pinned({(index[a], index[b]): p
-                         for (a, b), p in matrix.prob.items()
-                         if a in index and b in index})
-    out = _per_claim(engine, pairs.weights(prob, params.copy_rate))
+    if unplaced := {s for pair in matrix.prob for s in pair} - index.keys():
+        raise FusionError(f"no virtual source {min(map(repr, unplaced))} here")
+    copying = Copying.start(engine, params, None, False, False)
+    out = copying.with_prob(copying.pairs.pinned({
+        (index[a], index[b]): p for (a, b), p in matrix.prob.items()
+    })).matrices(engine)[0].independence
     matrix.independence.update(out)
     return out
 
 
-def run_accucopy(claims: ClaimSet, config: RunConfig,
-                 input_trust: dict | None = None,
-                 known_copiers: dict[tuple[str, str], float] | None = None,
-                 detect: bool = True,
-                 per_attribute: bool = False,
-                 engine: FusionEngine | None = None) -> FusionResult:
-    """Copy-aware fusion: interleaves truth selection (format-aware votes
-    scaled by independence weights), copy detection against the current
-    truth, and trust updates until the joint (trust, copy-probability)
-    change falls under the convergence threshold.
+@dataclass(frozen=True)
+class Copying:
+    """AccuCopy's part of a fusion state: its run's pair index and options,
+    and the copy probabilities (pair cells) and weights (claims)."""
 
-    ``known_copiers`` overrides detection for the given directed pairs;
-    pairs naming a source without claims are ignored.
-    With all copy probabilities zero (detection off, nothing known) the
-    selections coincide with the format-aware method's.
-    ``engine`` is shared and checked as in ``run_fusion``.
-    """
-    engine = engine_for(claims, config.fusion, per_attribute, engine)
-    params = config.copy
-    t0 = time.perf_counter()
-    fixed_trust = input_trust is not None
-    trust = (engine.trust_array(input_trust) if fixed_trust
-             else np.full(engine.n_vsrc, config.fusion.init_trust_bayes))
-    pairs = _PairIndex(engine)
-    known = _expand_known(known_copiers or {}, engine)
-    prob = pairs.pinned(known)
-    weights = pairs.weights(prob, params.copy_rate)
-    deltas, converged, prev_votes = [], False, np.zeros(engine.n_cands)
-    for rounds in range(1, config.fusion.round_cap + 1):
-        votes = engine.votes_once("accuformat", trust, weights=weights)
-        chosen, _ = engine.select(votes)
-        new_prob = prob
-        if detect:
-            is_chosen = np.bincount(chosen, minlength=engine.n_cands) > 0
-            new_prob = pairs.pinned(known, pairs.posteriors(
-                is_chosen, trust, params))
-        new_weights = pairs.weights(new_prob, params.copy_rate)
-        # Trust must be re-estimated from the discounted votes, otherwise
-        # one round with undiscounted copier blocks locks trust onto them.
-        discounted = engine.votes_once("accuformat", trust,
-                                       weights=new_weights)
-        new_trust = trust if fixed_trust else engine.trust_from_posteriors(
-            engine.posteriors(discounted))
-        delta = max(float(np.max(np.abs(new_trust - trust))),
-                    float(np.max(np.abs(discounted - prev_votes))),
-                    float(np.max(np.abs(new_prob - prob))))
-        trust, prob, weights = new_trust, new_prob, new_weights
-        prev_votes = discounted
-        deltas.append(delta)
-        converged = delta < config.fusion.epsilon
-        if converged:
-            break
-    votes = engine.votes_once("accuformat", trust, weights=weights)
-    result = engine.build_result(
-        MethodSpec("accucopy", per_attribute), votes, trust, rounds=rounds,
-        converged=converged, wall_time=time.perf_counter() - t0,
-        deltas=deltas, confidence=engine.posteriors(votes))
-    names = engine.vsrc_list
-    found = dict(zip(zip(np.r_[pairs.lo, pairs.hi].tolist(),
-                         np.r_[pairs.hi, pairs.lo].tolist()),
-                     prob[np.r_[pairs.up, pairs.down]].tolist()))
-    result.copy_matrix = CopyMatrix(
-        prob={(names[i], names[j]): p
-              for (i, j), p in ((found if detect else {}) | known).items()},
-        independence=_per_claim(engine, weights))
-    return result
+    pairs: "_PairIndex"
+    params: CopyParams
+    known: dict[tuple[int, int], float]
+    detect: bool
+    fixed_trust: bool
+    prob: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+    @classmethod
+    def start(cls, engine: FusionEngine, params: CopyParams, known_copiers,
+              detect: bool, fixed_trust: bool) -> "Copying":
+        """Known copiers (on a plain engine) pinned, the rest at 0."""
+        pairs = _PairIndex(engine)
+        known = _expand_known(known_copiers, engine) if known_copiers else {}
+        return cls(pairs, params, known, detect, fixed_trust).with_prob(
+            pairs.pinned(known))
+
+    def with_prob(self, prob: np.ndarray) -> "Copying":
+        return replace(self, prob=prob,
+                       weights=self.pairs.weights(prob, self.params.copy_rate))
+
+    def redetect(self, chosen: np.ndarray, trust: np.ndarray) -> "Copying":
+        """Copying detected against the ``chosen`` candidates (a mask)."""
+        if not self.detect:
+            return self
+        return self.with_prob(self.pairs.pinned(
+            self.known, self.pairs.posteriors(chosen, trust, self.params)))
+
+    def frozen(self, old: "Copying", live: np.ndarray) -> "Copying":
+        """This state, with the segments that are not ``live`` at ``old``."""
+        return self.with_prob(np.where(live[self.pairs.cells.of], self.prob,
+                                       old.prob))
+
+    def matrices(self, engine: FusionEngine) -> list[CopyMatrix]:
+        """A ``CopyMatrix`` per part of ``engine``: detected and known copy
+        probabilities, and each claim's independence weight."""
+        p, seg = self.pairs, engine.vsrc_segs.of.tolist()
+        names = [key for part in engine.parts for key in part.vsrc_list]
+        items = [it for part in engine.parts for it in part.items]
+        found = dict(zip(zip(np.r_[p.lo, p.hi].tolist(),
+                             np.r_[p.hi, p.lo].tolist()),
+                         self.prob[np.r_[p.up, p.down]].tolist()))
+        out = [CopyMatrix() for _ in engine.parts]
+        for (i, j), q in ((found if self.detect else {}) | self.known).items():
+            out[seg[i]].prob[names[i], names[j]] = q
+        for v, i, w in zip(engine.claim_vsrc.tolist(),
+                           engine.claim_item.tolist(), self.weights.tolist()):
+            out[seg[v]].independence[names[v], items[i]] = w
+        return out
 
 
 def _expand_known(known: dict[tuple[str, str], float],
@@ -287,30 +272,27 @@ def _expand_known(known: dict[tuple[str, str], float],
             if (c, b) in at and (o, b) in at}
 
 
-def _per_claim(engine: FusionEngine, values: np.ndarray) -> dict:
-    """{(virtual source, item): value} over the engine's claims."""
-    return {(engine.vsrc_list[v], engine.items[i]): x
-            for v, i, x in zip(engine.claim_vsrc.tolist(),
-                               engine.claim_item.tolist(), values.tolist())}
-
-
 class _PairIndex:
     """Copy evidence and independence weights over an engine's claims.
 
     Pair arrays are flat ``(blocks, width, width)``: cell ``(b, i, j)``
     counts, or gives P(i copies j), for sources i and j of block b; a
     per-attribute engine has a block per attribute, indexed by real source
-    and object. Agreement counts are Gram matrices of 0/1 incidences.
+    and object, and a stacked engine the blocks of each part in turn.
+    Agreement counts are Gram matrices of 0/1 incidences.
     """
 
     def __init__(self, engine: FusionEngine):
-        per_attr, vsrcs = engine.per_attribute, engine.vsrc_list
-        block = _codes([vk[1] if per_attr else 0 for vk in vsrcs])
-        self.loc = engine.vsrc_source
-        item_row = _codes([it.object_id if per_attr else it
-                           for it in engine.items])
+        parts, self.loc = engine.parts, engine.vsrc_source
+        block = _codes([(k, vk[1] if p.per_attribute else 0)
+                        for k, p in enumerate(parts) for vk in p.vsrc_list])
+        item_row = np.concatenate([_codes([
+            it.object_id if part.per_attribute else it for it in part.items])
+            for part in parts])
         self.blocks, w = int(block.max()) + 1, int(self.loc.max()) + 1
         self.width, self.rows = w, int(item_row.max()) + 1
+        self.cells = _Segments.of_sizes(w * w * np.bincount(
+            engine.vsrc_segs.of[np.unique(block, return_index=True)[1]]))
         self.base = block * w + self.loc        # each source's row of cells
         v = engine.claim_vsrc
         contested_cand = engine.item_ncand[engine.cand_item] > 1
@@ -372,6 +354,8 @@ class _PairIndex:
         prob = np.zeros(self.co.size) if prob is None else prob
         keep = [k for k in directed if k[0] != k[1]]
         i, j = np.array(keep, dtype=np.int64).reshape(-1, 2).T
+        if np.any(self.base[i] - self.loc[i] != self.base[j] - self.loc[j]):
+            raise FusionError("a copy pair joins two attributes' sources")
         prob[self.base[i] * self.width + self.loc[j]] = [directed[k]
                                                          for k in keep]
         return prob

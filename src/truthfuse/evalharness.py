@@ -23,8 +23,8 @@ from .fusion import (
     FusionResult,
     GoldMatch,
     MethodSpec,
+    _fixed_point,
     engine_for,
-    fuse_segments,
     run_fusion,
     sample_trust,
 )
@@ -142,11 +142,10 @@ def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
     and each prefix is restricted once. Consecutive prefixes are taken in
     batches of at most ``_STACK_CLAIMS`` claims (at least one prefix each),
     whose engines (one per per-attribute flag) and gold match are shared by
-    every method and freed when the batch is done. Every method but
-    AccuCopy runs once per batch, on the ``stack`` of the batch's engines
-    with its flag (kept while the next method has the same flag); AccuCopy
-    runs per prefix, as its copy detector indexes one engine. Points are
-    ordered by method (as given), then by k.
+    every method and freed when the batch is done. Every method runs once
+    per batch, on the ``stack`` of the batch's engines with its flag (kept
+    while the next method has the same flag), and builds no result. Points
+    are ordered by method (as given), then by k.
     """
     if isinstance(methods, MethodSpec):
         methods = [methods]
@@ -173,21 +172,19 @@ def _batch_recalls(methods: Sequence[MethodSpec], subsets: list[ClaimSet],
     """Each method's recall on each source prefix of one batch; the
     batch's engines and gold matches are freed on return."""
     prefixes = [shared_engines(methods, sub, config) for sub in subsets]
-    matches = [next(iter(engines.values())).gold_match(gold.entries)
-               for engines in prefixes]
+    # Both flags' engines have the same candidates, so one match serves.
+    correct = np.concatenate([next(iter(engines.values())).gold_match(
+        gold.entries).cand for engines in prefixes])
     recalls: list[list[float]] = []
     stack = None
     for m in methods:
         parts = [engines[m.per_attribute_trust] for engines in prefixes]
-        if m.name == "accucopy":
-            results = [run_fusion(m, e.claims, config, engine=e)
-                       for e in parts]
-        else:
-            if stack is None or stack.parts != tuple(parts):
-                stack = FusionEngine.stack(parts)
-            results = fuse_segments(m, stack)
-        recalls.append([precision_recall(r, gold, e.claims, match=match)[1]
-                        for r, e, match in zip(results, parts, matches)])
+        if stack is None or stack.parts != tuple(parts):
+            stack = FusionEngine.stack(parts)
+        chosen, _ = stack.select(_fixed_point(m, stack, config)[1])
+        hits = np.bincount(stack.cand_segs.of[chosen[correct[chosen]]],
+                           minlength=len(parts))
+        recalls.append([h / len(gold.entries) for h in hits.tolist()])
     return recalls
 
 

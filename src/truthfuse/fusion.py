@@ -5,9 +5,9 @@ trust scores are updated in alternation until the trust change drops under
 a threshold, then the highest-vote value on each item is selected as true.
 Methods differ in their vote rule, trust rule, initialization, and
 normalization step, which live in one rule object per method (``_RULES``)
-and nowhere else. Conflicting values are grouped into tolerance buckets
-first, so the baseline vote method selects exactly the dominant bucketed
-value.
+and nowhere else, and run in one round loop (``_fixed_point``).
+Conflicting values are grouped into tolerance buckets first, so the
+baseline vote method selects exactly the dominant bucketed value.
 
 Per-attribute variants treat each (source, attribute) pair as an
 independent virtual source; on single-attribute data they coincide with
@@ -94,8 +94,8 @@ class FusionResult:
     ``chosen`` is each item's selected candidate on the engines over
     ``claims``, which gold scores read.
     ``wall_time`` is the run's time on its built engine, without building
-    it. Runs that shared a stacked engine (each method's source-addition
-    curve) all carry the time of their whole batch (``fuse_segments``).
+    it. Runs that shared a stacked engine all carry the time of their
+    whole batch (``fuse_segments``).
     """
 
     method: MethodSpec
@@ -122,6 +122,7 @@ class FusionState:
     trust: np.ndarray
     votes: np.ndarray
     value_trust: np.ndarray | None = None
+    copying: object | None = None   # AccuCopy's ``copydetect.Copying``
 
 
 class GoldMatch(NamedTuple):
@@ -273,7 +274,7 @@ class FusionEngine:
                            ("fmt_cand", "n_cands"), ("sim_w", None),
                            ("src_nvals", None), ("cand_counts", None),
                            ("item_nprov", None), ("item_ncand", None),
-                           ("_pop_term", None)):
+                           ("_pop_term", None), ("vsrc_source", None)):
             setattr(eng, name, cat(name, size))
         eng.n_vsrc, eng.n_cands, eng.n_items = (
             sum(sizes[n]) for n in ("n_vsrc", "n_cands", "n_items"))
@@ -496,28 +497,32 @@ class FusionEngine:
         return _rule(method).votes(self, trust, value_trust, weights)
 
     def init_state(self, method: str) -> FusionState:
-        return _rule(method).init(self)
+        return _rule(method).start(self, RunConfig())
 
-    def step(self, method: str, state: FusionState,
-             weights: np.ndarray | None = None,
-             ) -> tuple[FusionState, np.ndarray]:
+    def step(self, method: str,
+             state: FusionState) -> tuple[FusionState, np.ndarray]:
         """Advance one fixed-point round; returns the new state and each
         segment's max absolute change (``_state_delta``)."""
-        new = _rule(method).round(self, state, weights)
+        new = _rule(method).round(self, state)
         return new, self._state_delta(state, new)
 
     def _state_delta(self, old: FusionState, new: FusionState) -> np.ndarray:
-        """Per segment, the max absolute change across trust and votes.
+        """Per segment, the max absolute change of trust, votes and copying.
 
         Trust alone can be transiently stationary while votes still move
         (e.g. the investment trust update is uniform on uniform-coverage
-        data for one round), so both families gate convergence.
+        data for one round), so all families gate convergence.
         """
         trust = np.maximum.reduceat(np.abs(new.trust - old.trust),
                                     self.vsrc_segs.start)
         votes = np.maximum.reduceat(np.abs(new.votes - old.votes),
                                     self.cand_segs.start)
-        return np.where(votes > trust, votes, trust)
+        delta = np.where(votes > trust, votes, trust)
+        if new.copying is not None:
+            prob = np.abs(new.copying.prob - old.copying.prob)
+            prob = np.maximum.reduceat(prob, new.copying.pairs.cells.start)
+            delta = np.where(prob > delta, prob, delta)
+        return delta
 
     def _claim_sum(self, per_claim: np.ndarray,
                    weights: np.ndarray | None) -> np.ndarray:
@@ -587,19 +592,15 @@ class FusionEngine:
                 where=item_pos > 0)
         else:
             conf = confidence[chosen]
-        selected = {}
-        selected_vote = {}
-        conf_map = {}
-        for i, it in enumerate(self.items):
-            c = int(chosen[i])
-            selected[it] = self.cand_values[c]
-            selected_vote[it] = float(votes[c])
-            conf_map[it] = float(conf[i])
+        selected = {it: self.cand_values[c]
+                    for it, c in zip(self.items, chosen.tolist())}
         trust_out = (self.trust_map(trust) if _RULES[method.name].iterates
                      else {})
         return FusionResult(
-            method=method, selected=selected, selected_vote=selected_vote,
-            confidence=conf_map, trust=trust_out, rounds_used=rounds,
+            method=method, selected=selected,
+            selected_vote=dict(zip(self.items, votes[chosen].tolist())),
+            confidence=dict(zip(self.items, conf.tolist())),
+            trust=trust_out, rounds_used=rounds,
             converged=converged, wall_time=wall_time, tie_count=ties,
             trust_deltas=deltas, claims=self.claims, chosen=chosen)
 
@@ -616,23 +617,27 @@ class _Rule:
 
     label: str
     iterates = True     # False: select on the first votes, without rounds
-    posterior = False   # confidence is each value's posterior
+    input_rounds = False    # rounds run under input trust, kept fixed
+    posterior = False   # accu_posteriors gives its confidence under trust
 
     @property
     def name(self) -> str:
         return self.label.lower()
 
-    def votes(self, e, trust, value_trust, weights):
-        raise FusionError(f"{self.label} has no vote pass in the engine")
+    def start(self, e, config, *options):   # a run's first state
+        return self.init(e)     # only AccuCopy reads the run's options
 
-    def round(self, e, state, weights):
+    def round(self, e, state):
         raise FusionError(f"{self.label} has no rounds in the engine")
+
+    def final_votes(self, e, state):    # the votes results select on
+        return state.votes
 
     def confidence(self, e, votes):
         return None     # a value's share of its item's positive votes
 
-    def _vote_on(self, e, state, trust, weights):
-        votes = e.votes_once(self.name, trust, weights=weights)
+    def _vote_on(self, e, state, trust):
+        votes = e.votes_once(self.name, trust)
         return FusionState(state.round + 1, trust, votes, state.value_trust)
 
 
@@ -682,9 +687,9 @@ class _Hub(_Rule):
             raw = raw / n * log
         return raw
 
-    def round(self, e, state, weights):
+    def round(self, e, state):
         trust = e._norm_max(self.trust(e, state.votes), e.vsrc_segs)
-        return self._vote_on(e, state, trust, weights)
+        return self._vote_on(e, state, trust)
 
     def sample(self, e, match, group, segs):
         trust = self.trust(e, match.cand.astype(float), group)
@@ -729,10 +734,10 @@ class _Invest(_Rule):
     def _scaled(self, e, trust, segs):
         return trust if self.pooled else e._norm_max(trust, segs)
 
-    def round(self, e, state, weights):
+    def round(self, e, state):
         trust = self._scaled(e, self.trust(e, state.votes, state.trust),
                              e.vsrc_segs)
-        return self._vote_on(e, state, trust, weights)
+        return self._vote_on(e, state, trust)
 
     def sample(self, e, match, group, segs):
         trust = self.trust(e, match.cand.astype(float), 1.0, group)
@@ -765,11 +770,11 @@ class _Cosine(_Rule):
         cos = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         return np.clip(cos, -1.0, 1.0)
 
-    def round(self, e, state, weights):
+    def round(self, e, state):
         damping = e.cfg.cosine_damping
         trust = (damping * state.trust
                  + (1.0 - damping) * self.trust(e, state.votes))
-        return self._vote_on(e, state, trust, weights)
+        return self._vote_on(e, state, trust)
 
     def sample(self, e, match, group, segs):
         gold = 2.0 * match.cand.astype(float) - 1.0    # +1 true, -1 false
@@ -821,9 +826,9 @@ class _Estimates(_Rule):
         den = e._group_sum(e.item_ncand[e.claim_item], group)
         return num / np.maximum(den, 1.0)
 
-    def round(self, e, state, weights):
+    def round(self, e, state):
         votes = e.votes_once(self.name, state.trust,
-                             value_trust=state.value_trust, weights=weights)
+                             value_trust=state.value_trust)
         value_trust = None
         if self.order3:
             r = 1.0 / np.maximum(1.0 - state.trust, e.cfg.trust_clamp)
@@ -845,21 +850,8 @@ class _Estimates(_Rule):
         return self.trust(e, match.cand.astype(float), None, group), 1.0
 
 
-class _Accuracy(_Rule):
-    """Trust is the mean probability of truth of a source's claims
-    (``mean_trust``). AccuCopy votes in ``copydetect.run_accucopy``."""
-
-    def init(self, e):
-        return FusionState(0, np.full(e.n_vsrc, e.cfg.init_trust_bayes),
-                           np.zeros(e.n_cands))
-
-    def sample(self, e, match, group, segs):
-        return (e.mean_trust(match.claim.astype(float), group),
-                e._clamp(np.float64(e.cfg.init_trust_bayes)))
-
-
 @dataclass(frozen=True)
-class _Posterior(_Accuracy):
+class _Posterior(_Rule):
     """AccuPr: votes sum log(n_false * t / (1 - t)); PopAccu log(t / (1 - t))
     plus popularity; AccuSim and AccuFormat add similar and coarse values'.
     TruthFinder sums -log(1 - t); its truth is 1 - exp(-gamma * vote)."""
@@ -869,6 +861,14 @@ class _Posterior(_Accuracy):
     similarity: bool = False
     formats: bool = False
     posterior = True
+
+    def init(self, e):
+        return FusionState(0, np.full(e.n_vsrc, e.cfg.init_trust_bayes),
+                           np.zeros(e.n_cands))
+
+    def sample(self, e, match, group, segs):
+        return (e.mean_trust(match.claim.astype(float), group),
+                e._clamp(np.float64(e.cfg.init_trust_bayes)))
 
     def votes(self, e, trust, value_trust, weights):
         t = e._clamp(trust)
@@ -885,8 +885,8 @@ class _Posterior(_Accuracy):
             votes = e._format_credit(votes, trust, weights)
         return e._boost(votes) if self.similarity else votes
 
-    def round(self, e, state, weights):
-        votes = e.votes_once(self.name, state.trust, weights=weights)
+    def round(self, e, state):
+        votes = e.votes_once(self.name, state.trust)
         truth = (1.0 - np.exp(-e.cfg.truthfinder_gamma * votes)
                  if self.truthfinder else self.confidence(e, votes))
         return FusionState(state.round + 1, e.trust_from_posteriors(truth),
@@ -894,6 +894,38 @@ class _Posterior(_Accuracy):
 
     def confidence(self, e, votes):
         return e.posteriors(votes, observed_only=self.popularity)
+
+
+class _CopyAware(_Posterior):
+    """AccuCopy: AccuFormat's votes, each claim's scaled by its independence
+    weight, re-detected (``copydetect.Copying``) against each selection."""
+
+    input_rounds = True
+    posterior = False   # its posteriors also need a run's copy weights
+
+    def start(self, e, config, input_trust=None, known_copiers=None,
+              detect=True):
+        from .copydetect import Copying
+        state = self.init(e)
+        if input_trust is not None:
+            state.trust = e.trust_array(input_trust)
+        state.copying = Copying.start(e, config.copy, known_copiers, detect,
+                                      input_trust is not None)
+        return state
+
+    def round(self, e, state):
+        chosen, _ = e.select(self.final_votes(e, state))
+        copying = state.copying.redetect(
+            np.bincount(chosen, minlength=e.n_cands) > 0, state.trust)
+        # Trust from the discounted votes, or copier blocks lock it in.
+        votes = e.votes_once(self.name, state.trust, weights=copying.weights)
+        trust = (state.trust if copying.fixed_trust
+                 else e.trust_from_posteriors(self.confidence(e, votes)))
+        return FusionState(state.round + 1, trust, votes, None, copying)
+
+    def final_votes(self, e, state):
+        return e.votes_once(self.name, state.trust,
+                            weights=state.copying.weights)
 
 
 _RULES: dict[str, _Rule] = {rule.name: rule for rule in (
@@ -905,7 +937,7 @@ _RULES: dict[str, _Rule] = {rule.name: rule for rule in (
     _Posterior("AccuPr"), _Posterior("PopAccu", popularity=True),
     _Posterior("AccuSim", similarity=True),
     _Posterior("AccuFormat", similarity=True, formats=True),
-    _Accuracy("AccuCopy"),
+    _CopyAware("AccuCopy", similarity=True, formats=True),
 )}
 METHOD_NAMES = tuple(_RULES)
 
@@ -944,51 +976,59 @@ def run_fusion(method: MethodSpec, claims: ClaimSet, config: RunConfig,
     Without ``input_trust`` the method iterates vote and trust updates to a
     fixed point (round cap exceeded flags the result non-converged, it does
     not raise). With ``input_trust`` a single deterministic vote pass runs
-    under the fixed trust. The vote baseline never iterates.
+    under the fixed trust (AccuCopy, which reads ``known_copiers`` and
+    ``detect_copying``, iterates under it). The vote baseline never iterates.
 
     Runs only read an ``engine``, so one built for ``claims`` serves any
     number of runs (checked by ``engine_for``); without it, one is built.
     """
-    if method.name == "accucopy":
-        from .copydetect import run_accucopy
-        return run_accucopy(claims, config, input_trust=input_trust,
-                            known_copiers=known_copiers,
-                            detect=detect_copying,
-                            per_attribute=method.per_attribute_trust,
-                            engine=engine)
     engine = engine_for(claims, config.fusion, method.per_attribute_trust,
                         engine)
     rule = _RULES[method.name]
-    if input_trust is None or not rule.iterates:
-        return fuse_segments(method, engine)[0]
+    if input_trust is None or not rule.iterates or rule.input_rounds:
+        return fuse_segments(method, engine, config, input_trust,
+                             known_copiers, detect_copying)[0]
     t0 = time.perf_counter()
     trust = engine.trust_array(input_trust)
     votes = engine.votes_once(method.name, trust)
-    return engine.build_result(method, votes, trust, rounds=1,
-                               converged=True,
-                               wall_time=time.perf_counter() - t0,
-                               deltas=[],
-                               confidence=rule.confidence(engine, votes))
+    return engine.build_result(
+        method, votes, trust, rounds=1, converged=True,
+        wall_time=time.perf_counter() - t0, deltas=[],
+        confidence=rule.confidence(engine, votes))
 
 
-def fuse_segments(method: MethodSpec,
-                  engine: FusionEngine) -> list[FusionResult]:
-    """``method``'s run without input trust on every segment of ``engine``
-    (one for a plain engine, one per part of a ``stack``), as one result
-    per part in order.
-
-    The vote baseline never iterates. Other methods run the fixed-point
-    rounds on all segments at once: a segment stops at its first round
-    whose change is under ``epsilon`` (converged) or at the round cap, and
-    its state is frozen from then on, so each result equals a run on its
-    part alone. Every result's ``wall_time`` is that of the whole call
-    before results are assembled, shared by all segments.
-    """
+def fuse_segments(method: MethodSpec, engine: FusionEngine,
+                  config: RunConfig | None = None,
+                  *options) -> list[FusionResult]:
+    """``method``'s run (``_fixed_point``) on every part of ``engine``
+    (itself unless a ``stack``), one result per part, each timed as the
+    whole call. Only AccuCopy reads ``config`` and the options after it."""
     t0 = time.perf_counter()
-    cfg, n, rule = engine.cfg, len(engine.parts), _RULES[method.name]
-    state = engine.init_state(method.name)
-    converged = np.full(n, not rule.iterates)
-    live, deltas = ~converged, [[] for _ in range(n)]
+    state, votes, deltas, converged = _fixed_point(method, engine, config,
+                                                   *options)
+    conf = _RULES[method.name].confidence(engine, votes)
+    wall = time.perf_counter() - t0
+    results = [part.build_result(
+        method, votes[c], state.trust[v], rounds=len(d), converged=ok,
+        deltas=d, wall_time=wall, confidence=None if conf is None else conf[c])
+        for part, v, c, d, ok in zip(engine.parts, engine.vsrc_segs.slices(),
+                                     engine.cand_segs.slices(), deltas,
+                                     converged)]
+    for result, matrix in zip(results, state.copying.matrices(engine)
+                              if state.copying else ()):
+        result.copy_matrix = matrix
+    return results
+
+
+def _fixed_point(method: MethodSpec, engine: FusionEngine,
+                 config: RunConfig | None = None, *options):
+    """The round loop of every method on all segments at once, each frozen
+    from its first round under ``epsilon`` (or the cap) on, as if run alone:
+    the final state and votes, and per segment its changes and convergence."""
+    cfg, rule = engine.cfg, _RULES[method.name]
+    state = rule.start(engine, config or RunConfig(), *options)
+    converged = np.full(len(engine.parts), not rule.iterates)
+    live, deltas = ~converged, [[] for _ in engine.parts]
     while live.any() and state.round < cfg.round_cap:
         new, delta = engine.step(method.name, state)
         if not live.all():
@@ -999,15 +1039,7 @@ def fuse_segments(method: MethodSpec,
         converged |= done
         live &= ~done
         state = new
-    conf = rule.confidence(engine, state.votes)
-    wall = time.perf_counter() - t0
-    return [part.build_result(
-        method, state.votes[c], state.trust[v], rounds=len(d),
-        converged=ok, wall_time=wall, deltas=d,
-        confidence=None if conf is None else conf[c])
-        for part, v, c, d, ok in zip(engine.parts, engine.vsrc_segs.slices(),
-                                     engine.cand_segs.slices(), deltas,
-                                     converged.tolist())]
+    return state, rule.final_votes(engine, state), deltas, converged.tolist()
 
 
 def _freeze(engine: FusionEngine, old: FusionState, new: FusionState,
@@ -1018,7 +1050,9 @@ def _freeze(engine: FusionEngine, old: FusionState, new: FusionState,
         new.round, np.where(v, new.trust, old.trust),
         np.where(c, new.votes, old.votes),
         None if new.value_trust is None
-        else np.where(c, new.value_trust, old.value_trust))
+        else np.where(c, new.value_trust, old.value_trust),
+        None if new.copying is None
+        else new.copying.frozen(old.copying, live))
 
 
 def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,

@@ -227,11 +227,6 @@ class ClaimSet:
         """S(d): sources providing any value on the item."""
         return tuple(c.source for c in self.by_item.get(item, ()))
 
-    def providers_of(self, item: DataItem, value: Value) -> tuple[str, ...]:
-        """S(d, v): sources providing exactly this value on the item."""
-        return tuple(c.source for c in self.by_item.get(item, ())
-                     if c.value == value)
-
     def value_counts(self, item: DataItem) -> Counter:
         """Multiset of distinct normalized values on the item."""
         return Counter(c.value for c in self.by_item.get(item, ()))

@@ -18,7 +18,6 @@ from truthfuse.copydetect import (
     detect_copying,
     group_commonality,
     independence_weights,
-    run_accucopy,
 )
 from truthfuse.fusion import FusionEngine, FusionError, MethodSpec, run_fusion
 from truthfuse.metrics import source_accuracy, source_scores
@@ -39,7 +38,7 @@ from truthfuse.synthetic import (
     generate_synthetic,
 )
 
-from conftest import make_claims, make_gold
+from conftest import copier_snapshot, make_claims, make_gold
 from test_gold_scores import ref_source_accuracy
 
 CFG = load_config()
@@ -190,6 +189,31 @@ class TestIndependenceWeights:
             assert 0.0 <= w <= 1.0
             prev = w
 
+    @pytest.mark.parametrize("per_attribute", [False, True])
+    def test_weights_of_a_run_matrix_are_the_runs(self, per_attribute):
+        # A per-attribute matrix names (source, attribute) pairs, which a
+        # global engine cannot place: every weight used to come out 1.0.
+        claims, _ = copier_snapshot()
+        r = run_fusion(MethodSpec("accucopy", per_attribute), claims, CFG)
+        want = dict(r.copy_matrix.independence)
+        assert min(want.values()) < 0.05
+        assert independence_weights(r.copy_matrix, claims, CFG.copy) == want
+        assert r.copy_matrix.independence == want
+
+    @pytest.mark.parametrize("prob, message", [
+        ({("ghost", "s1"): 0.5}, "no virtual source 'ghost'"),
+        ({(("s1", "price"), ("s2", "gate")): 0.5}, "two attributes"),
+        ({("s1", "s2"): 0.5, (("s1", "price"), ("s2", "price")): 0.5},
+         "no virtual source 's1'"),
+    ], ids=["no-such-source", "across-attributes", "mixed-keys"])
+    def test_pairs_it_cannot_place_raise(self, prob, message):
+        claims = make_claims([("s1", "o1", "price", 10.0),
+                              ("s2", "o1", "price", 10.0),
+                              ("s1", "o1", "gate", "a"),
+                              ("s2", "o1", "gate", "a")])
+        with pytest.raises(FusionError, match=message):
+            independence_weights(CopyMatrix(prob=prob), claims, CFG.copy)
+
 
 class TestRunAccuCopy:
 
@@ -207,7 +231,7 @@ class TestRunAccuCopy:
         from truthfuse.evalharness import precision_recall
         vote = run_fusion(MethodSpec("vote"), claims, CFG)
         p_vote, _ = precision_recall(vote, gold, claims)
-        detected = run_accucopy(claims, CFG)
+        detected = run_fusion(MethodSpec("accucopy"), claims, CFG)
         p_det, _ = precision_recall(detected, gold, claims)
         assert p_vote < 0.75
         assert p_det >= 0.9
@@ -215,7 +239,8 @@ class TestRunAccuCopy:
 
     def test_known_copiers_override_detection(self):
         claims, gold, known = self.scenario(1)
-        r = run_accucopy(claims, CFG, known_copiers=known)
+        r = run_fusion(MethodSpec("accucopy"), claims, CFG,
+                       known_copiers=known)
         for pair, rate in known.items():
             assert r.copy_matrix.prob[pair] == rate
 
@@ -249,19 +274,20 @@ class TestRunAccuCopy:
 
     def test_no_detection_no_known_equals_accuformat(self):
         claims, gold, _ = self.scenario(2)
-        a = run_accucopy(claims, CFG, detect=False)
+        a = run_fusion(MethodSpec("accucopy"), claims, CFG,
+                       detect_copying=False)
         b = run_fusion(MethodSpec("accuformat"), claims, CFG)
         assert a.selected == b.selected
 
     def test_fixed_input_trust_is_never_updated(self):
         claims, gold, _ = self.scenario(3)
         trust = {s: 0.7 for s in claims.sources}
-        r = run_accucopy(claims, CFG, input_trust=trust)
+        r = run_fusion(MethodSpec("accucopy"), claims, CFG, input_trust=trust)
         assert all(v == 0.7 for v in r.trust.values())
 
     def test_weights_exposed_in_copy_matrix(self):
         claims, _, _ = self.scenario(4)
-        r = run_accucopy(claims, CFG)
+        r = run_fusion(MethodSpec("accucopy"), claims, CFG)
         assert r.copy_matrix is not None
         assert all(0.0 <= p <= 1.0 for p in r.copy_matrix.prob.values())
         assert all(0.0 < w <= 1.0 or w == 0.0
@@ -478,8 +504,9 @@ def ref_detect_on_engine(engine, chosen, trust, params):
 
 def ref_run_accucopy(engine, config, input_trust=None, known_copiers=None,
                      detect=True):
-    """The loop version of run_accucopy: (selected candidates, trust,
-    rounds, copy probabilities, per-claim weights)."""
+    """The loop version of AccuCopy (``run_fusion`` with its rule, formerly
+    ``run_accucopy``): (selected candidates, trust, rounds, copy
+    probabilities, per-claim weights)."""
     params = config.copy
     fixed_trust = input_trust is not None
     trust = (engine.trust_array(input_trust) if fixed_trust
@@ -589,12 +616,13 @@ def assert_close_maps(got: dict, want: dict, tol=1e-12):
 
 class TestVectorisedAgainstLoops:
 
-    def compare_runs(self, claims, per_attribute=False, **kwargs):
+    def compare_runs(self, claims, per_attribute=False, detect=True,
+                     **kwargs):
         engine = FusionEngine(claims, CFG.fusion, per_attribute)
-        r = run_accucopy(claims, CFG, per_attribute=per_attribute,
-                         engine=engine, **kwargs)
+        r = run_fusion(MethodSpec("accucopy", per_attribute), claims, CFG,
+                       detect_copying=detect, engine=engine, **kwargs)
         chosen, trust, rounds, prob, weights = ref_run_accucopy(
-            engine, CFG, **kwargs)
+            engine, CFG, detect=detect, **kwargs)
         assert r.rounds_used == rounds
         assert r.selected == {it: engine.cand_values[int(c)]
                               for it, c in zip(engine.items, chosen)}
@@ -723,11 +751,12 @@ class TestVectorisedAgainstLoops:
         claims = make_claims(rows, schema=schema)
         engine = FusionEngine(claims, CFG.fusion, per_attribute=True)
         assert engine.n_vsrc == 880
-        run_accucopy(claims, CFG, per_attribute=True, engine=engine)
+        method = MethodSpec("accucopy", True)
+        run_fusion(method, claims, CFG, engine=engine)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            r = run_accucopy(claims, CFG, per_attribute=True, engine=engine)
+            r = run_fusion(method, claims, CFG, engine=engine)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

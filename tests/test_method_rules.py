@@ -17,7 +17,6 @@ from truthfuse.fusion import (
     FusionState,
     MethodSpec,
     accu_posteriors,
-    fuse_segments,
     run_fusion,
 )
 
@@ -240,6 +239,20 @@ class RefChainEngine(FusionEngine):
         return new, self._state_delta(state, new)
 
 
+class WeightedEngine(FusionEngine):
+    """An engine whose vote pass scales each claim by fixed per-claim
+    ``claim_weights`` when given none: rounds reach independence weights
+    only through ``votes_once``, as AccuCopy's do, since ``step`` takes
+    none."""
+
+    claim_weights = None
+
+    def votes_once(self, method, trust, value_trust=None, weights=None):
+        return super().votes_once(
+            method, trust, value_trust,
+            self.claim_weights if weights is None else weights)
+
+
 def same_bits(a, b) -> bool:
     """Equal dtype, shape and bytes, or both None."""
     if a is None or b is None:
@@ -256,6 +269,11 @@ class Snapshot:
                         for flag in (False, True)}
         self.refs = {flag: RefChainEngine(self.claims, CFG.fusion, flag)
                      for flag in (False, True)}
+        self.weighted = {}
+        for flag in (False, True):
+            self.weighted[flag] = WeightedEngine(self.claims, CFG.fusion,
+                                                 flag)
+            self.weighted[flag].claim_weights = self.weights(flag, True)
 
     def weights(self, flag: bool, weighted: bool):
         """Seeded per-claim independence weights in [0.2, 1), or None."""
@@ -296,12 +314,13 @@ def test_init_state_matches_chain(snap, name, flag):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_every_round_matches_chain(snap, name, flag, weighted):
     """All ``round_cap`` rounds, past convergence too: trust, votes, value
-    trust and each round's change are the chain's, bit for bit."""
-    engine, ref = snap.engines[flag], snap.refs[flag]
-    weights = snap.weights(flag, weighted)
+    trust and each round's change are the chain's, bit for bit. Weighted
+    rounds vote with weights through the engine's ``votes_once``."""
+    engine = (snap.weighted if weighted else snap.engines)[flag]
+    ref, weights = snap.refs[flag], snap.weights(flag, weighted)
     got, want = engine.init_state(name), ref.init_state(name)
     for k in range(CFG.fusion.round_cap):
-        got, got_delta = engine.step(name, got, weights)
+        got, got_delta = engine.step(name, got)
         want, want_delta = ref.step(name, want, weights)
         assert got.round == want.round == k + 1
         for part in ("trust", "votes", "value_trust"):
@@ -370,12 +389,8 @@ def _engine():
     lambda e: e.init_state("nosuch"),
     lambda e: e.step("nosuch", e.init_state("hub")),
     lambda e: e.step("vote", e.init_state("vote")),
-    lambda e: e.step("accucopy", e.init_state("accucopy")),
-    lambda e: e.votes_once("accucopy", np.ones(e.n_vsrc)),
-    lambda e: fuse_segments(MethodSpec("accucopy"), e),
     lambda e: MethodSpec("nosuch"),
 ], ids=["votes-unknown", "init-unknown", "step-unknown", "step-vote",
-        "step-accucopy", "votes-accucopy", "fuse-segments-accucopy",
         "spec-unknown"])
 def test_lookup_errors_are_fusion_errors(call):
     with pytest.raises(FusionError):
