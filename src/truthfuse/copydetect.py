@@ -29,8 +29,8 @@ import numpy as np
 from .config import CopyParams, FusionConfig
 from .fusion import FusionEngine, FusionError, _Segments, engine_for
 from .metrics import source_scores
-from .model import ClaimSet, DataItem, GoldStandard, Kind, Value
-from .normalize import bucket_width, tolerances
+from .model import ClaimSet, DataItem, GoldStandard, Value
+from .normalize import item_widths, keys_match, tolerances, value_keys
 
 _TINY = 1e-300
 
@@ -69,9 +69,9 @@ def group_commonality(group, claims: ClaimSet,
     ``taus`` are the snapshot's tolerances and ``accuracy`` each source's
     accuracy against ``gold`` (``source_scores``), when already computed.
 
-    Members are rows over the items: claimed or not, and a key (number,
-    time, or a code per case-folded text) matched as ``values_match``
-    does; per-pair ratios are summed in ``combinations`` order."""
+    Members are rows over the items: claimed or not, and a key
+    (``value_keys``) matched as ``values_match`` does; per-pair ratios are
+    summed in ``combinations`` order."""
     members = [s for s in group if claims.by_source.get(s)]
     excluded = tuple(sorted(set(group) - set(members)))
     if len(members) < 2:
@@ -81,20 +81,16 @@ def group_commonality(group, claims: ClaimSet,
         taus = tolerances(claims)
     ordered, items = sorted(members), claims.items
     col = {(it.object_id, it.attribute): k for k, it in enumerate(items)}
+    mine = [(r, c) for r, s in enumerate(ordered) for c in claims.by_source[s]]
+    at = ([r for r, _ in mine],
+          [col[c.item.object_id, c.item.attribute] for _, c in mine])
     present = np.zeros((len(ordered), len(items)), dtype=bool)
+    present[at] = True
     key = np.zeros(present.shape)
-    codes: dict[str, int] = {}
-    for r, s in enumerate(ordered):
-        cs = claims.by_source[s]
-        cols = [col[c.item.object_id, c.item.attribute] for c in cs]
-        present[r, cols] = True
-        key[r, cols] = [codes.setdefault(c.value.text.casefold(), len(codes))
-                        if c.value.kind is Kind.TEXT else c.value.num
-                        for c in cs]
-    tol = np.array([bucket_width(claims.schema[it.attribute],
-                                 taus[it.attribute]) for it in items])
+    key[at] = value_keys([c.value for _, c in mine])[0]
+    tol = item_widths(items, claims.schema, taus)
     same = [(present[i] & present[i + 1:]
-             & (np.abs(key[i] - key[i + 1:]) <= tol)).sum(1)
+             & keys_match(key[i], key[i + 1:], tol)).sum(1)
             for i in range(len(ordered) - 1)]
     value_parts = [a / n for a, n in zip(np.concatenate(same).tolist(),
                                          _pair_counts(present)[0]) if n]

@@ -36,11 +36,13 @@ from .normalize import (
     SimilarityParams,
     bucket_centre,
     bucket_claims,
-    bucket_width,
     claim_keys,
+    decay_span,
+    key_similarity,
+    keys_match,
     run_starts,
-    similarity,
     tolerances,
+    value_keys,
 )
 
 _ALIASES = {
@@ -189,8 +191,8 @@ class FusionEngine:
 
         self.items: list[DataItem] = list(claims.items)
         self.n_items = len(self.items)
-        flat, item_of, keys, widths = claim_keys(self.items, claims,
-                                                 self.taus)
+        flat, item_of, keys, self.item_width, self.spellings = claim_keys(
+            self.items, claims, self.taus)
         src_index = {s: k for k, s in enumerate(claims.sources)}
         vsrc = np.array([src_index[c.source] for c in flat])
         self.vsrc_list = list(claims.sources)
@@ -208,7 +210,7 @@ class FusionEngine:
                               for c in np.flatnonzero(used).tolist()]
 
         order, self.claim_cand, first, centres = bucket_claims(
-            item_of, keys, widths)
+            item_of, keys, self.item_width)
         self.claim_vsrc = vsrc[order].astype(np.int64)
         self.cand_item = item_of[first].astype(np.int64)
         self.item_start = np.searchsorted(self.cand_item,
@@ -232,11 +234,12 @@ class FusionEngine:
                                       minlength=self.n_items).astype(float)
         self.item_ncand = np.bincount(self.cand_item,
                                       minlength=self.n_items).astype(float)
-        cand_attr = [claims.attribute_of(self.items[i])
-                     for i in self.cand_item.tolist()]
-        self._build_similarity(cand_attr, centres)
+        attrs = [claims.attribute_of(it) for it in self.items]
+        self._build_similarity(np.array([
+            decay_span(a, self.taus[a.name], self.sim_params)
+            for a in attrs])[self.cand_item])
         self._build_format_pairs(np.array([a.kind is Kind.NUMBER
-                                           for a in cand_attr], dtype=bool))
+                                           for a in attrs])[self.cand_item])
         self._pop_term = self._build_popularity_term()
 
     @classmethod
@@ -287,30 +290,16 @@ class FusionEngine:
         """The engines of this one's segments: itself unless stacked."""
         return self._parts or (self,)
 
-    def _build_similarity(self, cand_attr: list, centres: np.ndarray) -> None:
+    def _build_similarity(self, span: np.ndarray) -> None:
         """Ordered pairs of distinct candidates on one item with positive
-        similarity, i-major and j-ascending (``normalize.similarity`` in
-        array form for numbers and times)."""
+        ``key_similarity`` of their centres, i-major and j-ascending."""
         n = self.item_ncand.astype(np.int64)[self.cand_item]
         n[n < 2] = 0
         i, j = _fan_out(np.arange(self.n_cands),
                         self.item_start[self.cand_item], n)
         i, j = i[i != j], j[i != j]
-        p = self.sim_params
-        # Where similarity reaches zero; 0 for text, whose pairs are
-        # edit distances computed one by one below.
-        span = np.array([p.time_zero_at if a.kind is Kind.TIME_OF_DAY
-                         else p.decay_width_multiplier * self.taus[a.name]
-                         if a.kind is Kind.NUMBER else 0.0
-                         for a in cand_attr])[i]
-        d = np.abs(centres[i] - centres[j])
-        sims = np.where(span > 0, 1.0 - d / np.where(span > 0, span, 1.0),
-                        (d == 0).astype(float))
-        text = np.array([a.kind is Kind.TEXT for a in cand_attr], dtype=bool)
-        for k in np.flatnonzero(text[i]).tolist():
-            a, b = int(i[k]), int(j[k])
-            sims[k] = similarity(self.cand_values[a], self.cand_values[b],
-                                 cand_attr[a], p)
+        sims = key_similarity(self._cand_key[i], self._cand_key[j], span[i],
+                              self.spellings)
         keep = sims > 0.0
         self.sim_i, self.sim_j, self.sim_w = i[keep], j[keep], sims[keep]
 
@@ -455,34 +444,17 @@ class FusionEngine:
 
     def gold_match(self, truth: Mapping[DataItem, Value]) -> "GoldMatch":
         """Which claims and candidates agree with ``truth`` on the items it
-        covers: ``values_match`` in array form, on each claim's own value
-        and each candidate's centre. Numbers and times match within their
-        item's grid width (``bucket_width``), on linear minutes, so a
-        negative tolerance matches nothing; text by case-folded equality.
-        """
-        width = {a: bucket_width(self.claims.schema[a], tau)
-                 for a, tau in self.taus.items()}
-        on = np.zeros(self.n_items, dtype=bool)
-        # A NaN truth (no truth, or text) fails every numeric test.
-        x, w = np.full(self.n_items, np.nan), np.zeros(self.n_items)
-        text: dict[int, str] = {}
-        for i, it in enumerate(self.items):
-            v = truth.get(it)
-            if v is not None:
-                on[i] = True
-                if v.kind is Kind.TEXT:
-                    text[i] = v.text.casefold()
-                else:
-                    x[i], w[i] = v.num, width[it.attribute]
-        cand = np.abs(self._cand_key - x[self.cand_item]) <= w[self.cand_item]
-        claim = (np.abs(self._claim_key - x[self.claim_item])
-                 <= w[self.claim_item])
-        for c in np.flatnonzero(np.isin(self.cand_item, list(text))).tolist():
-            cand[c] = (self.cand_values[c].text.casefold()
-                       == text[int(self.cand_item[c])])
-        # A text candidate's claims all spell its value.
-        claim |= np.isin(self.claim_item, list(text)) & cand[self.claim_cand]
-        return GoldMatch(on, claim, cand, self)
+        covers: ``values_match`` in array form (``keys_match`` within each
+        item's width), on each claim's own key and each candidate's
+        centre."""
+        on = np.array([it in truth for it in self.items], dtype=bool)
+        # An item without truth has a NaN key, which matches nothing.
+        x = np.full(self.n_items, np.nan)
+        x[on] = value_keys([truth[it] for it in self.items if it in truth],
+                           self.spellings)[0]
+        w, ki, ci = self.item_width, self.claim_item, self.cand_item
+        return GoldMatch(on, keys_match(self._claim_key, x[ki], w[ki]),
+                         keys_match(self._cand_key, x[ci], w[ci]), self)
 
     # -- method rules (one object per method in ``_RULES``) ---------------
 
@@ -906,6 +878,9 @@ class _CopyAware(_Posterior):
     def start(self, e, config, input_trust=None, known_copiers=None,
               detect=True):
         from .copydetect import Copying
+        if len(e.parts) > 1 and (input_trust is not None or known_copiers):
+            raise FusionError("input trust and known copiers name the "
+                              "sources of one engine, not of a stack")
         state = self.init(e)
         if input_trust is not None:
             state.trust = e.trust_array(input_trust)

@@ -23,7 +23,7 @@ from .model import (
     UndefinedDeviationError,
     Value,
 )
-from .normalize import Bucket, bucketize, tolerances
+from .normalize import Bucket, bucketize, key_offset, tolerances
 
 
 @dataclass(frozen=True)
@@ -93,24 +93,20 @@ def entropy(buckets: Sequence[Bucket]) -> float:
 
 
 def deviation(buckets: Sequence[Bucket], kind: Kind) -> float:
-    """Spread of the distinct (bucketed) values around the dominant one.
-
-    Numbers: RMS of relative differences (v - v0) / v0; undefined when the
-    dominant value is zero. Times: RMS of absolute minute differences.
-    """
+    """Spread of the distinct (bucketed) values around the dominant one v0:
+    the RMS of their ``key_offset``s from it, relative to v0 for numbers
+    (undefined when v0 is zero) and in minutes for times."""
     if kind is Kind.TEXT:
         raise ValueError("deviation is defined for numeric and time "
                          "attributes only")
     v0, _ = dominant(buckets)
-    centers = [b.center.num for b in buckets]
-    if kind is Kind.NUMBER:
-        if v0.num == 0.0:
-            raise UndefinedDeviationError(
-                "relative deviation undefined: dominant value is 0")
-        terms = [((c - v0.num) / v0.num) ** 2 for c in centers]
-    else:
-        terms = [(c - v0.num) ** 2 for c in centers]
-    return math.sqrt(sum(terms) / len(centers))
+    scale = v0.num if kind is Kind.NUMBER else 1.0
+    if scale == 0.0:
+        raise UndefinedDeviationError(
+            "relative deviation undefined: dominant value is 0")
+    terms = [(key_offset(b.center.num, v0.num) / scale) ** 2
+             for b in buckets]
+    return math.sqrt(sum(terms) / len(terms))
 
 
 def dominant(buckets: Sequence[Bucket]) -> tuple[Value, float]:
@@ -131,14 +127,10 @@ def profile_item(item: DataItem, claims: ClaimSet,
                  tau: float | None) -> ItemProfile:
     buckets = bucketize(item, claims, tau)
     v0, factor = dominant(buckets)
-    kind = claims.attribute_of(item).kind
-    if kind is Kind.TEXT:
+    try:
+        dev = deviation(buckets, claims.attribute_of(item).kind)
+    except (ValueError, UndefinedDeviationError):   # text, or v0 = 0
         dev = None
-    else:
-        try:
-            dev = deviation(buckets, kind)
-        except UndefinedDeviationError:
-            dev = None
     ranked = sorted(buckets,
                     key=lambda b: (-b.provider_count, b.center.sort_key()))
     return ItemProfile(

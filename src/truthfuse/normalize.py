@@ -1,5 +1,5 @@
-"""Value canonicalization, tolerance, tolerant matching, bucketing,
-value similarity, and the formatting-subsumption relation.
+"""Value canonicalization, tolerance, bucketing, the formatting-subsumption
+relation, and the distance rule that every comparison of values calls.
 
 All functions here are pure and operate on immutable inputs.
 """
@@ -23,8 +23,7 @@ from .model import (
     ValueParseError,
 )
 
-DEFAULT_ALPHA = 0.01
-DEFAULT_TIME_TOLERANCE_MIN = 10.0
+_TEXT = AttributeSpec("text", Kind.TEXT)
 
 _SUFFIX_MULT = {"k": 1e3, "m": 1e6, "b": 1e9}
 _CURRENCY = "$€£¥"
@@ -169,16 +168,14 @@ def tolerance(attribute: AttributeSpec, values) -> float:
 def effective_tolerance(attribute: AttributeSpec, claims: ClaimSet,
                         numbers=None) -> float | None:
     """The matching tolerance for an attribute within a snapshot: tau for
-    numbers, the minute tolerance for times, None for text. ``numbers``
-    are the attribute's claimed numbers, when already gathered."""
+    numbers, else ``match_width``. ``numbers`` are the attribute's claimed
+    numbers, when already gathered."""
     if attribute.kind is Kind.NUMBER:
         if numbers is None:
             numbers = [c.value.num for c in claims.claims
                        if c.item.attribute == attribute.name]
         return tolerance(attribute, numbers)
-    if attribute.kind is Kind.TIME_OF_DAY:
-        return attribute.tolerance_param
-    return None
+    return match_width(attribute, None)
 
 
 def tolerances(claims: ClaimSet) -> dict[str, float | None]:
@@ -193,31 +190,102 @@ def tolerances(claims: ClaimSet) -> dict[str, float | None]:
             for name, xs in sorted(numbers.items())}
 
 
+# -- the distance rule: keys (numbers, minutes, codes of case-folded text),
+# their offsets, match widths and similarities. Every comparison of values
+# in the package calls these.
+
+
+def value_keys(values, spellings: list[str] | None = None):
+    """Each value's key, and the spellings its text codes index: a text
+    key is the position of its case-folded spelling in ``spellings`` (NaN
+    if absent), by default the sorted distinct ones of ``values``."""
+    keys = np.array([v.num for v in values], dtype=float)
+    text = [k for k, v in enumerate(values) if v.kind is Kind.TEXT]
+    folded = [values[k].text.casefold() for k in text]
+    spellings = sorted(set(folded)) if spellings is None else spellings
+    code = {s: c for c, s in enumerate(spellings)}
+    keys[text] = [code.get(s, math.nan) for s in folded]
+    return keys, spellings
+
+
+def key_offset(x, y):
+    """Signed offset from key ``y`` to ``x``, on linear minutes for times
+    (ROADMAP item 1: 23:55 and 00:05 lie 1430 apart)."""
+    return x - y
+
+
+def keys_match(x, y, width):
+    """Whether paired keys lie within ``width`` of each other (a negative
+    tau matches nothing: ROADMAP item 1)."""
+    return np.abs(key_offset(x, y)) <= width
+
+
+def match_width(attribute: AttributeSpec, tau: float | None) -> float | None:
+    """``tau`` for numbers, the minute tolerance for times, None for text,
+    whose keys match only when equal."""
+    if attribute.kind is Kind.NUMBER:
+        return tau
+    if attribute.kind is Kind.TIME_OF_DAY:
+        return attribute.tolerance_param
+    return None
+
+
+def bucket_width(attribute: AttributeSpec, tau: float | None) -> float:
+    """Grid spacing: the match width, 0 (exact classes) for text or a
+    number without tau."""
+    return float(match_width(attribute, tau) or 0.0)
+
+
+def item_widths(items, schema, taus: dict[str, float | None]) -> np.ndarray:
+    """Each item's ``bucket_width`` under ``taus``."""
+    return np.array([bucket_width(schema[it.attribute], taus[it.attribute])
+                     for it in items], dtype=float)
+
+
+def decay_span(attribute: AttributeSpec, tau: float | None,
+               params: SimilarityParams) -> float:
+    """Where similarity reaches zero: ``decay_width_multiplier`` * tau for
+    numbers, ``time_zero_at`` for times; NaN for text (edit similarity)."""
+    if attribute.kind is Kind.NUMBER:
+        return params.decay_width_multiplier * tau
+    if attribute.kind is Kind.TIME_OF_DAY:
+        return params.time_zero_at
+    return math.nan
+
+
+def key_similarity(x: np.ndarray, y: np.ndarray, span: np.ndarray,
+                   spellings: list[str]) -> np.ndarray:
+    """Similarity in [0, 1] of paired keys: their distance decays linearly
+    to zero at ``span`` (equality where span <= 0); where span is NaN, the
+    ``similarity`` of the spellings their text codes name, pair by pair."""
+    d = np.abs(key_offset(x, y))
+    live = span > 0
+    sims = np.maximum(np.where(live, 1.0 - d / np.where(live, span, 1.0),
+                               (d == 0).astype(float)), 0.0)
+    text = np.flatnonzero(np.isnan(span)).tolist()
+    words = [Value(Kind.TEXT, text=s) for s in spellings] if text else []
+    for k in text:
+        sims[k] = similarity(words[int(x[k])], words[int(y[k])], _TEXT)
+    return sims
+
+
 def values_match(v1: Value, v2: Value, attribute: AttributeSpec,
                  tau: float | None = None) -> bool:
     """Tolerant equality: |diff| <= tau for numbers, <= m minutes for times,
     case-insensitive equality for text."""
+    _check_kinds(v1, v2, attribute, tau)
+    keys, _ = value_keys([v1, v2])
+    return bool(keys_match(keys[0], keys[1], bucket_width(attribute, tau)))
+
+
+def _check_kinds(v1: Value, v2: Value, attribute: AttributeSpec,
+                 tau: float | None) -> None:
     if v1.kind is not v2.kind or v1.kind is not attribute.kind:
         raise KindMismatchError(
-            f"cannot match {v1.kind.value} against {v2.kind.value} "
+            f"cannot compare {v1.kind.value} against {v2.kind.value} "
             f"under attribute {attribute.name!r} ({attribute.kind.value})")
-    if attribute.kind is Kind.TEXT:
-        return v1.text.casefold() == v2.text.casefold()
-    if attribute.kind is Kind.TIME_OF_DAY:
-        return abs(v1.num - v2.num) <= attribute.tolerance_param
-    if tau is None:
-        raise ValueError("numeric matching requires tau")
-    return abs(v1.num - v2.num) <= tau
-
-
-def bucket_width(attribute: AttributeSpec, tau: float | None) -> float:
-    """Grid spacing: the matching tolerance itself, i.e. tau for numbers
-    and the minute tolerance for times (half-width is half the spacing)."""
-    if attribute.kind is Kind.NUMBER:
-        return float(tau or 0.0)
-    if attribute.kind is Kind.TIME_OF_DAY:
-        return attribute.tolerance_param
-    return 0.0
+    if attribute.kind is Kind.NUMBER and tau is None:
+        raise ValueError("comparing numbers requires tau")
 
 
 def bucketize(item: DataItem, claims: ClaimSet,
@@ -238,16 +306,16 @@ def bucketize_items(items, claims: ClaimSet,
                     taus: dict[str, float | None]) -> list[list[Bucket]]:
     """``bucketize`` for many items with claims at once; ``taus`` maps
     their attributes to tolerances."""
-    flat, item_of, keys, widths = claim_keys(items, claims, taus)
+    flat, item_of, keys, widths, _ = claim_keys(items, claims, taus)
     order, bucket_of, first, centres = bucket_claims(item_of, keys, widths)
     groups: list[list[Claim]] = [[] for _ in centres]
     for i, b in zip(order.tolist(), bucket_of.tolist()):
         groups[b].append(flat[i])
     out: list[list[Bucket]] = [[] for _ in items]
-    for cs, ii, w, x in zip(groups, item_of[first].tolist(),
-                            widths[first].tolist(), centres.tolist()):
+    half = (widths / 2.0).tolist()
+    for cs, ii, x in zip(groups, item_of[first].tolist(), centres.tolist()):
         out[ii].append(Bucket(
-            bucket_centre(cs[0].value, x), w / 2.0,
+            bucket_centre(cs[0].value, x), half[ii],
             tuple(sorted({c.value for c in cs}, key=Value.sort_key)),
             len(cs), tuple(sorted(c.source for c in cs))))
     return out
@@ -255,33 +323,27 @@ def bucketize_items(items, claims: ClaimSet,
 
 def claim_keys(items, claims: ClaimSet, taus: dict[str, float | None]):
     """The claims of ``items`` in (item, source) order, with what
-    ``bucket_claims`` groups them by: each claim's item number, key (its
-    number or time; for text, its rank among the distinct texts, which
-    with a width of 0 makes exact classes) and grid width."""
+    ``bucket_claims`` groups them by: each claim's item number and key
+    (``value_keys``), and each item's grid width; and the spellings the
+    text keys index. A width of 0 makes exact classes."""
     per_item = [claims.by_item[it] for it in items]
     flat = [c for cs in per_item for c in cs]
     item_of = np.repeat(np.arange(len(items)), [len(cs) for cs in per_item])
-    keys = np.array([c.value.num for c in flat], dtype=float)
-    attrs = [claims.schema[it.attribute] for it in items]
-    widths = np.array([bucket_width(a, taus[a.name]) for a in attrs])
-    text = np.flatnonzero(np.array([a.kind is Kind.TEXT for a in attrs],
-                                   dtype=bool)[item_of]).tolist()
-    rank = {t: r for r, t in
-            enumerate(sorted({flat[k].value.text for k in text}))}
-    keys[text] = [rank[flat[k].value.text] for k in text]
-    return flat, item_of, keys, widths[item_of]
+    keys, spellings = value_keys([c.value for c in flat])
+    return (flat, item_of, keys, item_widths(items, claims.schema, taus),
+            spellings)
 
 
 def bucket_claims(item_of: np.ndarray, keys: np.ndarray,
                   widths: np.ndarray):
     """The bucketing rule, for the claims of any number of items at once.
 
-    Claims come in (item, source) order, each with its item's grid width
-    (<= 0: exact grouping). An item's anchor is its most frequent key, the
-    smallest on ties; a claim's centre is anchor + k*w with
-    k = ceil((x - anchor)/w - 0.5). Returns the claims' stable order by
-    (item, centre), the bucket of each ordered claim, and each bucket's
-    first claim (in source order) and centre.
+    Claims come in (item, source) order; ``widths`` are the items' grid
+    widths (<= 0: exact grouping). An item's anchor is its most frequent
+    key, the smallest on ties; a claim's centre is anchor + k*w with
+    k = ceil(offset/w - 0.5), its ``key_offset`` from the anchor. Returns
+    the claims' stable order by (item, centre), the bucket of each ordered
+    claim, and each bucket's first claim (in source order) and centre.
     """
     by_key = np.lexsort((keys, item_of))
     item_k, key_k = item_of[by_key], keys[by_key]
@@ -291,11 +353,11 @@ def bucket_claims(item_of: np.ndarray, keys: np.ndarray,
     top = run[best[run_starts(item_k[run][best])]]
     anchor = np.zeros(int(item_of.max(initial=-1)) + 1)
     anchor[item_k[top]] = key_k[top]
-    a = anchor[item_of]
-    grid = widths > 0
-    w = np.where(grid, widths, 1.0)
+    a, w = anchor[item_of], widths[item_of]
+    grid = w > 0
+    w = np.where(grid, w, 1.0)
     # "+ 0.0" turns ceil's -0.0 into the 0 an integer index would give.
-    k = np.ceil((keys - a) / w - 0.5) + 0.0
+    k = np.ceil(key_offset(keys, a) / w - 0.5) + 0.0
     centre = np.where(grid, a + k * w, keys)
     order = np.lexsort((centre, item_of))
     starts = run_starts(item_of[order], centre[order])
@@ -326,29 +388,18 @@ def run_starts(*cols: np.ndarray) -> np.ndarray:
 def similarity(v1: Value, v2: Value, attribute: AttributeSpec,
                params: SimilarityParams = SimilarityParams(),
                tau: float | None = None) -> float:
-    """Symmetric similarity in [0, 1]; 1 on identical values.
-
-    Numbers decay linearly to zero at k*tau; times decay to zero at
-    ``time_zero_at`` minutes; text is 1 on case-insensitive equality and
-    normalized edit-similarity otherwise.
-    """
-    if v1.kind is not v2.kind or v1.kind is not attribute.kind:
-        raise KindMismatchError(
-            f"similarity between {v1.kind.value} and {v2.kind.value} "
-            f"under {attribute.kind.value} attribute")
+    """Symmetric similarity in [0, 1]; 1 on identical values. Numbers decay
+    linearly to zero at k*tau, times at ``time_zero_at`` minutes
+    (``key_similarity``); text is 1 on case-insensitive equality and
+    normalized edit-similarity otherwise."""
+    _check_kinds(v1, v2, attribute, tau)
     if attribute.kind is Kind.TEXT:
         a, b = v1.text.casefold(), v2.text.casefold()
-        if a == b:
-            return 1.0
-        return 1.0 - _levenshtein(a, b) / max(len(a), len(b))
-    if attribute.kind is Kind.TIME_OF_DAY:
-        return max(0.0, 1.0 - abs(v1.num - v2.num) / params.time_zero_at)
-    if tau is None:
-        raise ValueError("numeric similarity requires tau")
-    span = params.decay_width_multiplier * tau
-    if span <= 0:
-        return 1.0 if v1.num == v2.num else 0.0
-    return max(0.0, 1.0 - abs(v1.num - v2.num) / span)
+        return 1.0 if a == b else (
+            1.0 - _levenshtein(a, b) / max(len(a), len(b)))
+    keys, _ = value_keys([v1, v2])
+    return float(key_similarity(keys[:1], keys[1:], np.array(
+        [decay_span(attribute, tau, params)]), [])[0])
 
 
 def _levenshtein(a: str, b: str) -> int:

@@ -22,6 +22,7 @@ from truthfuse.evalharness import (
 )
 from truthfuse.fusion import (
     FusionEngine,
+    FusionError,
     MethodSpec,
     _fixed_point,
     fuse_segments,
@@ -244,6 +245,24 @@ def test_copy_parameters_reach_the_stack():
     assert [r.trust for r in default] != [r.trust for r in other]
     assert [outcome(r) for r in default] == [outcome(r) for r in
                                              fuse_segments(method, stack)]
+
+
+@pytest.mark.parametrize("options", [
+    (None, {("s1", "s2"): 0.5}), ({"s1": 0.8, "s2": 0.6}, None)],
+    ids=["known-copiers", "input-trust"])
+def test_stack_refuses_run_options(options):
+    """Known copiers and input trust name one engine's sources: a stack
+    refuses them with ``FusionError``, and a plain engine still takes
+    them."""
+    claims, gold = copier_snapshot()
+    parts = prefix_engines(claims, gold, False)[:2]
+    method = MethodSpec("accucopy")
+    with pytest.raises(FusionError, match="not of a stack"):
+        fuse_segments(method, FusionEngine.stack(parts), CFG, *options)
+    input_trust, known = options
+    if input_trust is not None:
+        input_trust = dict.fromkeys(parts[0].claims.sources, 0.7)
+    assert fuse_segments(method, parts[0], CFG, input_trust, known)
 
 
 def ref_curve(methods, claims, gold, config):

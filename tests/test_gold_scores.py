@@ -6,6 +6,7 @@ dominant value's precision) against the per-item and per-claim
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -38,7 +39,12 @@ from truthfuse.metrics import (
     source_scores,
 )
 from truthfuse.model import DataItem
-from truthfuse.normalize import bucketize_items, tolerances, values_match
+from truthfuse.normalize import (
+    bucketize_items,
+    similarity,
+    tolerances,
+    values_match,
+)
 
 from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
 
@@ -207,6 +213,51 @@ def test_per_attribute_engines_bucket_alike(scored):
     for name in ("item", "claim", "cand"):
         assert np.array_equal(getattr(match, name),
                               getattr(scored.match, name)), name
+
+
+def test_every_site_agrees_with_the_scalar_rule(scored):
+    """One distance rule: on both flags' engines, the gold match of each
+    claim's value and each candidate's centre is ``values_match``, the
+    similarity pairs are the candidate pairs of positive ``similarity``
+    with its weights, and ``group_commonality``'s per-pair same-value
+    share is the ``values_match`` count over the pair's shared items."""
+    claims, gold = scored.claims, scored.gold
+    value = {(c.source, c.item): c.value for c in claims.claims}
+
+    def agree(item, v):
+        truth = gold.entries.get(item)
+        return truth is not None and values_match(
+            v, truth, claims.attribute_of(item), scored.match.engine.taus[
+                item.attribute])
+
+    for engine in scored.engines.values():
+        match = engine.gold_match(gold.entries)
+        sources = [claims.sources[s] for s in
+                   engine.vsrc_source[engine.claim_vsrc].tolist()]
+        items = [engine.items[i] for i in engine.claim_item.tolist()]
+        assert match.claim.tolist() == [
+            agree(it, value[s, it]) for s, it in zip(sources, items)]
+        cand_items = [engine.items[i] for i in engine.cand_item.tolist()]
+        assert match.cand.tolist() == [
+            agree(it, v) for it, v in zip(cand_items, engine.cand_values)]
+        want = [(i, j, w) for i in range(engine.n_cands)
+                for j in range(engine.n_cands)
+                if i != j and cand_items[i] == cand_items[j]
+                and (w := similarity(
+                    engine.cand_values[i], engine.cand_values[j],
+                    claims.attribute_of(cand_items[i]), engine.sim_params,
+                    engine.taus[cand_items[i].attribute])) > 0.0]
+        assert list(zip(engine.sim_i.tolist(), engine.sim_j.tolist(),
+                        engine.sim_w.tolist())) == want
+    taus = scored.match.engine.taus
+    for pair in itertools.combinations(claims.sources, 2):
+        one, two = ({c.item: c.value for c in claims.by_source[s]}
+                    for s in pair)
+        shared = one.keys() & two.keys()
+        same = sum(values_match(one[it], two[it], claims.attribute_of(it),
+                                taus[it.attribute]) for it in shared)
+        got = copydetect.group_commonality(pair, claims, taus=taus)
+        assert got.value_sim == (same / len(shared) if shared else None)
 
 
 @pytest.mark.parametrize("method", METHODS, ids=MethodSpec.label)

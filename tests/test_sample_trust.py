@@ -192,9 +192,9 @@ def test_edge_snapshot_exercises_its_cases():
     match = engine.gold_match(gold.entries)
     gate = [c for c in range(engine.n_cands)
             if engine.items[int(engine.cand_item[c])] == DataItem("o1", "gate")]
-    # "A1" and "a1" are separate candidates whose centres fold alike.
-    assert [engine.cand_values[c].text for c in gate] == ["a1", "b2", "a1"]
-    assert match.cand[gate].tolist() == [True, False, True]
+    # "A1" and "a1" are one candidate: text keys on the folded spelling.
+    assert [engine.cand_values[c].text for c in gate] == ["a1", "b2"]
+    assert match.cand[gate].tolist() == [True, False]
     change = engine.claim_item == engine.items.index(DataItem("o1", "change"))
     assert change.any() and not match.claim[change].any()
 
