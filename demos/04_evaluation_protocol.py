@@ -33,8 +33,10 @@ for p in incremental_curve(method, claims, gold, config):
     print(f"  k={p.k} (+{p.added_source})  recall={p.recall:.3f} {bar}")
 print("adding the low-quality copier block only hurts.\n")
 
-# One engine and its gold match serve the run, its scores and the report.
-engine = tf.FusionEngine(claims, config.fusion, method.per_attribute_trust)
+# One engine and its gold match serve the run, its scores and the report;
+# an Attr method runs on the engine's per-attribute view.
+engine = tf.FusionEngine(claims, config.fusion).scoped(
+    method.per_attribute_trust)
 match = engine.gold_match(gold.entries)
 result = tf.run_fusion(method, claims, config, engine=engine)
 rows = precision_by_dominance(result, gold, claims, match=match)

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import copydetect as cd
 from . import dataio, evalharness, metrics
 from .config import CopyParams, FusionConfig, RunConfig, load_config
-from .fusion import FusionEngine, MethodSpec, method_labels, run_fusion
+from .fusion import MethodSpec, engine_for, method_labels, run_fusion
 from .model import ClaimSet, DataItem, GoldStandard, Kind, TruthFuseError
 from .normalize import bucketize_items, tolerances
 from .synthetic import generate_synthetic, spec_from_dict
@@ -34,10 +34,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         return args.handler(args, config)
-    except TruthFuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (TruthFuseError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -409,7 +406,7 @@ def _vsrc_str(key) -> str:
 
 def _cmd_copydetect(args, config: RunConfig) -> int:
     claims, gold = _load_inputs(args, config)
-    engine = FusionEngine(claims, config.fusion)
+    engine = engine_for(claims, config.fusion)
     vote = run_fusion(MethodSpec("vote"), claims, config, engine=engine)
     trust = {s: config.fusion.init_trust_bayes for s in claims.sources}
     accuracy = None
@@ -497,21 +494,18 @@ def _evaluate_methods(args, config: RunConfig,
                       methods: list[MethodSpec]) -> int:
     claims, gold = _load_inputs(args, config, need_gold=True)
     out = _out_dir(args)
-    engines = evalharness.shared_engines(methods, claims, config)
-    # Both flags' engines bucket alike: one gold match scores every run.
-    match = next(iter(engines.values())).gold_match(gold.entries)
-    reports = [evalharness.timed_run(m, claims, config, gold,
-                                     engine=engines[m.per_attribute_trust],
-                                     match=match)
-               for m in methods]
+    engine = engine_for(claims, config.fusion)
+    match = engine.gold_match(gold.entries)
+    reports = [evalharness.timed_run(m, claims, config, gold, engine=engine,
+                                     match=match) for m in methods]
     dom_rows = [(report.method, r["lo"], r["hi"], r["count"],
                  r["precision"], r["vote_precision"])
                 for report in reports
                 for r in evalharness.precision_by_dominance(
                     report.result, gold, claims, match=match)]
     ranked = evalharness.rank_sources(claims, gold, match)
-    # The curve builds its own engines for each source prefix.
-    del engines, match
+    # The curve builds its own engine for each source prefix.
+    del engine, match
     curve = evalharness.incremental_curve(methods, claims, gold, config,
                                           ranked)
 

@@ -187,7 +187,7 @@ def independence_weights(matrix: CopyMatrix, claims: ClaimSet,
     value independently: the product over same-value co-claimants s' of
     (1 - copy_rate * P(source copies s')). Virtual sources are the matrix's
     (sources, or (source, attribute) pairs); ``FusionError`` if unknown."""
-    engine = FusionEngine(claims, FusionConfig(), any(
+    engine = engine_for(claims, FusionConfig(), any(
         isinstance(a, tuple) for a, _ in matrix.prob))
     index = {s: i for i, s in enumerate(engine.vsrc_list)}
     if unplaced := {s for pair in matrix.prob for s in pair} - index.keys():

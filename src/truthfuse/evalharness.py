@@ -113,14 +113,6 @@ def rank_sources(claims: ClaimSet, gold: GoldStandard,
     return sorted(claims.sources, key=key)
 
 
-def shared_engines(methods: Sequence[MethodSpec], claims: ClaimSet,
-                   config: RunConfig) -> dict[bool, FusionEngine]:
-    """One engine over ``claims`` per per-attribute flag the methods use,
-    keyed by that flag."""
-    return {flag: FusionEngine(claims, config.fusion, flag)
-            for flag in {m.per_attribute_trust for m in methods}}
-
-
 # Claims over all the source prefixes of one stack of engines. Stacking
 # pays while a round's numpy calls cost more in call overhead than in
 # arithmetic, i.e. for small prefixes: a desk-scale curve (a few thousand
@@ -141,11 +133,11 @@ def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
     (``ranked`` is ``rank_sources(claims, gold)``, when already computed)
     and each prefix is restricted once. Consecutive prefixes are taken in
     batches of at most ``_STACK_CLAIMS`` claims (at least one prefix each),
-    whose engines (one per per-attribute flag) and gold match are shared by
-    every method and freed when the batch is done. Every method runs once
-    per batch, on the ``stack`` of the batch's engines with its flag (kept
-    while the next method has the same flag), and builds no result. Points
-    are ordered by method (as given), then by k.
+    whose engines (one per prefix) and gold match are shared by every
+    method and freed when the batch is done. Every method runs once per
+    batch, on the ``stack`` of the engines or of their per-attribute views
+    (kept while the next method has the same scope), and builds no result.
+    Points are ordered by method (as given), then by k.
     """
     if isinstance(methods, MethodSpec):
         methods = [methods]
@@ -171,14 +163,13 @@ def _batch_recalls(methods: Sequence[MethodSpec], subsets: list[ClaimSet],
                    config: RunConfig) -> list[list[float]]:
     """Each method's recall on each source prefix of one batch; the
     batch's engines and gold matches are freed on return."""
-    prefixes = [shared_engines(methods, sub, config) for sub in subsets]
-    # Both flags' engines have the same candidates, so one match serves.
-    correct = np.concatenate([next(iter(engines.values())).gold_match(
-        gold.entries).cand for engines in prefixes])
+    engines = [engine_for(sub, config.fusion) for sub in subsets]
+    correct = np.concatenate([e.gold_match(gold.entries).cand
+                              for e in engines])
     recalls: list[list[float]] = []
     stack = None
     for m in methods:
-        parts = [engines[m.per_attribute_trust] for engines in prefixes]
+        parts = [e.scoped(m.per_attribute_trust) for e in engines]
         if stack is None or stack.parts != tuple(parts):
             stack = FusionEngine.stack(parts)
         chosen, _ = stack.select(_fixed_point(m, stack, config)[1])
@@ -250,7 +241,7 @@ def time_series_summary(method: MethodSpec,
         raise ValueError("need one gold standard per snapshot")
     precisions = []
     for snap, gold in zip(snapshots, golds):
-        engine = FusionEngine(snap, config.fusion, method.per_attribute_trust)
+        engine = engine_for(snap, config.fusion, method.per_attribute_trust)
         result = run_fusion(method, snap, config, engine=engine)
         p, _ = precision_recall(result, gold, snap,
                                 engine.gold_match(gold.entries))
@@ -268,9 +259,9 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
               match: GoldMatch | None = None) -> EvalReport:
     """Run a method end to end and assemble its report.
 
-    The default run and the input-trust re-run share ``engine`` (which
-    other methods may share too), or one engine built here, and are scored
-    on ``match`` (taken on either flag's engine) or on the engine's. Wall
+    The default run and the input-trust re-run share ``engine`` (or its
+    per-attribute view), which other methods may share too, or one built
+    here, and are scored on ``match`` or on the engine's. Wall
     time covers the default run on that prebuilt engine only (engine
     construction, I/O and sampling excluded). Trust deviation/difference
     compare the default-initialization run's converged trust against the

@@ -16,6 +16,7 @@ the global variants.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .model import (
     DataItem,
     GoldStandard,
     Kind,
+    KindMismatchError,
     TruthFuseError,
     Value,
 )
@@ -166,8 +168,9 @@ class FusionEngine:
     """Array-backed view of a ClaimSet shared by every fusion method.
 
     Candidates are tolerance buckets; claims index into (virtual source,
-    candidate) pairs. The engine is read-only after construction; distinct
-    runs on it are independent.
+    candidate) pairs; Attr methods run on a per-attribute view (``scoped``).
+    The engine is read-only after construction; distinct runs on it are
+    independent.
 
     Virtual sources and candidates are split into segments: one for an
     engine built from claims, one per part for an engine ``stack``ed from
@@ -175,12 +178,12 @@ class FusionEngine:
     """
 
     _parts: tuple["FusionEngine", ...] = ()
+    per_attribute = False
+    _attr_view: "FusionEngine | None" = None
 
-    def __init__(self, claims: ClaimSet, config: FusionConfig,
-                 per_attribute: bool = False):
+    def __init__(self, claims: ClaimSet, config: FusionConfig):
         self.claims = claims
         self.cfg = config
-        self.per_attribute = per_attribute
         if not claims.claims:
             raise FusionError("cannot fuse an empty claim set")
         self.taus = tolerances(claims)
@@ -194,40 +197,24 @@ class FusionEngine:
         flat, item_of, keys, self.item_width, self.spellings = claim_keys(
             self.items, claims, self.taus)
         src_index = {s: k for k, s in enumerate(claims.sources)}
-        vsrc = np.array([src_index[c.source] for c in flat])
-        self.vsrc_list = list(claims.sources)
-        self.vsrc_source = np.arange(len(claims.sources))
-        if per_attribute:
-            names = list(self.taus)
-            code = vsrc * len(names) + np.array(
-                [names.index(it.attribute) for it in self.items])[item_of]
-            used = np.zeros(len(self.vsrc_list) * len(names), dtype=bool)
-            used[code] = True
-            vsrc = (np.cumsum(used) - 1)[code]
-            self.vsrc_source = np.flatnonzero(used) // len(names)
-            self.vsrc_list = [(self.vsrc_list[c // len(names)],
-                               names[c % len(names)])
-                              for c in np.flatnonzero(used).tolist()]
 
         order, self.claim_cand, first, centres = bucket_claims(
             item_of, keys, self.item_width)
-        self.claim_vsrc = vsrc[order].astype(np.int64)
         self.cand_item = item_of[first].astype(np.int64)
         self.item_start = np.searchsorted(self.cand_item,
                                           np.arange(self.n_items))
         self.cand_values = [bucket_centre(flat[f].value, x) for f, x in
                             zip(first.tolist(), centres.tolist())]
         self.n_cands = len(self.cand_values)
-        self.n_vsrc = len(self.vsrc_list)
-        self.vsrc_segs = _Segments.of_sizes([self.n_vsrc])
         self.cand_segs = _Segments.of_sizes([self.n_cands])
         self.claim_item = self.cand_item[self.claim_cand]
+        self._set_vsrc(list(claims.sources), np.arange(len(src_index)),
+                       np.array([src_index[c.source] for c in flat],
+                                dtype=np.int64)[order])
         self._claim_key = keys[order]
         self._cand_key = centres
         self._claim_gran = np.array([c.value.granularity or 0.0
                                      for c in flat])[order]
-        self.src_nvals = np.bincount(self.claim_vsrc,
-                                     minlength=self.n_vsrc).astype(float)
         self.cand_counts = np.bincount(self.claim_cand,
                                        minlength=self.n_cands).astype(float)
         self.item_nprov = np.bincount(self.claim_item,
@@ -241,6 +228,33 @@ class FusionEngine:
         self._build_format_pairs(np.array([a.kind is Kind.NUMBER
                                            for a in attrs])[self.cand_item])
         self._pop_term = self._build_popularity_term()
+
+    def _set_vsrc(self, vsrc_list: list, vsrc_source: np.ndarray,
+                  claim_vsrc: np.ndarray) -> None:
+        self.vsrc_list, self.vsrc_source = vsrc_list, vsrc_source
+        self.claim_vsrc, self.n_vsrc = claim_vsrc, len(vsrc_list)
+        self.vsrc_segs = _Segments.of_sizes([self.n_vsrc])
+        self.src_nvals = np.bincount(claim_vsrc).astype(float)  # all > 0
+
+    def scoped(self, per_attribute: bool) -> "FusionEngine":
+        """This engine, or for ``per_attribute`` its view with a virtual
+        source per (source, attribute) pair, built once and kept here (with
+        no reference back: no cycle) and sharing all but the vsrc fields."""
+        if per_attribute == self.per_attribute:
+            return self
+        if self.per_attribute:
+            raise FusionError("a per_attribute view has no global scope")
+        if self._attr_view is None:
+            names = list(self.taus)
+            n = len(names)
+            attr = np.array([names.index(it.attribute) for it in self.items])
+            code = self.claim_vsrc * n + attr[self.claim_item]
+            pairs, vsrc = np.unique(code, return_inverse=True)
+            view = self._attr_view = copy.copy(self)
+            view.per_attribute = True
+            view._set_vsrc([(self.vsrc_list[p // n], names[p % n])
+                            for p in pairs.tolist()], pairs // n, vsrc)
+        return self._attr_view
 
     @classmethod
     def stack(cls, parts: Sequence["FusionEngine"]) -> "FusionEngine":
@@ -446,12 +460,15 @@ class FusionEngine:
         """Which claims and candidates agree with ``truth`` on the items it
         covers: ``values_match`` in array form (``keys_match`` within each
         item's width), on each claim's own key and each candidate's
-        centre."""
+        centre; ``KindMismatchError`` for a truth of another kind."""
         on = np.array([it in truth for it in self.items], dtype=bool)
+        covered = [(it, truth[it]) for it in self.items if it in truth]
+        for it, v in covered:
+            if v.kind is not self.claims.attribute_of(it).kind:
+                raise KindMismatchError(f"a {v.kind.value} truth on {it}")
         # An item without truth has a NaN key, which matches nothing.
         x = np.full(self.n_items, np.nan)
-        x[on] = value_keys([truth[it] for it in self.items if it in truth],
-                           self.spellings)[0]
+        x[on] = value_keys([v for _, v in covered], self.spellings)[0]
         w, ki, ci = self.item_width, self.claim_item, self.cand_item
         return GoldMatch(on, keys_match(self._claim_key, x[ki], w[ki]),
                          keys_match(self._cand_key, x[ci], w[ci]), self)
@@ -924,21 +941,18 @@ def _rule(name: str) -> _Rule:
     return _RULES[name]
 
 
-def engine_for(claims: ClaimSet, config: FusionConfig, per_attribute: bool,
+def engine_for(claims: ClaimSet, config: FusionConfig,
+               per_attribute: bool = False,
                engine: FusionEngine | None = None) -> FusionEngine:
     """A new engine, or the given shared one after checking that it was
-    built from exactly these claims, per-attribute flag and constants."""
+    built from exactly these claims and constants, ``scoped`` to the run."""
     if engine is None:
-        return FusionEngine(claims, config, per_attribute)
-    if engine.claims is not claims:
+        engine = FusionEngine(claims, config)
+    elif engine.claims is not claims:
         raise FusionError("engine was built over a different claim set")
-    if engine.per_attribute != per_attribute:
-        raise FusionError(
-            f"engine has per_attribute={engine.per_attribute}, the run "
-            f"needs per_attribute={per_attribute}")
-    if engine.cfg != config:
+    elif engine.cfg != config:
         raise FusionError("engine was built with a different fusion config")
-    return engine
+    return engine.scoped(per_attribute)
 
 
 def run_fusion(method: MethodSpec, claims: ClaimSet, config: RunConfig,
@@ -1041,7 +1055,7 @@ def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
         valid = [n for n, r in _RULES.items() if r.posterior]
         raise FusionError(f"no posteriors for {variant!r}; valid variants: "
                           f"{', '.join(valid)}")
-    engine = FusionEngine(claims, config.fusion, per_attribute)
+    engine = engine_for(claims, config.fusion, per_attribute)
     votes = engine.votes_once(variant, engine.trust_array(trust))
     post = rule.confidence(engine, votes)
     out: dict[DataItem, dict[Value, float]] = {}

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import FusionConfig
-from .fusion import FusionEngine, FusionError, FusionResult, GoldMatch
+from .fusion import FusionError, FusionResult, GoldMatch, engine_for
 from .model import (
     ClaimSet,
     DataItem,
@@ -155,10 +155,10 @@ def scoring_match(claims: ClaimSet, gold: GoldStandard,
                   match: GoldMatch | None = None,
                   result: FusionResult | None = None) -> GoldMatch:
     """The gold match that scores on ``claims`` reduce: ``match``, taken on
-    either flag's engine (both bucket alike), or a new engine's. It and
-    ``result`` are checked to be over ``claims``."""
+    an engine or its per-attribute view (same candidates), or a new
+    engine's. It and ``result`` are checked to be over ``claims``."""
     if match is None:
-        match = FusionEngine(claims, FusionConfig()).gold_match(gold.entries)
+        match = engine_for(claims, FusionConfig()).gold_match(gold.entries)
     if match.engine.claims is not claims or (
             result is not None and result.claims is not claims):
         raise FusionError("gold match or result is over other claims")

@@ -25,6 +25,7 @@ from truthfuse.fusion import (
     FusionError,
     MethodSpec,
     _fixed_point,
+    engine_for,
     fuse_segments,
     run_fusion,
 )
@@ -138,7 +139,7 @@ def test_rule_equals_the_loop_it_replaced(snapshot, flag, detect, with_known,
                                           with_trust):
     claims, _ = snapshot
     known, trust = run_options(claims, with_known, with_trust)
-    engine = FusionEngine(claims, CFG.fusion, flag)
+    engine = engine_for(claims, CFG.fusion, flag)
     method = MethodSpec("accucopy", flag)
     kwargs = dict(input_trust=trust, known_copiers=known,
                   detect_copying=detect)
@@ -211,7 +212,7 @@ def test_steps_from_the_engine_state(snapshot):
 
 def prefix_engines(claims, gold, flag):
     ranked = rank_sources(claims, gold)
-    return [FusionEngine(claims.restrict(ranked[:k]), CFG.fusion, flag)
+    return [engine_for(claims.restrict(ranked[:k]), CFG.fusion, flag)
             for k in range(1, len(ranked) + 1)]
 
 

@@ -15,7 +15,6 @@ from truthfuse.evalharness import (
     _batches,
     incremental_curve,
     rank_sources,
-    shared_engines,
 )
 from truthfuse.fusion import (
     FusionEngine,
@@ -98,16 +97,16 @@ def batched(method: MethodSpec, parts) -> list:
 @pytest.fixture(scope="module")
 def prefixes():
     """Each source prefix of the copier snapshot, best source first: its
-    engines (by per-attribute flag) and reference engines over the same
-    claims."""
+    engine and a reference engine over the same claims, each scoped by
+    per-attribute flag."""
     claims, gold = copier_snapshot()
     ranked = rank_sources(claims, gold)
     out = []
     for k in range(1, len(ranked) + 1):
         sub = claims.restrict(ranked[:k])
-        out.append((shared_engines(COMPARE_METHODS, sub, CFG),
-                    {flag: RefEngine(sub, CFG.fusion, flag)
-                     for flag in (False, True)}))
+        engine, ref = FusionEngine(sub, CFG.fusion), RefEngine(sub, CFG.fusion)
+        out.append(({flag: engine.scoped(flag) for flag in (False, True)},
+                    {flag: ref.scoped(flag) for flag in (False, True)}))
     return out
 
 
@@ -118,8 +117,9 @@ def reference(prefixes):
 
 
 def test_fixture_shape(prefixes, reference):
-    engines, _ = prefixes[0]
+    engines, refs = prefixes[0]
     assert len(engines[False].claims.sources) == 1
+    assert type(refs[True]) is RefEngine and refs[True].per_attribute
     rounds = {m: [r.rounds_used for r in rs] for m, rs in reference.items()}
     # segments converge at different rounds, and some hit the round cap
     assert all(len(set(r)) > 1 for m, r in rounds.items()
@@ -156,8 +156,8 @@ def test_segment_results_do_not_depend_on_the_batch(prefixes, reference,
     want = [outcome(r) for r in reference[m]]
     other = FusionEngine(make_claims([
         ("a", "o1", "price", 1.0), ("b", "o1", "price", 3.0),
-        ("a", "o2", "gate", "x"), ("c", "o2", "gate", "y")]), CFG.fusion,
-        m.per_attribute_trust)
+        ("a", "o2", "gate", "x"), ("c", "o2", "gate", "y")]), CFG.fusion
+    ).scoped(m.per_attribute_trust)
     batches = {
         "reversed": list(range(len(parts)))[::-1],
         "every other": list(range(0, len(parts), 2)),

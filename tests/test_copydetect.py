@@ -19,7 +19,13 @@ from truthfuse.copydetect import (
     group_commonality,
     independence_weights,
 )
-from truthfuse.fusion import FusionEngine, FusionError, MethodSpec, run_fusion
+from truthfuse.fusion import (
+    FusionEngine,
+    FusionError,
+    MethodSpec,
+    engine_for,
+    run_fusion,
+)
 from truthfuse.metrics import source_accuracy, source_scores
 from truthfuse.model import (
     AttributeSpec,
@@ -618,7 +624,7 @@ class TestVectorisedAgainstLoops:
 
     def compare_runs(self, claims, per_attribute=False, detect=True,
                      **kwargs):
-        engine = FusionEngine(claims, CFG.fusion, per_attribute)
+        engine = engine_for(claims, CFG.fusion, per_attribute)
         r = run_fusion(MethodSpec("accucopy", per_attribute), claims, CFG,
                        detect_copying=detect, engine=engine, **kwargs)
         chosen, trust, rounds, prob, weights = ref_run_accucopy(
@@ -637,7 +643,7 @@ class TestVectorisedAgainstLoops:
     @pytest.mark.parametrize("per_attribute", [False, True])
     def test_pair_counts_are_exact(self, per_attribute):
         claims, _, _ = copier_scenario(n_attrs=3)
-        engine = FusionEngine(claims, CFG.fusion, per_attribute)
+        engine = engine_for(claims, CFG.fusion, per_attribute)
         pairs = _PairIndex(engine)
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -713,7 +719,7 @@ class TestVectorisedAgainstLoops:
                               shared).prob == alone.prob
         with pytest.raises(FusionError):
             detect_copying(claims, truth, trust, CFG.copy,
-                           FusionEngine(claims, CFG.fusion, True))
+                           engine_for(claims, CFG.fusion, True))
         with pytest.raises(FusionError):
             detect_copying(copier_scenario(seed=9)[0], truth, trust,
                            CFG.copy, shared)
@@ -749,7 +755,7 @@ class TestVectorisedAgainstLoops:
                      for o in range(1, 6) for s in range(55)
                      if (7 * s + 3 * o + int(a[1:])) % 20 < 13]
         claims = make_claims(rows, schema=schema)
-        engine = FusionEngine(claims, CFG.fusion, per_attribute=True)
+        engine = engine_for(claims, CFG.fusion, True)
         assert engine.n_vsrc == 880
         method = MethodSpec("accucopy", True)
         run_fusion(method, claims, CFG, engine=engine)

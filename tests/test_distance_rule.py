@@ -22,6 +22,7 @@ from truthfuse.model import (
     DataItem,
     GoldStandard,
     Kind,
+    KindMismatchError,
     Value,
 )
 from truthfuse.normalize import (
@@ -86,6 +87,22 @@ def test_offsets_widths_and_similarity():
                       tau=1.0) == 0.5
 
 
+def test_gold_match_refuses_a_truth_of_another_kind():
+    """A number truth on a text item is an error, as in ``values_match``,
+    not a match of whichever spelling has the code 0."""
+    claims, gold = edge_snapshot()
+    item = DataItem("o1", "gate")
+    engine = FusionEngine(claims, CFG)
+    with pytest.raises(KindMismatchError):
+        values_match(Value.number(0.0), gold.entries[item],
+                     claims.attribute_of(item))
+    with pytest.raises(KindMismatchError):
+        engine.gold_match({**gold.entries, item: Value.number(0.0)})
+    with pytest.raises(KindMismatchError):
+        engine.gold_match({DataItem("o1", "depart"): Value.number(0.0)})
+    engine.gold_match(gold.entries)
+
+
 # -- the two known defects, pinned ---------------------------------------------
 
 
@@ -121,7 +138,7 @@ def test_times_across_midnight_are_ten_minutes_apart():
     assert match.claim.all() and match.cand.all()
 
 
-# -- the rule lives in normalize only ------------------------------------------
+# -- the rule lives in normalize only; engines are built in one place ---------
 
 
 @pytest.mark.parametrize("module", ["fusion", "copydetect", "metrics",
@@ -141,3 +158,24 @@ def test_modules_leave_the_rule_to_normalize(module):
                 a.name == "bucket_width" for a in node.names):
             found.append(f"line {node.lineno}: imports bucket_width")
     assert not found, found
+
+
+def test_engines_are_built_only_in_engine_for():
+    """``FusionEngine(`` is called in ``src/`` only inside
+    ``fusion.engine_for``: one engine per snapshot, and Attr runs take its
+    view."""
+    calls = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.ClassDef)) else scope)
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "FusionEngine"
+                    or getattr(child.func, "attr", None) == "FusionEngine"):
+                calls.append((module, scope, child.lineno))
+            visit(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert [(m, f) for m, f, _ in calls] == [("fusion", "engine_for")], calls

@@ -281,9 +281,18 @@ def claims(request):
 
 @pytest.mark.parametrize("per_attribute", [False, True])
 def test_arrays_equal_the_loops(claims, per_attribute):
-    eng = FusionEngine(claims, CFG, per_attribute)
+    """The engine, and its per-attribute view, against the loop built
+    with either flag."""
+    eng = FusionEngine(claims, CFG).scoped(per_attribute)
+    assert eng.per_attribute == per_attribute
     ref = ref_engine(claims, per_attribute, eng.sim_params)
-    assert eng.vsrc_list == ref["vsrc_list"]
+    assert eng.vsrc_list == ref["vsrc_list"] and eng.n_vsrc == len(
+        ref["vsrc_list"])
+    assert [claims.sources[s] for s in eng.vsrc_source.tolist()] == [
+        vk[0] if per_attribute else vk for vk in ref["vsrc_list"]]
+    assert eng.src_nvals.tolist() == np.bincount(
+        ref["claim_vsrc"], minlength=eng.n_vsrc).astype(float).tolist()
+    assert eng.vsrc_segs.start.tolist() == [0]
     assert eng.n_cands == ref["n_cands"]
     assert ([value_bits(v) for v in eng.cand_values]
             == [value_bits(v) for v in ref["cand_values"]])
@@ -390,7 +399,7 @@ def test_numeric_and_time_build_makes_no_per_pair_calls(monkeypatch):
             if r.item.attribute != "gate"]
     claims = ClaimSet("snap", SCHEMA, rows)
     eng = FusionEngine(claims, CFG)
-    FusionEngine(claims, CFG, per_attribute=True)
+    eng.scoped(True)
     assert eng.sim_i.size > 0 and eng.fmt_claim.size > 0
     assert calls == {"similarity": 0, "subsumes": 0}
     # The counters see calls: text pairs still go one by one.

@@ -27,6 +27,7 @@ from truthfuse.fusion import (
     FusionError,
     MethodSpec,
     METHOD_NAMES,
+    engine_for,
     run_fusion,
 )
 from truthfuse.metrics import (
@@ -177,13 +178,14 @@ SNAPSHOTS = {"synthetic": synthetic_snapshot, "copier": copier_snapshot,
 
 
 class Scored:
-    """A snapshot with both flags' engines, the global engine's gold match
-    and the item profiles the references read."""
+    """A snapshot with its engine and that engine's per-attribute view (by
+    flag), the global engine's gold match and the item profiles the
+    references read."""
 
     def __init__(self, name: str):
         self.claims, self.gold = SNAPSHOTS[name]()
-        self.engines = {flag: FusionEngine(self.claims, CFG.fusion, flag)
-                        for flag in (False, True)}
+        engine = engine_for(self.claims, CFG.fusion, False)
+        self.engines = {flag: engine.scoped(flag) for flag in (False, True)}
         self.match = self.engines[False].gold_match(self.gold.entries)
         self.profiles = profile_items(self.claims)
 
@@ -466,4 +468,5 @@ def test_compare_frees_the_snapshot_engines_before_the_curve(monkeypatch,
     monkeypatch.setattr(FusionEngine, "__init__", tracked)
     monkeypatch.setattr(evalharness, "incremental_curve", curve)
     assert cli.main(["compare", *files, "--out", str(tmp_path / "c")]) == 0
-    assert len(full) == 3 and alive == [0]
+    # one engine over the snapshot: Attr methods take its view
+    assert len(full) == 2 and alive == [0]

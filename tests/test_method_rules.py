@@ -17,6 +17,7 @@ from truthfuse.fusion import (
     FusionState,
     MethodSpec,
     accu_posteriors,
+    engine_for,
     run_fusion,
 )
 
@@ -265,14 +266,14 @@ def same_bits(a, b) -> bool:
 class Snapshot:
     def __init__(self, name: str):
         self.claims, self.gold = SNAPSHOTS[name]()
-        self.engines = {flag: FusionEngine(self.claims, CFG.fusion, flag)
-                        for flag in (False, True)}
-        self.refs = {flag: RefChainEngine(self.claims, CFG.fusion, flag)
-                     for flag in (False, True)}
+        engine = engine_for(self.claims, CFG.fusion, False)
+        self.engines = {flag: engine.scoped(flag) for flag in (False, True)}
+        self.refs = {flag: RefChainEngine(self.claims, CFG.fusion).scoped(
+            flag) for flag in (False, True)}
         self.weighted = {}
         for flag in (False, True):
-            self.weighted[flag] = WeightedEngine(self.claims, CFG.fusion,
-                                                 flag)
+            self.weighted[flag] = WeightedEngine(self.claims,
+                                                 CFG.fusion).scoped(flag)
             self.weighted[flag].claim_weights = self.weights(flag, True)
 
     def weights(self, flag: bool, weighted: bool):
@@ -294,8 +295,8 @@ def snap(request):
 
 
 def test_snapshots_have_both_flags_apart(snap):
-    """Per-attribute engines have more virtual sources than sources, so
-    both flags are exercised as distinct engines."""
+    """Per-attribute views have more virtual sources than sources, so
+    both flags are exercised as distinct scopes."""
     assert snap.engines[True].n_vsrc > snap.engines[False].n_vsrc
 
 

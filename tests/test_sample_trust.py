@@ -19,6 +19,7 @@ from truthfuse.fusion import (
     FusionError,
     MethodSpec,
     METHOD_NAMES,
+    engine_for,
     sample_trust,
 )
 from truthfuse.model import ClaimSet, DataItem, GoldStandard
@@ -223,14 +224,14 @@ def test_attr_min_gold_threshold(name):
 @pytest.mark.parametrize("method", METHODS, ids=MethodSpec.label)
 def test_given_engine_equals_built_engine(method):
     claims, gold = copier_snapshot()
-    engine = FusionEngine(claims, CFG.fusion, method.per_attribute_trust)
+    engine = engine_for(claims, CFG.fusion, method.per_attribute_trust)
     assert (_bits(sample_trust(method, claims, gold, CFG, engine=engine))
             == _bits(sample_trust(method, claims, gold, CFG)))
 
 
 def test_engine_is_checked():
     claims, gold = copier_snapshot()
-    wrong = FusionEngine(claims, CFG.fusion, per_attribute=True)
+    wrong = engine_for(claims, CFG.fusion, True)
     with pytest.raises(FusionError):
         sample_trust(MethodSpec("accupr"), claims, gold, CFG, engine=wrong)
     other, _ = edge_snapshot()
@@ -254,8 +255,8 @@ def _count_calls(monkeypatch, module, name: str, counts: dict) -> None:
 
 def test_sampling_on_an_engine_runs_no_per_claim_loops(monkeypatch):
     claims, gold = copier_snapshot()
-    engines = {flag: FusionEngine(claims, CFG.fusion, flag)
-               for flag in (False, True)}
+    engine = engine_for(claims, CFG.fusion, False)
+    engines = {flag: engine.scoped(flag) for flag in (False, True)}
     counts: dict = {}
     for module in (normalize, metrics, fusion, copydetect):
         for name in ("values_match", "source_accuracy", "bucketize_items"):
@@ -317,20 +318,21 @@ def _count_engines(monkeypatch) -> list:
 
 
 def test_timed_run_on_an_engine_builds_none(monkeypatch):
+    """Attr runs on a given global engine take its per-attribute view,
+    built once and without a second engine."""
     claims, gold = copier_snapshot()
-    engines = {flag: FusionEngine(claims, CFG.fusion, flag)
-               for flag in (False, True)}
+    engine = engine_for(claims, CFG.fusion, False)
     built = _count_engines(monkeypatch)
     for m in METHODS:
-        timed_run(m, claims, CFG, gold, engine=engines[m.per_attribute_trust])
+        timed_run(m, claims, CFG, gold, engine=engine)
     assert built == []
 
 
 def test_cli_builds_one_engine_per_snapshot_and_prefix(monkeypatch,
                                                        tmp_path):
-    """``compare --methods all``: one engine per per-attribute flag over
-    the snapshot and over each source prefix of the curve; ``copydetect``:
-    one."""
+    """``compare --methods all``: one engine over the snapshot and one
+    over each source prefix of the curve, whose Attr runs take its
+    per-attribute view; ``copydetect``: one."""
     claims, gold = copier_snapshot()
     dataio.write_schema(claims.schema, tmp_path / "schema.csv")
     dataio.write_claims(claims, tmp_path / "claims.csv")
@@ -339,8 +341,9 @@ def test_cli_builds_one_engine_per_snapshot_and_prefix(monkeypatch,
              "--schema", str(tmp_path / "schema.csv"),
              "--gold", str(tmp_path / "gold.csv")]
     built = _count_engines(monkeypatch)
-    assert cli.main(["compare", *files, "--out", str(tmp_path / "c")]) == 0
-    assert len(built) == 2 * (1 + len(claims.sources))
+    assert cli.main(["compare", *files, "--methods", "all",
+                     "--out", str(tmp_path / "c")]) == 0
+    assert len(built) == 1 + len(claims.sources)
     del built[:]
     assert cli.main(["copydetect", *files, "--out", str(tmp_path / "d")]) == 0
     assert len(built) == 1
