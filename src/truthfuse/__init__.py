@@ -53,7 +53,6 @@ from .metrics import (
     item_redundancy,
     object_redundancy,
     precision_of_dominant,
-    profile_item,
     profile_items,
     profile_sources,
     source_accuracy,

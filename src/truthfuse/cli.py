@@ -21,7 +21,6 @@ from . import dataio, evalharness, metrics
 from .config import CopyParams, FusionConfig, RunConfig, load_config
 from .fusion import MethodSpec, engine_for, method_labels, run_fusion
 from .model import ClaimSet, DataItem, GoldStandard, Kind, TruthFuseError
-from .normalize import bucketize_items, tolerances
 from .synthetic import generate_synthetic, spec_from_dict
 
 
@@ -193,7 +192,8 @@ def _cmd_generate(args, config: RunConfig) -> int:
 def _cmd_profile(args, config: RunConfig) -> int:
     claims, gold = _load_inputs(args, config)
     out = _out_dir(args)
-    profiles = metrics.profile_items(claims)
+    engine = engine_for(claims, config.fusion)
+    profiles = metrics.profile_items(claims, engine)
     items_sorted = sorted(profiles, key=DataItem.sort_key)
 
     dataio.write_rows(
@@ -209,8 +209,9 @@ def _cmd_profile(args, config: RunConfig) -> int:
         config.delimiter)
 
     snapshots = _load_snapshot_series(args, claims, gold, config)
-    source_profiles = metrics.profile_sources(claims, gold,
-                                              snapshots=snapshots)
+    source_profiles = metrics.profile_sources(
+        claims, gold, snapshots=snapshots,
+        match=engine.gold_match(gold.entries) if gold else None)
     dataio.write_rows(
         out / "sources.csv",
         ["source", "claims", "accuracy", "coverage", "accuracy_deviation"],
@@ -233,7 +234,7 @@ def _cmd_profile(args, config: RunConfig) -> int:
     dataio.write_rows(
         out / "conflicts.csv",
         ["object", "attribute", "value", "providers"],
-        _conflict_rows(claims, profiles),
+        _conflict_rows(engine),
         config.delimiter)
     print(f"profiled {len(items_sorted)} items, "
           f"{len(claims.sources)} sources -> {out}")
@@ -339,13 +340,16 @@ def _hist(values, width: float, hard_max: float | None = None):
     return rows
 
 
-def _conflict_rows(claims: ClaimSet, profiles):
-    items = [it for it in sorted(profiles, key=DataItem.sort_key)
-             if profiles[it].num_values > 1]
-    return [(it.object_id, it.attribute, str(b.center), ";".join(b.providers))
-            for it, buckets in zip(items, bucketize_items(items, claims,
-                                                          tolerances(claims)))
-            for b in buckets]
+def _conflict_rows(engine):
+    """Each bucket of every contested item, with its sorted providers;
+    items come in their claim set's order, ``DataItem.sort_key``'s."""
+    providers: list[list[str]] = [[] for _ in range(engine.n_cands)]
+    for c, v in zip(engine.claim_cand.tolist(), engine.claim_vsrc.tolist()):
+        providers[c].append(engine.vsrc_list[v])
+    return [(it.object_id, it.attribute, str(engine.cand_values[c]),
+             ";".join(sorted(providers[c])))
+            for it, cands in zip(engine.items, engine.item_cands())
+            if len(cands) > 1 for c in cands]
 
 
 # -- fuse ---------------------------------------------------------------------

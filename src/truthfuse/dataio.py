@@ -166,22 +166,17 @@ def write_schema(schema: dict[str, AttributeSpec], path: str | Path,
 def write_claims(claims: ClaimSet, path: str | Path,
                  delimiter: str = ",") -> None:
     """Serialize a snapshot; loading the result reproduces the ClaimSet."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(CLAIM_HEADER)
-        for c in claims.claims:
-            writer.writerow([c.source, c.item.object_id, c.item.attribute,
-                             str(c.value)])
+    write_rows(path, CLAIM_HEADER,
+               ((c.source, c.item.object_id, c.item.attribute, str(c.value))
+                for c in claims.claims), delimiter)
 
 
 def write_gold(gold: GoldStandard, path: str | Path,
                delimiter: str = ",") -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(GOLD_HEADER)
-        for item in sorted(gold.entries, key=DataItem.sort_key):
-            writer.writerow([item.object_id, item.attribute,
-                             str(gold.entries[item])])
+    write_rows(path, GOLD_HEADER,
+               ((it.object_id, it.attribute, str(gold.entries[it]))
+                for it in sorted(gold.entries, key=DataItem.sort_key)),
+               delimiter)
 
 
 def load_trust(path: str | Path, delimiter: str = ",") -> dict:
@@ -208,16 +203,10 @@ def load_trust(path: str | Path, delimiter: str = ",") -> dict:
 
 def write_trust(trust: dict, path: str | Path, delimiter: str = ",") -> None:
     per_attr = any(isinstance(k, tuple) for k in trust)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        if per_attr:
-            writer.writerow(["source", "attribute", "trust"])
-            for key in sorted(trust):
-                writer.writerow([key[0], key[1], _fmt(trust[key])])
-        else:
-            writer.writerow(["source", "trust"])
-            for key in sorted(trust):
-                writer.writerow([key, _fmt(trust[key])])
+    write_rows(path, ["source", "attribute", "trust"] if per_attr
+               else ["source", "trust"],
+               ((*k, trust[k]) if per_attr else (k, trust[k])
+                for k in sorted(trust)), delimiter)
 
 
 def load_known_copiers(path: str | Path,

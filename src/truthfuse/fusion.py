@@ -304,6 +304,11 @@ class FusionEngine:
         """The engines of this one's segments: itself unless stacked."""
         return self._parts or (self,)
 
+    def item_cands(self) -> list[range]:
+        """Each item's candidates, as a range of candidate indexes."""
+        ends = self.item_start + self.item_ncand.astype(np.int64)
+        return list(map(range, self.item_start.tolist(), ends.tolist()))
+
     def _build_similarity(self, span: np.ndarray) -> None:
         """Ordered pairs of distinct candidates on one item with positive
         ``key_similarity`` of their centres, i-major and j-ascending."""

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import FusionConfig
-from .fusion import FusionError, FusionResult, GoldMatch, engine_for
+from .fusion import (FusionEngine, FusionError, FusionResult, GoldMatch,
+                     engine_for)
 from .model import (
     ClaimSet,
     DataItem,
@@ -23,7 +24,7 @@ from .model import (
     UndefinedDeviationError,
     Value,
 )
-from .normalize import Bucket, bucketize, key_offset, tolerances
+from .normalize import Bucket, key_offset
 
 
 @dataclass(frozen=True)
@@ -118,37 +119,42 @@ def dominant(buckets: Sequence[Bucket]) -> tuple[Value, float]:
     if not buckets:
         raise ValueError("dominant requires at least one bucket")
     total = sum(b.provider_count for b in buckets)
-    best = min(buckets,
-               key=lambda b: (-b.provider_count, b.center.sort_key()))
+    best = min(buckets, key=_rank)
     return best.center, best.provider_count / total
 
 
-def profile_item(item: DataItem, claims: ClaimSet,
-                 tau: float | None) -> ItemProfile:
-    buckets = bucketize(item, claims, tau)
-    v0, factor = dominant(buckets)
-    try:
-        dev = deviation(buckets, claims.attribute_of(item).kind)
-    except (ValueError, UndefinedDeviationError):   # text, or v0 = 0
-        dev = None
-    ranked = sorted(buckets,
-                    key=lambda b: (-b.provider_count, b.center.sort_key()))
-    return ItemProfile(
-        item=item,
-        provider_count=sum(b.provider_count for b in buckets),
-        num_values=len(buckets),
-        entropy=entropy(buckets),
-        deviation=dev,
-        dominant=v0,
-        dominance_factor=factor,
-        runners_up=tuple(b.center for b in ranked[1:]),
-    )
+class _Tally(NamedTuple):
+    """What ``entropy``, ``deviation`` and ``dominant`` read of a bucket."""
+
+    center: Value
+    provider_count: int
 
 
-def profile_items(claims: ClaimSet) -> dict[DataItem, ItemProfile]:
-    taus = tolerances(claims)
-    return {item: profile_item(item, claims, taus[item.attribute])
-            for item in claims.items}
+def _rank(b) -> tuple:
+    """Most providers first, then the smallest value (``dominant``)."""
+    return -b.provider_count, b.center.sort_key()
+
+
+def profile_items(claims: ClaimSet, engine: FusionEngine | None = None,
+                  ) -> dict[DataItem, ItemProfile]:
+    """Every item's profile over its tolerance buckets: the candidates of
+    ``engine``, built over ``claims`` with any fusion constants (they do
+    not move buckets), or of a new engine."""
+    engine = engine_for(claims, engine.cfg if engine else FusionConfig(),
+                        engine=engine)
+    counts = engine.cand_counts.astype(np.int64).tolist()
+    out = {}
+    for item, cands in zip(engine.items, engine.item_cands()):
+        buckets = [_Tally(engine.cand_values[c], counts[c]) for c in cands]
+        try:
+            dev = deviation(buckets, claims.attribute_of(item).kind)
+        except (ValueError, UndefinedDeviationError):   # text, or v0 = 0
+            dev = None
+        out[item] = ItemProfile(
+            item, sum(b.provider_count for b in buckets), len(buckets),
+            entropy(buckets), dev, *dominant(buckets),
+            tuple(b.center for b in sorted(buckets, key=_rank)[1:]))
+    return out
 
 
 def scoring_match(claims: ClaimSet, gold: GoldStandard,
@@ -216,11 +222,13 @@ def accuracy_deviation(series: Sequence[float]) -> float:
 
 def profile_sources(claims: ClaimSet, gold: GoldStandard | None,
                     snapshots: Sequence[tuple[ClaimSet, GoldStandard]] = (),
+                    match: GoldMatch | None = None,
                     ) -> dict[str, SourceProfile]:
-    """Per-source profiles; when (snapshot, gold) pairs are given, the
+    """Per-source profiles, scored on ``match`` when given
+    (``scoring_match``); when (snapshot, gold) pairs are given, the
     accuracy series and its deviation are filled in; a series entry that
     repeats the primary snapshot reuses its ``source_scores``."""
-    primary = source_scores(claims, gold) if gold else {}
+    primary = source_scores(claims, gold, match) if gold else {}
     per_snap = [primary if snap is claims and snap_gold is gold
                 else source_scores(snap, snap_gold)
                 for snap, snap_gold in snapshots]

@@ -120,7 +120,7 @@ class Value:
 
     @classmethod
     def of_text(cls, s: str) -> "Value":
-        return cls(Kind.TEXT, text=s.strip().casefold())
+        return cls(Kind.TEXT, text=fold_text(s))
 
     def sort_key(self):
         """Total order used for deterministic tie-breaking."""
@@ -135,6 +135,11 @@ class Value:
             m = int(round(self.num))
             return f"{m // 60:02d}:{m % 60:02d}"
         return format_number(self.num, self.granularity)
+
+
+def fold_text(s: str) -> str:
+    """Trimmed and case-folded: the one fold every text comparison uses."""
+    return s.strip().casefold()
 
 
 def format_number(x: float, granularity: float | None = None) -> str:

@@ -21,6 +21,7 @@ from .model import (
     KindMismatchError,
     Value,
     ValueParseError,
+    fold_text,
 )
 
 _TEXT = AttributeSpec("text", Kind.TEXT)
@@ -197,11 +198,12 @@ def tolerances(claims: ClaimSet) -> dict[str, float | None]:
 
 def value_keys(values, spellings: list[str] | None = None):
     """Each value's key, and the spellings its text codes index: a text
-    key is the position of its case-folded spelling in ``spellings`` (NaN
-    if absent), by default the sorted distinct ones of ``values``."""
+    key is the position of its folded spelling (``fold_text``) in
+    ``spellings`` (NaN if absent), by default the sorted distinct ones of
+    ``values``."""
     keys = np.array([v.num for v in values], dtype=float)
     text = [k for k, v in enumerate(values) if v.kind is Kind.TEXT]
-    folded = [values[k].text.casefold() for k in text]
+    folded = [fold_text(values[k].text) for k in text]
     spellings = sorted(set(folded)) if spellings is None else spellings
     code = {s: c for c, s in enumerate(spellings)}
     keys[text] = [code.get(s, math.nan) for s in folded]
@@ -295,30 +297,20 @@ def bucketize(item: DataItem, claims: ClaimSet,
     Buckets lie on the half-open grid (v0 - 3w/2, v0 - w/2], (v0 - w/2,
     v0 + w/2], ... anchored at the dominant raw value v0, where w is the
     grid spacing. Every claim lands in exactly one bucket; empty buckets
-    are omitted. Text values bucket by exact case-folded equality.
+    are omitted. Text values bucket by equality of their folded spellings.
     """
     if not claims.by_item.get(item):
         raise ValueError(f"item {item} has no claims")
-    return bucketize_items([item], claims, {item.attribute: tau})[0]
-
-
-def bucketize_items(items, claims: ClaimSet,
-                    taus: dict[str, float | None]) -> list[list[Bucket]]:
-    """``bucketize`` for many items with claims at once; ``taus`` maps
-    their attributes to tolerances."""
-    flat, item_of, keys, widths, _ = claim_keys(items, claims, taus)
-    order, bucket_of, first, centres = bucket_claims(item_of, keys, widths)
+    flat, item_of, keys, widths, _ = claim_keys([item], claims,
+                                                {item.attribute: tau})
+    order, bucket_of, _, centres = bucket_claims(item_of, keys, widths)
     groups: list[list[Claim]] = [[] for _ in centres]
     for i, b in zip(order.tolist(), bucket_of.tolist()):
         groups[b].append(flat[i])
-    out: list[list[Bucket]] = [[] for _ in items]
-    half = (widths / 2.0).tolist()
-    for cs, ii, x in zip(groups, item_of[first].tolist(), centres.tolist()):
-        out[ii].append(Bucket(
-            bucket_centre(cs[0].value, x), half[ii],
-            tuple(sorted({c.value for c in cs}, key=Value.sort_key)),
-            len(cs), tuple(sorted(c.source for c in cs))))
-    return out
+    return [Bucket(bucket_centre(cs[0].value, x), float(widths[0]) / 2.0,
+                   tuple(sorted({c.value for c in cs}, key=Value.sort_key)),
+                   len(cs), tuple(sorted(c.source for c in cs)))
+            for cs, x in zip(groups, centres.tolist())]
 
 
 def claim_keys(items, claims: ClaimSet, taus: dict[str, float | None]):
@@ -394,7 +386,7 @@ def similarity(v1: Value, v2: Value, attribute: AttributeSpec,
     normalized edit-similarity otherwise."""
     _check_kinds(v1, v2, attribute, tau)
     if attribute.kind is Kind.TEXT:
-        a, b = v1.text.casefold(), v2.text.casefold()
+        a, b = fold_text(v1.text), fold_text(v2.text)
         return 1.0 if a == b else (
             1.0 - _levenshtein(a, b) / max(len(a), len(b)))
     keys, _ = value_keys([v1, v2])

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from truthfuse.config import load_config
-from truthfuse.fusion import FusionEngine
+from truthfuse.fusion import FusionEngine, MethodSpec, run_fusion
+from truthfuse.metrics import profile_items
 from truthfuse.model import (
     AttributeSpec,
     Claim,
@@ -24,9 +25,11 @@ from truthfuse.model import (
     Kind,
     KindMismatchError,
     Value,
+    fold_text,
 )
 from truthfuse.normalize import (
     SimilarityParams,
+    bucketize,
     key_offset,
     key_similarity,
     keys_match,
@@ -85,6 +88,38 @@ def test_offsets_widths_and_similarity():
     assert similarity(Value.number(10.0), Value.number(12.0), price,
                       SimilarityParams(decay_width_multiplier=4.0),
                       tau=1.0) == 0.5
+
+
+def test_text_is_folded_once_for_keys_matching_and_similarity():
+    """Hand-built spellings that differ in case or surrounding space have
+    one key and match with similarity 1, as their ``Value.of_text`` forms
+    (what loaded data holds) are equal."""
+    gate = EDGE_SCHEMA["gate"]
+    padded, plain = Value(Kind.TEXT, text=" A "), Value(Kind.TEXT, text="a")
+    assert fold_text(" A b ") == Value.of_text(" A b ").text == "a b"
+    keys, spellings = value_keys([padded, plain, Value(Kind.TEXT, text="a ")])
+    assert spellings == ["a"] and keys.tolist() == [0.0, 0.0, 0.0]
+    assert values_match(padded, plain, gate)
+    assert similarity(padded, plain, gate) == 1.0
+    assert similarity(Value(Kind.TEXT, text=" ab"), Value.of_text("abc"),
+                      gate) == similarity(Value.of_text("ab"),
+                                          Value.of_text("abc"), gate)
+
+
+def test_vote_and_dominant_break_a_padded_tie_alike():
+    """" b" against "a", one provider each: the engine orders candidates
+    by the folded spelling, so Vote and the profile's dominant value both
+    pick "a"; "a " and "A" share one bucket."""
+    tie, same = DataItem("o1", "gate"), DataItem("o2", "gate")
+    claims = ClaimSet("padded", EDGE_SCHEMA, [
+        Claim(s, item, Value(Kind.TEXT, text=t)) for s, item, t in (
+            ("s1", tie, " b"), ("s2", tie, "a"),
+            ("s1", same, "a "), ("s2", same, "A"))])
+    vote = run_fusion(MethodSpec("vote"), claims, load_config())
+    profiles = profile_items(claims)
+    assert vote.selected[tie] == profiles[tie].dominant == Value.of_text("a")
+    assert [b.provider_count for b in bucketize(same, claims)] == [2]
+    assert profiles[same].num_values == 1
 
 
 def test_gold_match_refuses_a_truth_of_another_kind():
@@ -160,22 +195,39 @@ def test_modules_leave_the_rule_to_normalize(module):
     assert not found, found
 
 
-def test_engines_are_built_only_in_engine_for():
-    """``FusionEngine(`` is called in ``src/`` only inside
-    ``fusion.engine_for``: one engine per snapshot, and Attr runs take its
-    view."""
+def calls_in_src(names) -> list[tuple[str, str | None]]:
+    """(module, enclosing "Class.function") of each call in ``src/`` to a
+    function or method named in ``names``."""
     calls = []
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
-            inner = (child.name if isinstance(
-                child, (ast.FunctionDef, ast.ClassDef)) else scope)
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
             if isinstance(child, ast.Call) and (
-                    getattr(child.func, "id", None) == "FusionEngine"
-                    or getattr(child.func, "attr", None) == "FusionEngine"):
-                calls.append((module, scope, child.lineno))
+                    getattr(child.func, "id", None) in names
+                    or getattr(child.func, "attr", None) in names):
+                calls.append((module, scope))
             visit(child, module, inner)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert [(m, f) for m, f, _ in calls] == [("fusion", "engine_for")], calls
+    return calls
+
+
+def test_engines_are_built_only_in_engine_for():
+    """``FusionEngine(`` is called in ``src/`` only inside
+    ``fusion.engine_for``: one engine per snapshot, and Attr runs take its
+    view."""
+    calls = calls_in_src({"FusionEngine"})
+    assert calls == [("fusion", "engine_for")], calls
+
+
+def test_claims_are_bucketed_only_by_the_engine():
+    """The bucketing rule runs in ``src/`` only when an engine is built;
+    ``bucketize`` is public API that nothing in ``src/`` calls."""
+    calls = calls_in_src({"claim_keys", "bucket_claims"})
+    assert sorted(set(calls)) == [("fusion", "FusionEngine.__init__"),
+                                  ("normalize", "bucketize")], calls
+    assert calls_in_src({"bucketize"}) == []

@@ -33,7 +33,6 @@ from truthfuse.normalize import (
     SimilarityParams,
     bucket_width,
     bucketize,
-    bucketize_items,
     normalize_value,
     similarity,
     subsumes,
@@ -351,14 +350,6 @@ def test_bucketize_is_the_engine_rule(claims):
                 continue
             assert [v.num for v in b.members] == m_key[mine].tolist()
             assert [gran_of(v) for v in b.members] == m_gran[mine].tolist()
-
-
-def test_bucketize_items_is_bucketize_per_item(claims):
-    taus = tolerances(claims)
-    items = list(claims.items)
-    assert bucketize_items(items, claims, taus) == [
-        bucketize(it, claims, taus[it.attribute]) for it in items]
-    assert bucketize_items([], claims, taus) == []
 
 
 @pytest.mark.parametrize("first", ["8M", "8000000.0"])

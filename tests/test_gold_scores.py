@@ -41,7 +41,7 @@ from truthfuse.metrics import (
 )
 from truthfuse.model import DataItem
 from truthfuse.normalize import (
-    bucketize_items,
+    bucketize,
     similarity,
     tolerances,
     values_match,
@@ -164,9 +164,10 @@ def ref_precision_of_dominant(claims, gold, taus=None):
     if not items:
         raise ValueError("no gold item is covered by any claim")
     correct = sum(
-        values_match(dominant(buckets)[0], gold.entries[it],
-                     claims.attribute_of(it), taus[it.attribute])
-        for it, buckets in zip(items, bucketize_items(items, claims, taus)))
+        values_match(dominant(bucketize(it, claims, taus[it.attribute]))[0],
+                     gold.entries[it], claims.attribute_of(it),
+                     taus[it.attribute])
+        for it in items)
     return correct / len(items)
 
 
@@ -436,8 +437,7 @@ def test_compare_and_evaluate_score_on_the_gold_match(monkeypatch, tmp_path,
     """No per-pair matching, bucketing or item profile is left in
     ``compare`` and ``evaluate``."""
     counts = _count_calls(monkeypatch, (
-        "values_match", "bucketize_items", "bucketize", "profile_items",
-        "profile_item", "source_accuracy"))
+        "values_match", "bucketize", "profile_items", "source_accuracy"))
     assert cli.main(["compare", *files, "--out", str(tmp_path / "c")]) == 0
     assert cli.main(["evaluate", *files, "--method", "AccuFormatAttr",
                      "--out", str(tmp_path / "e")]) == 0

@@ -417,3 +417,42 @@ def test_each_distinct_spelling_is_parsed_once(hand, synthetic, parse_calls):
             parse_calls.clear()
             load_gold(gold_p, claims)
             assert len(parse_calls) == len(distinct_spellings(gold_p))
+
+
+# -- writing: every table goes through write_rows ----------------------------
+
+
+def ref_write(path: Path, header, rows, delimiter: str) -> None:
+    """The csv.writer loop each writer ran on its own before it called
+    ``write_rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("delimiter", [",", ";"])
+def test_writers_write_what_their_own_loops_wrote(tmp_path, hand, delimiter):
+    claims = load_claims(hand[0], SCHEMA)
+    gold = load_gold(hand[1], claims)
+    trust = {s: 1.0 / (k + 3) for k, s in enumerate(claims.sources)}
+    per_attr = {(s, a): 0.25 * k for k, (s, a) in enumerate(
+        (s, a) for s in claims.sources for a in sorted(SCHEMA))}
+    cases = [
+        (write_claims, claims, CLAIM_HEADER,
+         [[c.source, c.item.object_id, c.item.attribute, str(c.value)]
+          for c in claims.claims]),
+        (write_gold, gold, GOLD_HEADER,
+         [[it.object_id, it.attribute, str(gold.entries[it])]
+          for it in sorted(gold.entries, key=DataItem.sort_key)]),
+        (dataio.write_trust, trust, ["source", "trust"],
+         [[s, format(trust[s], ".12g")] for s in sorted(trust)]),
+        (dataio.write_trust, per_attr, ["source", "attribute", "trust"],
+         [[s, a, format(per_attr[s, a], ".12g")] for s, a in sorted(per_attr)]),
+    ]
+    for k, (writer, obj, header, rows) in enumerate(cases):
+        writer(obj, tmp_path / f"got{k}.csv", delimiter)
+        ref_write(tmp_path / f"want{k}.csv", header, rows, delimiter)
+        assert ((tmp_path / f"got{k}.csv").read_bytes()
+                == (tmp_path / f"want{k}.csv").read_bytes())

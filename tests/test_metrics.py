@@ -18,7 +18,6 @@ from truthfuse.metrics import (
     object_redundancies,
     object_redundancy,
     precision_of_dominant,
-    profile_item,
     profile_items,
     source_accuracy,
 )
@@ -245,7 +244,7 @@ class TestProfiles:
                           ("s2", "o1", "price", 10.0),
                           ("s3", "o1", "price", 10.0),
                           ("s4", "o1", "price", 99.0)])
-        p = profile_item(cs.items[0], cs, tau=0.1)
+        p = profile_items(cs)[cs.items[0]]     # tau = 0.01 * 10
         assert p.dominance_factor > 0.5
         assert p.dominant == Value.number(10.0)
         dominant_count = round(p.dominance_factor * p.provider_count)
@@ -254,10 +253,7 @@ class TestProfiles:
     def test_claim_order_invariance(self):
         rows = [("s1", "o1", "price", 10.0), ("s2", "o1", "price", 12.0),
                 ("s3", "o1", "price", 10.0), ("s4", "o1", "price", 14.0)]
-        a = profile_item(make_claims(rows).items[0],
-                         make_claims(rows), tau=0.5)
-        b = profile_item(make_claims(rows[::-1]).items[0],
-                         make_claims(rows[::-1]), tau=0.5)
+        a, b = (profile_items(make_claims(r)) for r in (rows, rows[::-1]))
         assert a == b
 
     def test_accuracy_series_over_snapshots(self):

@@ -23,7 +23,7 @@ from truthfuse.fusion import (
     sample_trust,
 )
 from truthfuse.model import ClaimSet, DataItem, GoldStandard
-from truthfuse.normalize import bucketize_items, tolerances, values_match
+from truthfuse.normalize import bucketize, tolerances, values_match
 
 from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
 from test_gold_scores import ref_source_accuracy
@@ -86,8 +86,8 @@ def _ref_sample_global(name, claims, gold, config, taus):
     per_source = {s: [] for s in claims.sources}
     covered = [it for it in sorted(gold.entries, key=DataItem.sort_key)
                if it in claims.by_item]
-    for item, buckets in zip(covered,
-                             bucketize_items(covered, claims, taus)):
+    for item in covered:
+        buckets = bucketize(item, claims, taus[item.attribute])
         oks = [values_match(b.center, gold.entries[item],
                             claims.attribute_of(item), taus[item.attribute])
                for b in buckets]
@@ -259,7 +259,7 @@ def test_sampling_on_an_engine_runs_no_per_claim_loops(monkeypatch):
     engines = {flag: engine.scoped(flag) for flag in (False, True)}
     counts: dict = {}
     for module in (normalize, metrics, fusion, copydetect):
-        for name in ("values_match", "source_accuracy", "bucketize_items"):
+        for name in ("values_match", "source_accuracy", "bucketize"):
             if hasattr(module, name):
                 _count_calls(monkeypatch, module, name, counts)
     for m in METHODS:
