@@ -12,9 +12,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
+import operator
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import copydetect as cd
 from . import dataio, evalharness, metrics
@@ -48,16 +52,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     "claims.")
     parser.set_defaults(command=None)
     sub = parser.add_subparsers(dest="command")
+    # The flags every subcommand takes, made once and shared.
+    common = argparse.ArgumentParser(add_help=False)
+    _common_flags(common)
 
-    gen = sub.add_parser("generate", help="emit a synthetic dataset")
+    gen = sub.add_parser("generate", help="emit a synthetic dataset",
+                         parents=[common])
     gen.add_argument("--spec", required=True,
                      help="JSON synthetic-dataset spec")
     gen.add_argument("--seed", type=int, default=0)
-    _common_flags(gen)
     gen.set_defaults(handler=_cmd_generate)
 
     prof = sub.add_parser("profile",
-                          help="per-item and per-source consistency tables")
+                          help="per-item and per-source consistency tables",
+                          parents=[common])
     prof.add_argument("--claims", required=True)
     prof.add_argument("--schema", required=True)
     prof.add_argument("--gold")
@@ -65,10 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="CLAIMS:GOLD",
                       help="additional snapshot pair for the per-source "
                            "accuracy-over-time series (repeatable)")
-    _common_flags(prof)
     prof.set_defaults(handler=_cmd_profile)
 
-    fuse = sub.add_parser("fuse", help="resolve conflicts with one method")
+    fuse = sub.add_parser("fuse", help="resolve conflicts with one method",
+                          parents=[common])
     fuse.add_argument("--claims", required=True)
     fuse.add_argument("--schema", required=True)
     fuse.add_argument("--method", required=True,
@@ -82,11 +90,11 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="declared copier,original,probability rows")
     fuse.add_argument("--no-detect", action="store_true",
                       help="disable copy detection (copy-aware method only)")
-    _common_flags(fuse)
     fuse.set_defaults(handler=_cmd_fuse)
 
     cdp = sub.add_parser("copydetect",
-                         help="pairwise copy probabilities and group report")
+                         help="pairwise copy probabilities and group report",
+                         parents=[common])
     cdp.add_argument("--claims", required=True)
     cdp.add_argument("--schema", required=True)
     cdp.add_argument("--gold")
@@ -94,24 +102,23 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="declared groups file (remarks,members with "
                           "';'-separated members); default: groups are "
                           "connected components over the detection threshold")
-    _common_flags(cdp)
     cdp.set_defaults(handler=_cmd_copydetect)
 
-    ev = sub.add_parser("evaluate", help="full protocol for one method")
+    ev = sub.add_parser("evaluate", help="full protocol for one method",
+                        parents=[common])
     ev.add_argument("--claims", required=True)
     ev.add_argument("--schema", required=True)
     ev.add_argument("--gold", required=True)
     ev.add_argument("--method", required=True)
-    _common_flags(ev)
     ev.set_defaults(handler=_cmd_evaluate)
 
-    cmp_ = sub.add_parser("compare", help="full protocol across methods")
+    cmp_ = sub.add_parser("compare", help="full protocol across methods",
+                          parents=[common])
     cmp_.add_argument("--claims", required=True)
     cmp_.add_argument("--schema", required=True)
     cmp_.add_argument("--gold", required=True)
     cmp_.add_argument("--methods", default="all",
                       help="comma-separated method names, or 'all'")
-    _common_flags(cmp_)
     cmp_.set_defaults(handler=_cmd_compare)
     return parser
 
@@ -145,7 +152,8 @@ def _config_from_args(args) -> RunConfig:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():    # a stat, not a failed mkdir, when it exists
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -201,11 +209,11 @@ def _cmd_profile(args, config: RunConfig) -> int:
         ["object", "attribute", "providers", "redundancy", "num_values",
          "entropy", "deviation", "dominant", "dominance_factor",
          "runners_up"],
-        [(it.object_id, it.attribute, p.provider_count,
+        ((it.object_id, it.attribute, p.provider_count,
           metrics.item_redundancy(it, claims), p.num_values, p.entropy,
           p.deviation, str(p.dominant), p.dominance_factor,
           ";".join(str(v) for v in p.runners_up))
-         for it, p in ((it, profiles[it]) for it in items_sorted)],
+         for it, p in ((it, profiles[it]) for it in items_sorted)),
         config.delimiter)
 
     snapshots = _load_snapshot_series(args, claims, gold, config)
@@ -215,15 +223,15 @@ def _cmd_profile(args, config: RunConfig) -> int:
     dataio.write_rows(
         out / "sources.csv",
         ["source", "claims", "accuracy", "coverage", "accuracy_deviation"],
-        [(s, sp.claim_count, sp.accuracy,
+        ((s, sp.claim_count, sp.accuracy,
           sp.coverage if gold else None, sp.accuracy_deviation)
-         for s, sp in sorted(source_profiles.items())],
+         for s, sp in sorted(source_profiles.items())),
         config.delimiter)
     if snapshots:
-        rows = [(s, snap.snapshot_label, acc)
+        rows = ((s, snap.snapshot_label, acc)
                 for s in claims.sources
                 for (snap, _), acc in zip(
-                    snapshots, source_profiles[s].snapshot_accuracy)]
+                    snapshots, source_profiles[s].snapshot_accuracy))
         dataio.write_rows(out / "accuracy_over_time.csv",
                           ["source", "snapshot", "accuracy"], rows,
                           config.delimiter)
@@ -284,60 +292,45 @@ def _write_attribute_summary(out: Path, claims: ClaimSet, profiles,
 
 def _write_histograms(out: Path, claims: ClaimSet, profiles,
                       config: RunConfig) -> None:
-    items = list(profiles)
-    nv = [profiles[it].num_values for it in items]
+    ps = [profiles[it] for it in profiles]
+    nv = [p.num_values for p in ps]
     dataio.write_rows(out / "hist_num_values.csv", ["num_values", "count"],
                       sorted((v, nv.count(v)) for v in set(nv)),
                       config.delimiter)
-    dataio.write_rows(out / "hist_entropy.csv",
-                      ["lo", "hi", "count"],
-                      _hist([profiles[it].entropy for it in items], 0.25),
-                      config.delimiter)
-    rel = [profiles[it].deviation for it in items
-           if profiles[it].deviation is not None
-           and claims.attribute_of(it).kind is Kind.NUMBER]
-    minutes = [profiles[it].deviation for it in items
-               if profiles[it].deviation is not None
-               and claims.attribute_of(it).kind is Kind.TIME_OF_DAY]
-    dataio.write_rows(out / "hist_deviation_relative.csv",
-                      ["lo", "hi", "count"], _hist(rel, 0.1),
-                      config.delimiter)
-    dataio.write_rows(out / "hist_deviation_minutes.csv",
-                      ["lo", "hi", "count"], _hist(minutes, 5.0),
-                      config.delimiter)
-    dataio.write_rows(out / "hist_dominance.csv",
-                      ["lo", "hi", "count"],
-                      _hist([profiles[it].dominance_factor for it in items],
-                            0.1, hard_max=1.0),
-                      config.delimiter)
-    dataio.write_rows(out / "hist_item_redundancy.csv",
-                      ["lo", "hi", "count"],
-                      _hist([metrics.item_redundancy(it, claims)
-                             for it in items], 0.1, hard_max=1.0),
-                      config.delimiter)
+    dev = {kind: [p.deviation for it, p in zip(profiles, ps)
+                  if p.deviation is not None
+                  and claims.attribute_of(it).kind is kind]
+           for kind in (Kind.NUMBER, Kind.TIME_OF_DAY)}
     redundancy = metrics.object_redundancies(claims)
-    dataio.write_rows(out / "hist_object_redundancy.csv",
-                      ["lo", "hi", "count"],
-                      _hist([redundancy[o] for o in claims.object_ids], 0.1,
-                            hard_max=1.0),
-                      config.delimiter)
+    for name, values, width, hard_max in (
+            ("entropy", [p.entropy for p in ps], 0.25, None),
+            ("deviation_relative", dev[Kind.NUMBER], 0.1, None),
+            ("deviation_minutes", dev[Kind.TIME_OF_DAY], 5.0, None),
+            ("dominance", [p.dominance_factor for p in ps], 0.1, 1.0),
+            ("item_redundancy", [metrics.item_redundancy(it, claims)
+                                 for it in profiles], 0.1, 1.0),
+            ("object_redundancy", [redundancy[o] for o in claims.object_ids],
+             0.1, 1.0)):
+        dataio.write_rows(out / f"hist_{name}.csv", ["lo", "hi", "count"],
+                          _hist(values, width, hard_max), config.delimiter)
 
 
 def _hist(values, width: float, hard_max: float | None = None):
+    """(lo, hi, count) rows over bins of ``width`` from 0 up to the top
+    value (or ``hard_max``); bins are half-open but the last is closed,
+    and values outside [0, last edge] are not counted."""
     if not values:
         return []
     top = hard_max if hard_max is not None else max(values)
     edges = [0.0]
     while edges[-1] < top - 1e-12:
         edges.append(round(edges[-1] + width, 12))
-    rows = []
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        last = i == len(edges) - 2
-        rows.append((lo, hi,
-                     sum(1 for v in values
-                         if lo <= v < hi or (last and v == hi))))
-    return rows
+    x = np.asarray(values, dtype=float)
+    n = len(edges) - 1
+    k = np.searchsorted(edges, x, side="right") - 1
+    k[x == edges[-1]] = n - 1
+    counts = np.bincount(k[(k >= 0) & (k < n)], minlength=n).tolist()
+    return list(zip(edges, edges[1:], counts))
 
 
 def _conflict_rows(engine):
@@ -385,16 +378,18 @@ def _cmd_fuse(args, config: RunConfig) -> int:
 
 
 def _write_selection(path: Path, result, config: RunConfig) -> None:
-    rows = [(it.object_id, it.attribute, str(result.selected[it]),
+    rows = ((it.object_id, it.attribute, str(result.selected[it]),
              result.selected_vote[it], result.confidence[it])
-            for it in sorted(result.selected, key=DataItem.sort_key)]
+            for it in sorted(result.selected, key=DataItem.sort_key))
     dataio.write_rows(path, ["object", "attribute", "value", "vote",
                              "confidence"], rows, config.delimiter)
 
 
 def _write_copy_pairs(path: Path, prob: dict, config: RunConfig) -> None:
-    rows = sorted(((_vsrc_str(a), _vsrc_str(b), p)
-                   for (a, b), p in prob.items()), key=lambda r: r[:2])
+    name = {v: _vsrc_str(v)
+            for v in set(itertools.chain.from_iterable(prob))}
+    rows = sorted([(name[a], name[b], p) for (a, b), p in prob.items()],
+                  key=operator.itemgetter(0, 1))
     dataio.write_rows(path, ["copier", "original", "probability"], rows,
                       config.delimiter)
 

@@ -30,7 +30,7 @@ from .config import CopyParams, FusionConfig
 from .fusion import FusionEngine, FusionError, _Segments, engine_for
 from .metrics import source_scores
 from .model import ClaimSet, DataItem, GoldStandard, Value
-from .normalize import item_widths, keys_match, tolerances, value_keys
+from .normalize import item_widths, keys_match, table_keys, tolerances
 
 _TINY = 1e-300
 
@@ -72,7 +72,7 @@ def group_commonality(group, claims: ClaimSet,
     Members are rows over the items: claimed or not, and a key
     (``value_keys``) matched as ``values_match`` does; per-pair ratios are
     summed in ``combinations`` order."""
-    members = [s for s in group if claims.by_source.get(s)]
+    members = [s for s in group if s in claims.sources]
     excluded = tuple(sorted(set(group) - set(members)))
     if len(members) < 2:
         raise FusionError("group_commonality requires at least two members "
@@ -80,14 +80,13 @@ def group_commonality(group, claims: ClaimSet,
     if taus is None:
         taus = tolerances(claims)
     ordered, items = sorted(members), claims.items
-    col = {(it.object_id, it.attribute): k for k, it in enumerate(items)}
-    mine = [(r, c) for r, s in enumerate(ordered) for c in claims.by_source[s]]
-    at = ([r for r, _ in mine],
-          [col[c.item.object_id, c.item.attribute] for _, c in mine])
-    present = np.zeros((len(ordered), len(items)), dtype=bool)
+    at = (claims.claim_source, claims.claim_item)
+    present = np.zeros((len(claims.sources), len(items)), dtype=bool)
     present[at] = True
     key = np.zeros(present.shape)
-    key[at] = value_keys([c.value for _, c in mine])[0]
+    key[at] = table_keys(claims, claims.claim_value)[0]
+    rows = [claims.sources.index(s) for s in ordered]
+    present, key = present[rows], key[rows]
     tol = item_widths(items, claims.schema, taus)
     same = [(present[i] & present[i + 1:]
              & keys_match(key[i], key[i + 1:], tol)).sum(1)
@@ -234,9 +233,14 @@ class Copying:
             self.known, self.pairs.posteriors(chosen, trust, self.params)))
 
     def frozen(self, old: "Copying", live: np.ndarray) -> "Copying":
-        """This state, with the segments that are not ``live`` at ``old``."""
-        return self.with_prob(np.where(live[self.pairs.cells.of], self.prob,
-                                       old.prob))
+        """This state, with the segments that are not ``live`` at ``old``;
+        a segment's weights depend on its own cells only, so they are
+        kept, not derived again."""
+        return replace(
+            self, prob=np.where(live[self.pairs.cells.of], self.prob,
+                                old.prob),
+            weights=np.where(live[self.pairs.claim_seg], self.weights,
+                             old.weights))
 
     def matrices(self, engine: FusionEngine) -> list[CopyMatrix]:
         """A ``CopyMatrix`` per part of ``engine``: detected and known copy
@@ -313,7 +317,7 @@ class _PairIndex:
             k = first[sizes == m][:, None] + np.arange(m)
             self._by_size.append((k, self.base[v[k]][:, :, None],
                                   self.loc[v[k]][:, None, :]))
-        self.n_claims = len(v)
+        self.n_claims, self.claim_seg = len(v), engine.vsrc_segs.of[v]
 
     def _gram(self, row, col, n_rows: int) -> np.ndarray:
         """XᵀX per block, X the 0/1 incidence with ones at (row, col)."""

@@ -13,12 +13,15 @@ Formats (UTF-8, header row, quoted fields allowed, delimiter configurable):
 from __future__ import annotations
 
 import csv
+import itertools
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .model import (
     AttributeSpec,
-    Claim,
+    ClaimColumns,
     ClaimSet,
     DataItem,
     GoldStandard,
@@ -76,24 +79,22 @@ def load_claims(path: str | Path, schema: dict[str, AttributeSpec],
     """Load, normalize, validate, and index a claims file.
 
     Rejects duplicate (source, item) pairs, unparseable values, and unknown
-    attributes, naming the offending line. Parses each spelling once.
+    attributes, naming the offending line. Reads the file into the
+    snapshot's columns at once, parsing each spelling once.
     """
-    claims: list[Claim] = []
-    items: dict[tuple[str, str], DataItem] = {}
-    seen: set[tuple[str, str, str]] = set()
-    for lineno, (source, obj, attr_name, raw), spellings in _rows(
-            path, CLAIM_HEADER, schema, delimiter):
-        seen.add((source, obj, attr_name))
-        if len(seen) == len(claims):
-            raise LoadError(f"{path}:{lineno}: duplicate claim by "
-                            f"{source!r} on ({obj!r}, {attr_name!r})")
-        item = items.get((obj, attr_name))
-        if item is None:
-            item = items[obj, attr_name] = DataItem(obj, attr_name)
-        claims.append(Claim(source, item, spellings.get(raw) or _parse(
-            path, lineno, spellings, raw, schema[attr_name].kind)))
+    (source, obj, attr, _), code, values = _table(
+        path, CLAIM_HEADER, schema, delimiter, lambda c, k: (
+            f"duplicate claim by {c[0][k]!r} on ({c[1][k]!r}, {c[2][k]!r})"))
+    sources: dict[str, int] = {}
+    items: dict[tuple[str, str], int] = {}
+    src = [sources.setdefault(s, len(sources)) for s in source]
+    item = [items.setdefault(key, len(items)) for key in zip(obj, attr)]
+    if "" in sources:
+        raise LoadError("source id must be non-empty")
     label = snapshot_label if snapshot_label is not None else Path(path).stem
-    return ClaimSet(label, schema, claims)
+    return ClaimSet(label, schema, ClaimColumns(
+        list(sources), [DataItem(*key) for key in items], values,
+        np.array(src, dtype=np.int64), np.array(item, dtype=np.int64), code))
 
 
 def load_gold(path: str | Path, claims: ClaimSet,
@@ -103,16 +104,12 @@ def load_gold(path: str | Path, claims: ClaimSet,
     Gold items with no claim coverage are allowed but counted in
     ``orphan_count``.
     """
-    entries: dict[DataItem, Value] = {}
-    for lineno, (obj, attr_name, raw), spellings in _rows(
-            path, GOLD_HEADER, claims.schema, delimiter):
-        item = DataItem(obj, attr_name)
-        if item in entries:
-            raise LoadError(f"{path}:{lineno}: duplicate gold row for "
-                            f"({obj!r}, {attr_name!r})")
-        entries[item] = spellings.get(raw) or _parse(
-            path, lineno, spellings, raw, claims.schema[attr_name].kind)
-    orphans = sum(1 for item in entries if item not in claims.by_item)
+    (obj, attr, _), code, values = _table(
+        path, GOLD_HEADER, claims.schema, delimiter,
+        lambda c, k: f"duplicate gold row for ({c[0][k]!r}, {c[1][k]!r})")
+    entries = {DataItem(o, a): values[v]
+               for o, a, v in zip(obj, attr, code.tolist())}
+    orphans = sum(1 for item in entries if item not in claims.item_index)
     return GoldStandard(entries=entries, orphan_count=orphans)
 
 
@@ -120,38 +117,62 @@ def _csv_rows(path: str | Path, delimiter: str):
     """(line number, fields) of each non-blank row of a delimited file."""
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh, delimiter=delimiter), 1):
-            if row and (len(row) > 1 or row[0].strip()):
+            if _filled(row):
                 yield lineno, row
 
 
-def _rows(path: str | Path, header: list[str],
-          schema: dict[str, AttributeSpec], delimiter: str):
-    """(line number, stripped fields, its attribute's spelling -> value
-    memo) of each row of a claims or gold file, checked up to the value."""
-    memo: dict[str, dict[str, Value]] = {name: {} for name in schema}
-    rows = _csv_rows(path, delimiter)
-    lineno, first = next(rows, (0, None))
-    if lineno != 1 or [h.strip().lower() for h in first] != header:
-        raise LoadError(f"{path}: expected header {','.join(header)!r}")
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise LoadError(f"{path}:{lineno}: expected {len(header)} "
-                            f"columns, got {len(row)}")
-        fields = list(map(str.strip, row))
-        spellings = memo.get(fields[-2])
-        if spellings is None:
-            raise LoadError(f"{path}:{lineno}: unknown attribute "
-                            f"{fields[-2]!r}")
-        yield lineno, fields, spellings
+def _filled(row: list[str]) -> bool:
+    return bool(row) and (len(row) > 1 or bool(row[0].strip()))
 
 
-def _parse(path, lineno: int, spellings: dict, raw: str, kind: Kind) -> Value:
-    """Parse a spelling not in ``spellings`` yet; only successes are kept."""
-    try:
-        value = spellings[raw] = normalize_value(raw, kind)
-    except ValueParseError as exc:
-        raise LoadError(f"{path}:{lineno}: {exc}") from exc
-    return value
+def _table(path: str | Path, header: list[str],
+           schema: dict[str, AttributeSpec], delimiter: str, duplicate):
+    """The rows of a claims or gold file as stripped columns; each row's
+    code of its (attribute, spelling), and the values parsed for the
+    codes. Raises for the first malformed row in file order, where a
+    row's width, attribute, key (all columns but the value: its repeat
+    is named by ``duplicate(columns, row)``) and value are checked in
+    turn."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        first = next(reader, [])
+        if [h.strip().lower() for h in first] != header:
+            raise LoadError(f"{path}: expected header {','.join(header)!r}")
+        rows = [row for row in reader if _filled(row)]
+    errors: list[tuple[int, int, str]] = []     # (row, check, message)
+    widths = [len(row) for row in rows]
+    if set(widths) - {len(header)}:
+        bad = next(k for k, n in enumerate(widths) if n != len(header))
+        errors.append((bad, 0, f"expected {len(header)} columns, got "
+                       f"{widths[bad]}"))
+        del rows[bad:]
+    cols = [list(map(str.strip, c)) for c in zip(*rows)]
+    cols = cols or [[] for _ in header]
+    if len(set(zip(*cols[:-1]))) < len(cols[0]):
+        seen: set = set()       # set.add gives None: the first repeat stops
+        k = next(k for k, key in enumerate(zip(*cols[:-1]))
+                 if key in seen or seen.add(key))
+        errors.append((k, 2, duplicate(cols, k)))
+    spellings: dict[tuple[str, str], int] = {}
+    code = [spellings.setdefault(key, len(spellings))
+            for key in zip(cols[-2], cols[-1])]
+    values: list[Value] = []
+    for k, (attr, raw) in zip(np.unique(code, return_index=True)[1].tolist(),
+                              spellings):
+        if attr not in schema:
+            errors.append((k, 1, f"unknown attribute {attr!r}"))
+            break
+        try:
+            values.append(normalize_value(raw, schema[attr].kind))
+        except ValueParseError as exc:
+            errors.append((k, 3, str(exc)))
+            break
+    if errors:
+        row, _, message = min(errors)
+        lineno = next(itertools.islice(_csv_rows(path, delimiter), row + 1,
+                                       None))[0]
+        raise LoadError(f"{path}:{lineno}: {message}")
+    return cols, np.array(code, dtype=np.int64), values
 
 
 def write_schema(schema: dict[str, AttributeSpec], path: str | Path,

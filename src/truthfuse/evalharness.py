@@ -145,7 +145,8 @@ def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
         raise ValueError("gold standard is empty")
     if ranked is None:
         ranked = rank_sources(claims, gold)
-    sizes = itertools.accumulate(len(claims.by_source[s]) for s in ranked)
+    counts = claims.claim_counts()
+    sizes = itertools.accumulate(counts[s] for s in ranked)
     recalls: list[list[float]] = [[] for _ in methods]
     for batch in _batches(list(sizes), _STACK_CLAIMS):
         for per_method, more in zip(recalls, _batch_recalls(

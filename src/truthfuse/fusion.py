@@ -38,11 +38,12 @@ from .normalize import (
     SimilarityParams,
     bucket_centre,
     bucket_claims,
-    claim_keys,
     decay_span,
+    item_widths,
     key_similarity,
     keys_match,
     run_starts,
+    table_keys,
     tolerances,
     value_keys,
 )
@@ -184,7 +185,7 @@ class FusionEngine:
     def __init__(self, claims: ClaimSet, config: FusionConfig):
         self.claims = claims
         self.cfg = config
-        if not claims.claims:
+        if not len(claims):
             raise FusionError("cannot fuse an empty claim set")
         self.taus = tolerances(claims)
         self.sim_params = SimilarityParams(
@@ -194,27 +195,26 @@ class FusionEngine:
 
         self.items: list[DataItem] = list(claims.items)
         self.n_items = len(self.items)
-        flat, item_of, keys, self.item_width, self.spellings = claim_keys(
-            self.items, claims, self.taus)
-        src_index = {s: k for k, s in enumerate(claims.sources)}
+        item_of = claims.claim_item
+        keys, self.spellings = table_keys(claims, claims.claim_value)
+        self.item_width = item_widths(self.items, claims.schema, self.taus)
 
         order, self.claim_cand, first, centres = bucket_claims(
             item_of, keys, self.item_width)
         self.cand_item = item_of[first].astype(np.int64)
         self.item_start = np.searchsorted(self.cand_item,
                                           np.arange(self.n_items))
-        self.cand_values = [bucket_centre(flat[f].value, x) for f, x in
-                            zip(first.tolist(), centres.tolist())]
+        self.cand_values = [
+            bucket_centre(claims.values[v], x) for v, x in
+            zip(claims.claim_value[first].tolist(), centres.tolist())]
         self.n_cands = len(self.cand_values)
         self.cand_segs = _Segments.of_sizes([self.n_cands])
         self.claim_item = self.cand_item[self.claim_cand]
-        self._set_vsrc(list(claims.sources), np.arange(len(src_index)),
-                       np.array([src_index[c.source] for c in flat],
-                                dtype=np.int64)[order])
+        self._set_vsrc(list(claims.sources), np.arange(len(claims.sources)),
+                       claims.claim_source[order])
         self._claim_key = keys[order]
         self._cand_key = centres
-        self._claim_gran = np.array([c.value.granularity or 0.0
-                                     for c in flat])[order]
+        self._claim_gran = claims.value_gran[claims.claim_value[order]]
         self.cand_counts = np.bincount(self.claim_cand,
                                        minlength=self.n_cands).astype(float)
         self.item_nprov = np.bincount(self.claim_item,

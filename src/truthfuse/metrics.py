@@ -60,7 +60,9 @@ def item_redundancy(item: DataItem, claims: ClaimSet) -> float:
     """Fraction of sources that provide the data item."""
     if not claims.sources:
         return 0.0
-    return len(claims.by_item.get(item, ())) / len(claims.sources)
+    k = claims.item_index.get(item)
+    n = 0 if k is None else claims.item_start[k + 1] - claims.item_start[k]
+    return int(n) / len(claims.sources)
 
 
 def object_redundancy(object_id: str, claims: ClaimSet) -> float:
@@ -232,6 +234,7 @@ def profile_sources(claims: ClaimSet, gold: GoldStandard | None,
     per_snap = [primary if snap is claims and snap_gold is gold
                 else source_scores(snap, snap_gold)
                 for snap, snap_gold in snapshots]
+    counts = claims.claim_counts()
     out: dict[str, SourceProfile] = {}
     for s in claims.sources:
         acc, cov = primary.get(s, (None, 0.0))
@@ -239,7 +242,7 @@ def profile_sources(claims: ClaimSet, gold: GoldStandard | None,
         series = [a for a in per if a is not None]
         out[s] = SourceProfile(
             source=s,
-            claim_count=len(claims.by_source.get(s, ())),
+            claim_count=counts[s],
             accuracy=acc,
             coverage=cov,
             accuracy_series=tuple(series),

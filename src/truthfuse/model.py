@@ -2,16 +2,19 @@
 
 A *data item* is one attribute of one real-world object. Each source asserts
 at most one value per data item; a ClaimSet is an immutable snapshot of all
-such claims, indexed by item and by source.
+such claims, stored as integer columns over its sources, items and values.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 
 class TruthFuseError(Exception):
@@ -174,56 +177,87 @@ class Claim:
     value: Value
 
 
-class ClaimSet:
-    """An immutable snapshot of claims with item and source indexes.
+class ClaimColumns(NamedTuple):
+    """Claims as codes: each claim's source, item and value number, into
+    the tables ``sources``, ``items`` and ``values`` (in any order, and
+    possibly with entries no claim uses). The rows are valid claims: known
+    attributes, values of their kinds, no (source, item) pair twice."""
 
-    At most one claim per (source, item) pair. Derived indexes are built once
-    at construction; instances are safe to share across concurrent readers.
+    sources: Sequence[str]
+    items: Sequence[DataItem]
+    values: Sequence[Value]
+    source: np.ndarray
+    item: np.ndarray
+    value: np.ndarray
+
+
+class ClaimSet:
+    """An immutable snapshot of claims, stored as columns.
+
+    At most one claim per (source, item) pair. Claims are kept in (item,
+    source) order: ``claim_source`` and ``claim_item`` index the sorted
+    ``sources`` and ``items``, and ``claim_value`` the table ``values``
+    (parsed values, shared with ``restrict``ed views), whose numbers and
+    granularities (0 for none) are ``value_num`` and ``value_gran``. An
+    item's claims are rows ``item_start[k]`` to ``item_start[k + 1]``.
+    ``claims``, ``by_item`` and ``by_source`` are built on first use.
+    Instances are safe to share across concurrent readers.
     """
 
     def __init__(self, snapshot_label: str, schema: Mapping[str, AttributeSpec],
-                 claims: Iterable[Claim]):
+                 claims: Iterable[Claim] | ClaimColumns):
         self.snapshot_label = snapshot_label
         self.schema: dict[str, AttributeSpec] = dict(schema)
-        claim_list = list(claims)
-        keys: list[tuple[str, str, str]] = []
-        seen: set[tuple[str, str, str]] = set()
-        for c in claim_list:
-            if not c.source:
-                raise LoadError("source id must be non-empty")
-            attr = self.schema.get(c.item.attribute)
-            if attr is None:
-                raise LoadError(f"claim references unknown attribute "
-                                f"{c.item.attribute!r}")
-            if attr.kind is not c.value.kind:
-                raise KindMismatchError(
-                    f"value kind {c.value.kind.value} does not match "
-                    f"attribute {attr.name!r} ({attr.kind.value})")
-            key = (c.item.object_id, c.item.attribute, c.source)
-            seen.add(key)
-            if len(seen) == len(keys):
-                raise LoadError(f"duplicate claim by source {c.source!r} "
-                                f"on item {c.item}")
-            keys.append(key)
-        # One sort by (item, source); every index is grouped from it.
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.claims: tuple[Claim, ...] = tuple(claim_list[i] for i in order)
-        by_item: dict[tuple[str, str], list[Claim]] = {}
-        by_source: dict[str, list[Claim]] = {}
-        for i, c in zip(order, self.claims):
-            by_item.setdefault(keys[i][:2], []).append(c)
-            by_source.setdefault(c.source, []).append(c)
-        self.by_item: dict[DataItem, tuple[Claim, ...]] = {
-            cs[0].item: tuple(cs) for cs in by_item.values()}
-        self.sources: tuple[str, ...] = tuple(sorted(by_source))
-        self.by_source: dict[str, tuple[Claim, ...]] = {
-            s: tuple(by_source[s]) for s in self.sources}
-        self.items: tuple[DataItem, ...] = tuple(self.by_item)
+        cols = (claims if isinstance(claims, ClaimColumns)
+                else _columns_of(claims, self.schema))
+        self.values: tuple[Value, ...] = tuple(cols.values)
+        self.value_num = np.array([v.num for v in self.values], dtype=float)
+        self.value_gran = np.array([v.granularity or 0.0
+                                    for v in self.values], dtype=float)
+        # Rank the names the claims use; one sort by (item, source).
+        src_rank, src_names = _ranks(cols.sources, cols.source,
+                                     cols.sources.__getitem__)
+        item_rank, items = _ranks(cols.items, cols.item,
+                                  lambda k: cols.items[k].sort_key())
+        src, item = src_rank[cols.source], item_rank[cols.item]
+        order = np.lexsort((src, item))
+        self.sources: tuple[str, ...] = tuple(src_names)
+        self.items: tuple[DataItem, ...] = tuple(items)
+        self.claim_source, self.claim_item = src[order], item[order]
+        self.claim_value = np.asarray(cols.value, dtype=np.int64)[order]
+        self.item_start = np.searchsorted(self.claim_item,
+                                          np.arange(len(items) + 1))
         self.object_ids: tuple[str, ...] = tuple(
-            dict.fromkeys(obj for obj, _ in by_item))
+            dict.fromkeys(it.object_id for it in self.items))
 
     def __len__(self) -> int:
-        return len(self.claims)
+        return len(self.claim_source)
+
+    @functools.cached_property
+    def claims(self) -> tuple[Claim, ...]:
+        """Every claim, in (item, source) order."""
+        return tuple(map(
+            Claim, [self.sources[s] for s in self.claim_source.tolist()],
+            [self.items[i] for i in self.claim_item.tolist()],
+            [self.values[v] for v in self.claim_value.tolist()]))
+
+    @functools.cached_property
+    def by_item(self) -> dict[DataItem, tuple[Claim, ...]]:
+        bounds = self.item_start.tolist()
+        return {it: self.claims[a:b]
+                for it, a, b in zip(self.items, bounds, bounds[1:])}
+
+    @functools.cached_property
+    def by_source(self) -> dict[str, tuple[Claim, ...]]:
+        out: dict[str, list[Claim]] = {s: [] for s in self.sources}
+        for c in self.claims:
+            out[c.source].append(c)
+        return {s: tuple(cs) for s, cs in out.items()}
+
+    @functools.cached_property
+    def item_index(self) -> dict[DataItem, int]:
+        """Each item's number in ``items``."""
+        return {it: k for k, it in enumerate(self.items)}
 
     def attribute_of(self, item: DataItem) -> AttributeSpec:
         return self.schema[item.attribute]
@@ -232,15 +266,62 @@ class ClaimSet:
         """S(d): sources providing any value on the item."""
         return tuple(c.source for c in self.by_item.get(item, ()))
 
-    def value_counts(self, item: DataItem) -> Counter:
-        """Multiset of distinct normalized values on the item."""
-        return Counter(c.value for c in self.by_item.get(item, ()))
+    def claim_counts(self) -> dict[str, int]:
+        """Each source's number of claims."""
+        return dict(zip(self.sources, np.bincount(
+            self.claim_source, minlength=len(self.sources)).tolist()))
 
     def restrict(self, sources: Sequence[str]) -> "ClaimSet":
-        """A snapshot view containing only claims from the given sources."""
+        """A snapshot view containing only claims from the given sources:
+        a mask over the source column, re-indexed."""
         keep = set(sources)
-        return ClaimSet(self.snapshot_label, self.schema,
-                        [c for c in self.claims if c.source in keep])
+        on = np.array([s in keep for s in self.sources], dtype=bool)
+        rows = on[self.claim_source]
+        return ClaimSet(self.snapshot_label, self.schema, ClaimColumns(
+            self.sources, self.items, self.values, self.claim_source[rows],
+            self.claim_item[rows], self.claim_value[rows]))
+
+
+def _ranks(names: Sequence, codes: np.ndarray, key):
+    """Each of ``names``' rank among the ones ``codes`` use, ordered by
+    ``key`` of their index (-1 if unused), and those names in order."""
+    used = sorted(np.flatnonzero(np.bincount(
+        codes, minlength=len(names))).tolist(), key=key)
+    rank = np.full(len(names), -1, dtype=np.int64)
+    rank[used] = np.arange(len(used))
+    return rank, [names[k] for k in used]
+
+
+def _columns_of(claims: Iterable[Claim],
+                schema: Mapping[str, AttributeSpec]) -> ClaimColumns:
+    """Validated columns of ``Claim``s, each checked in input order. Values
+    are told apart by identity: equal ones may differ in granularity or in
+    the sign of zero."""
+    tables: tuple[dict, dict, dict] = ({}, {}, {})
+    codes: tuple[list, list, list] = ([], [], [])
+    values, seen = [], set()
+    for c in claims:
+        attr = schema.get(c.item.attribute)
+        if not c.source:
+            raise LoadError("source id must be non-empty")
+        if attr is None:
+            raise LoadError(f"claim references unknown attribute "
+                            f"{c.item.attribute!r}")
+        if attr.kind is not c.value.kind:
+            raise KindMismatchError(
+                f"value kind {c.value.kind.value} does not match "
+                f"attribute {attr.name!r} ({attr.kind.value})")
+        if (c.source, c.item) in seen:
+            raise LoadError(f"duplicate claim by source {c.source!r} "
+                            f"on item {c.item}")
+        seen.add((c.source, c.item))
+        if id(c.value) not in tables[2]:
+            values.append(c.value)
+        for table, code, key in zip(tables, codes,
+                                    (c.source, c.item, id(c.value))):
+            code.append(table.setdefault(key, len(table)))
+    return ClaimColumns(list(tables[0]), list(tables[1]), values,
+                        *(np.array(c, dtype=np.int64) for c in codes))
 
 
 @dataclass(frozen=True)

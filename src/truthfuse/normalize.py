@@ -27,7 +27,9 @@ from .model import (
 _TEXT = AttributeSpec("text", Kind.TEXT)
 
 _SUFFIX_MULT = {"k": 1e3, "m": 1e6, "b": 1e9}
-_CURRENCY = "$€£¥"
+# Dropped from a number's spelling: currency signs, thousands separators
+# and percent signs.
+_DROP = str.maketrans("", "", "$€£¥,%")
 
 _NUMBER_RE = re.compile(
     r"^(?P<sign>[+-])?(?P<mantissa>\d+(?:\.\d+)?|\.\d+)(?P<suffix>[kKmMbB])?$")
@@ -94,10 +96,7 @@ def normalize_value(raw: str, kind: Kind) -> Value:
 
 
 def _parse_number(raw: str) -> Value:
-    s = raw.strip()
-    for ch in _CURRENCY:
-        s = s.replace(ch, "")
-    s = s.replace(",", "").replace("%", "").strip()
+    s = raw.translate(_DROP).strip()
     m = _NUMBER_RE.match(s)
     if m is None:
         # Fall back to plain float syntax (covers exponents); granularity
@@ -106,27 +105,25 @@ def _parse_number(raw: str) -> Value:
             x = float(s)
         except ValueError:
             raise ValueParseError(raw, Kind.NUMBER) from None
-        if not math.isfinite(x):
-            raise ValueParseError(raw, Kind.NUMBER, "not finite")
-        return Value.number(x, granularity=None)
-    mult = _SUFFIX_MULT.get((m.group("suffix") or "").lower(), 1.0)
-    mantissa = m.group("mantissa")
-    x = float((m.group("sign") or "") + mantissa) * mult
+        granularity = None
+    else:
+        sign, mantissa, suffix = m.groups()
+        mult = _SUFFIX_MULT[suffix.lower()] if suffix else 1.0
+        x = float(mantissa) * mult
+        x = -x if sign == "-" else x
+        granularity = _granularity(mantissa, mult)
     if not math.isfinite(x):
         raise ValueParseError(raw, Kind.NUMBER, "not finite")
-    return Value.number(x, granularity=_granularity(mantissa, mult))
+    return Value(Kind.NUMBER, num=x, granularity=granularity)
 
 
 def _granularity(mantissa: str, mult: float) -> float:
     """Power of ten of the last significant digit of the raw spelling."""
-    if "." in mantissa:
-        frac = mantissa.split(".", 1)[1]
+    whole, dot, frac = mantissa.partition(".")
+    if dot:
         return 10.0 ** (-len(frac)) * mult
-    digits = mantissa.lstrip("0") or "0"
-    if digits == "0":
-        return mult
-    trailing = len(digits) - len(digits.rstrip("0"))
-    return 10.0 ** trailing * mult
+    digits = whole.lstrip("0")
+    return 10.0 ** (len(digits) - len(digits.rstrip("0"))) * mult
 
 
 def _parse_time(raw: str) -> Value:
@@ -157,12 +154,12 @@ def tolerance(attribute: AttributeSpec, values) -> float:
         raise KindMismatchError(
             f"tolerance() is defined for numeric attributes, "
             f"got {attribute.kind.value}")
-    xs = sorted(float(v) for v in values)
-    if not xs:
+    xs = np.sort(np.asarray(values, dtype=float), kind="stable")
+    if not xs.size:
         raise ValueError(f"attribute {attribute.name!r} has no values")
     n = len(xs)
     mid = n // 2
-    median = xs[mid] if n % 2 else (xs[mid - 1] + xs[mid]) / 2.0
+    median = float(xs[mid] if n % 2 else (xs[mid - 1] + xs[mid]) / 2.0)
     return attribute.tolerance_param * median
 
 
@@ -170,25 +167,21 @@ def effective_tolerance(attribute: AttributeSpec, claims: ClaimSet,
                         numbers=None) -> float | None:
     """The matching tolerance for an attribute within a snapshot: tau for
     numbers, else ``match_width``. ``numbers`` are the attribute's claimed
-    numbers, when already gathered."""
+    numbers, when already gathered; else they are read off the columns."""
     if attribute.kind is Kind.NUMBER:
         if numbers is None:
-            numbers = [c.value.num for c in claims.claims
-                       if c.item.attribute == attribute.name]
+            on = np.array([it.attribute == attribute.name
+                           for it in claims.items], dtype=bool)
+            numbers = claims.value_num[claims.claim_value[
+                on[claims.claim_item]]]
         return tolerance(attribute, numbers)
     return match_width(attribute, None)
 
 
 def tolerances(claims: ClaimSet) -> dict[str, float | None]:
-    """Per-attribute matching tolerances for every attribute with claims;
-    one pass over the claims gathers each numeric attribute's numbers."""
-    numbers: dict[str, list[float]] = {}
-    for it in claims.items:
-        xs = numbers.setdefault(it.attribute, [])
-        if claims.schema[it.attribute].kind is Kind.NUMBER:
-            xs.extend([c.value.num for c in claims.by_item[it]])
-    return {name: effective_tolerance(claims.schema[name], claims, xs)
-            for name, xs in sorted(numbers.items())}
+    """Per-attribute matching tolerances for every attribute with claims."""
+    return {name: effective_tolerance(claims.schema[name], claims)
+            for name in sorted({it.attribute for it in claims.items})}
 
 
 # -- the distance rule: keys (numbers, minutes, codes of case-folded text),
@@ -299,31 +292,30 @@ def bucketize(item: DataItem, claims: ClaimSet,
     grid spacing. Every claim lands in exactly one bucket; empty buckets
     are omitted. Text values bucket by equality of their folded spellings.
     """
-    if not claims.by_item.get(item):
+    mine = claims.by_item.get(item)
+    if not mine:
         raise ValueError(f"item {item} has no claims")
-    flat, item_of, keys, widths, _ = claim_keys([item], claims,
-                                                {item.attribute: tau})
-    order, bucket_of, _, centres = bucket_claims(item_of, keys, widths)
+    width = bucket_width(claims.attribute_of(item), tau)
+    order, bucket_of, _, centres = bucket_claims(
+        np.zeros(len(mine), dtype=np.int64),
+        value_keys([c.value for c in mine])[0], np.array([width]))
     groups: list[list[Claim]] = [[] for _ in centres]
     for i, b in zip(order.tolist(), bucket_of.tolist()):
-        groups[b].append(flat[i])
-    return [Bucket(bucket_centre(cs[0].value, x), float(widths[0]) / 2.0,
+        groups[b].append(mine[i])
+    return [Bucket(bucket_centre(cs[0].value, x), width / 2.0,
                    tuple(sorted({c.value for c in cs}, key=Value.sort_key)),
                    len(cs), tuple(sorted(c.source for c in cs)))
             for cs, x in zip(groups, centres.tolist())]
 
 
-def claim_keys(items, claims: ClaimSet, taus: dict[str, float | None]):
-    """The claims of ``items`` in (item, source) order, with what
-    ``bucket_claims`` groups them by: each claim's item number and key
-    (``value_keys``), and each item's grid width; and the spellings the
-    text keys index. A width of 0 makes exact classes."""
-    per_item = [claims.by_item[it] for it in items]
-    flat = [c for cs in per_item for c in cs]
-    item_of = np.repeat(np.arange(len(items)), [len(cs) for cs in per_item])
-    keys, spellings = value_keys([c.value for c in flat])
-    return (flat, item_of, keys, item_widths(items, claims.schema, taus),
-            spellings)
+def table_keys(claims: ClaimSet, code: np.ndarray):
+    """``value_keys`` of the values ``code`` picks from ``claims.values``,
+    each distinct one keyed once, and the spellings its text keys index."""
+    used = np.flatnonzero(np.bincount(code, minlength=len(claims.values)))
+    keys, spellings = value_keys([claims.values[k] for k in used.tolist()])
+    at = np.zeros(len(claims.values))
+    at[used] = keys
+    return at[code], spellings
 
 
 def bucket_claims(item_of: np.ndarray, keys: np.ndarray,

@@ -198,7 +198,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int,
     claims = [Claim(s, it, values[(s, it)])
               for s in sources for it in covered[s]]
     claim_set = ClaimSet(spec.label, schema, claims)
-    claimed_items = set(claim_set.by_item)
+    claimed_items = set(claim_set.items)
     orphans = sum(1 for it in items if it not in claimed_items)
     gold = GoldStandard(entries=dict(truth), orphan_count=orphans)
     known = {(m, g.original): g.rate

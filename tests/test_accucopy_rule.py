@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from truthfuse.config import load_config
-from truthfuse.copydetect import CopyMatrix, _expand_known, _PairIndex
+from truthfuse.copydetect import (
+    Copying,
+    CopyMatrix,
+    _expand_known,
+    _PairIndex,
+)
 from truthfuse import evalharness
 from truthfuse.evalharness import (
     incremental_curve,
@@ -234,6 +239,27 @@ def test_stack_of_prefixes_equals_runs_alone(snapshot, flag, config):
         got = fuse_segments(method, stack, config)
         assert [outcome(r) for r in got] == [
             outcome(want[parts.index(p)]) for p in order]
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["global", "attr"])
+def test_frozen_keeps_the_weights_recomputing_gives(snapshot, flag):
+    """``Copying.frozen`` keeps each segment's weights from its own state;
+    they equal the weights derived again from the mixed probabilities."""
+    claims, gold = snapshot
+    stack = FusionEngine.stack(prefix_engines(claims, gold, flag))
+    old = Copying.start(stack, CFG.copy, None, True, False)
+    chosen, _ = stack.select(stack.cand_counts)
+    trust = np.linspace(0.3, 0.9, stack.n_vsrc)
+    new = old.redetect(np.bincount(chosen, minlength=stack.n_cands) > 0,
+                       trust)
+    assert not np.array_equal(new.weights, old.weights)
+    for live in (np.arange(len(stack.parts)) % 2 == 0,
+                 np.arange(len(stack.parts)) % 3 != 1):
+        got = new.frozen(old, live)
+        want = new.with_prob(got.prob)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.prob, np.where(
+            live[new.pairs.cells.of], new.prob, old.prob))
 
 
 def test_copy_parameters_reach_the_stack():

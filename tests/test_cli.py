@@ -4,8 +4,12 @@ error diagnostics, determinism."""
 from __future__ import annotations
 
 import json
+import math
 import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truthfuse import cli, dataio, metrics
 from truthfuse.cli import main
@@ -123,6 +127,44 @@ def test_attribute_summary_matches_per_attribute_loop(tmp_path):
                           rows, config.delimiter)
         assert ((tmp_path / "attributes.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
+
+
+def ref_hist(values, width, hard_max=None):
+    """``cli._hist`` as it was: one scan of every value per bin."""
+    if not values:
+        return []
+    top = hard_max if hard_max is not None else max(values)
+    edges = [0.0]
+    while edges[-1] < top - 1e-12:
+        edges.append(round(edges[-1] + width, 12))
+    rows = []
+    for i in range(len(edges) - 1):
+        lo, hi = edges[i], edges[i + 1]
+        last = i == len(edges) - 2
+        rows.append((lo, hi,
+                     sum(1 for v in values
+                         if lo <= v < hi or (last and v == hi))))
+    return rows
+
+
+EDGY = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 5.0,
+                        10.0, -0.1, 1.0000000000001, math.inf, -math.inf])
+
+
+@given(st.lists(st.one_of(EDGY, st.floats(-1.0, 12.0)), max_size=30),
+       st.sampled_from([0.1, 0.25, 5.0]), st.sampled_from([None, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_hist_counts_as_the_per_bin_scan(values, width, hard_max):
+    """Edges, the closed last bin and the values left out (below 0, above
+    the last edge, NaN) are those of the per-bin scan."""
+    if hard_max is None:
+        values = [v for v in values if math.isfinite(v)]
+    got = cli._hist(values, width, hard_max)
+    assert got == ref_hist(values, width, hard_max)
+    assert [type(c) for _, _, c in got] == [int] * len(got)
+    with_nan = values + [math.nan]
+    assert (cli._hist(with_nan, width, 1.0)
+            == ref_hist(with_nan, width, 1.0))
 
 
 class TestFuse:

@@ -1,14 +1,16 @@
-"""Loading a snapshot: the one-pass loader and the one-sort ClaimSet index
+"""Loading a snapshot: the one-pass columnar loader and the ClaimSet
+columns, with ``claims``, ``by_item`` and ``by_source`` built on demand,
 against the row-by-row loader and the per-index sorts they replaced."""
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import pytest
 
-from truthfuse import dataio
+from truthfuse import cli, dataio, model
 from truthfuse.dataio import (
     CLAIM_HEADER,
     GOLD_HEADER,
@@ -16,6 +18,7 @@ from truthfuse.dataio import (
     load_gold,
     write_claims,
     write_gold,
+    write_schema,
 )
 from truthfuse.model import (
     AttributeSpec,
@@ -36,6 +39,8 @@ from truthfuse.synthetic import (
     SyntheticSpec,
     generate_synthetic,
 )
+
+from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
 
 SCHEMA = {a.name: a for a in (
     AttributeSpec("volume", Kind.NUMBER, 0.01),
@@ -212,8 +217,11 @@ def assert_same(got: ClaimSet, want: ClaimSet):
     assert got.snapshot_label == want.snapshot_label
     assert got.schema == want.schema
     assert got.claims == want.claims
-    assert ([c.value.granularity for c in got.claims]
-            == [c.value.granularity for c in want.claims])
+    assert ([(c.value.granularity, math.copysign(1.0, c.value.num))
+             for c in got.claims]
+            == [(c.value.granularity, math.copysign(1.0, c.value.num))
+                for c in want.claims])
+    assert len(got) == len(want.claims)
     assert got.by_item == want.by_item
     assert got.by_source == want.by_source
     assert got.items == want.items
@@ -286,6 +294,38 @@ def test_restrict_indexes_as_before(synthetic):
     assert_same(claims.restrict(keep), want)
 
 
+def test_restrict_on_every_source_prefix_indexes_as_before(synthetic):
+    schema, claims_p, _ = synthetic
+    claims = load_claims(claims_p, schema)
+    for k in range(len(claims.sources) + 1):
+        keep = [*claims.sources[:k], "ghost"]
+        want = RefClaimSet(claims.snapshot_label, schema,
+                           [c for c in claims.claims if c.source in keep])
+        got = claims.restrict(keep)
+        assert_same(got, want)
+        assert got.values is claims.values    # one shared value table
+        assert_same(got.restrict(keep[1:]), RefClaimSet(
+            claims.snapshot_label, schema,
+            [c for c in claims.claims if c.source in keep[1:]]))
+
+
+@pytest.mark.parametrize("make", [synthetic_snapshot, edge_snapshot,
+                                  copier_snapshot])
+def test_claimsets_of_claims_index_as_before(tmp_path, make):
+    """A ClaimSet built from ``Claim``s, and the same snapshot written and
+    loaded again, against the reference index; values keep their
+    granularity and the sign of a zero."""
+    claims, _ = make()
+    rows = list(claims.claims)
+    want = RefClaimSet(claims.snapshot_label, claims.schema, rows)
+    assert_same(claims, want)
+    assert_same(ClaimSet(claims.snapshot_label, claims.schema, rows[::-1]),
+                want)
+    write_claims(claims, tmp_path / "claims.csv")
+    assert_same(load_claims(tmp_path / "claims.csv", claims.schema, "x"),
+                ref_load_claims(tmp_path / "claims.csv", claims.schema, "x"))
+
+
 def test_claimset_in_any_input_order(synthetic):
     # Distinct but equal DataItems per claim, in reversed file order.
     schema, claims_p, _ = synthetic
@@ -320,6 +360,20 @@ MALFORMED_CLAIMS = {
         HEADER + "s1,o1,volume,5\ns1,o1,volume,??\n",
     "unknown attribute before bad value": HEADER + "s1,o1,price,??\n",
     "column count before unknown attribute": HEADER + "s1,o1,price\n",
+    "empty source": HEADER + "s1,o1,volume,5\n ,o1,volume,6\n",
+    "empty source after a duplicate":
+        HEADER + " ,o1,volume,5\ns1,o1,volume,5\ns1,o1,volume,6\n",
+    "bad value before duplicate":
+        HEADER + "s1,o1,volume,5x\ns1,o1,volume,5\ns1,o1,volume,5\n",
+    "duplicate before column count":
+        HEADER + "s1,o1,volume,5\n\ns1,o1,volume,5\ns2,o1\n",
+    "column count before duplicate":
+        HEADER + "s1,o1,volume,5\ns2,o1\ns1,o1,volume,5\n",
+    "duplicate before unknown attribute":
+        HEADER + "s1,o1,volume,5\ns1,o1,volume,5\ns1,o1,price,5\n",
+    "second duplicate after the first":
+        HEADER + "s1,o1,volume,5\ns2,o1,volume,5\ns2,o1,volume,6\n"
+                 "s1,o1,volume,7\n",
 }
 
 
@@ -456,3 +510,30 @@ def test_writers_write_what_their_own_loops_wrote(tmp_path, hand, delimiter):
         ref_write(tmp_path / f"want{k}.csv", header, rows, delimiter)
         assert ((tmp_path / f"got{k}.csv").read_bytes()
                 == (tmp_path / f"want{k}.csv").read_bytes())
+
+
+# -- no Claim objects on the fuse and copydetect paths ------------------------
+
+
+def test_fuse_and_copydetect_build_no_claim(tmp_path, synthetic,
+                                             monkeypatch):
+    schema, claims_p, gold_p = synthetic
+    write_schema(schema, tmp_path / "schema.csv")
+    built = []
+    init = model.Claim.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.Claim, "__init__", counting)
+    base = ["--claims", str(claims_p), "--schema",
+            str(tmp_path / "schema.csv"), "--out", str(tmp_path / "out")]
+    for argv in (["fuse", "--method", "Vote"],
+                 ["fuse", "--method", "AccuFormatAttr"],
+                 ["fuse", "--method", "AccuCopy"],
+                 ["copydetect", "--gold", str(gold_p)]):
+        assert cli.main([*argv, *base]) == 0
+    assert built == []
+    # The counter sees the claims a caller asks for.
+    assert len(load_claims(claims_p, schema).claims) == len(built) > 0
