@@ -201,8 +201,7 @@ def _cmd_profile(args, config: RunConfig) -> int:
     claims, gold = _load_inputs(args, config)
     out = _out_dir(args)
     engine = engine_for(claims, config.fusion)
-    profiles = metrics.profile_items(claims, engine)
-    items_sorted = sorted(profiles, key=DataItem.sort_key)
+    profiles = metrics.profile_items(claims, engine)   # in item order
 
     dataio.write_rows(
         out / "items.csv",
@@ -213,7 +212,7 @@ def _cmd_profile(args, config: RunConfig) -> int:
           metrics.item_redundancy(it, claims), p.num_values, p.entropy,
           p.deviation, str(p.dominant), p.dominance_factor,
           ";".join(str(v) for v in p.runners_up))
-         for it, p in ((it, profiles[it]) for it in items_sorted)),
+         for it, p in profiles.items()),
         config.delimiter)
 
     snapshots = _load_snapshot_series(args, claims, gold, config)
@@ -244,7 +243,7 @@ def _cmd_profile(args, config: RunConfig) -> int:
         ["object", "attribute", "value", "providers"],
         _conflict_rows(engine),
         config.delimiter)
-    print(f"profiled {len(items_sorted)} items, "
+    print(f"profiled {len(profiles)} items, "
           f"{len(claims.sources)} sources -> {out}")
     return 0
 
@@ -270,16 +269,15 @@ def _load_snapshot_series(args, claims: ClaimSet, gold, config: RunConfig):
 
 def _write_attribute_summary(out: Path, claims: ClaimSet, profiles,
                              config: RunConfig) -> None:
-    per_attr: dict[str, tuple[list, set]] = {}
-    for it in claims.items:
-        ps, providers = per_attr.setdefault(it.attribute, ([], set()))
-        ps.append(profiles[it])
-        providers.update(c.source for c in claims.by_item[it])
+    per_attr: list[list] = [[] for _ in claims.attributes]
+    for it, a in zip(claims.items, claims.item_attr.tolist()):
+        per_attr[a].append(profiles[it])
+    providers = metrics.provider_counts(claims, claims.item_attr).tolist()
     rows = []
-    for name, (ps, providers) in sorted(per_attr.items()):
+    for name, ps, n in zip(claims.attributes, per_attr, providers):
         devs = [p.deviation for p in ps if p.deviation is not None]
         rows.append((
-            name, claims.schema[name].kind.value, len(providers), len(ps),
+            name, claims.schema[name].kind.value, n, len(ps),
             sum(p.num_values for p in ps) / len(ps),
             sum(p.entropy for p in ps) / len(ps),
             sum(devs) / len(devs) if devs else None))
@@ -292,25 +290,24 @@ def _write_attribute_summary(out: Path, claims: ClaimSet, profiles,
 
 def _write_histograms(out: Path, claims: ClaimSet, profiles,
                       config: RunConfig) -> None:
-    ps = [profiles[it] for it in profiles]
+    ps = [profiles[it] for it in claims.items]
     nv = [p.num_values for p in ps]
     dataio.write_rows(out / "hist_num_values.csv", ["num_values", "count"],
                       sorted((v, nv.count(v)) for v in set(nv)),
                       config.delimiter)
-    dev = {kind: [p.deviation for it, p in zip(profiles, ps)
-                  if p.deviation is not None
-                  and claims.attribute_of(it).kind is kind]
+    kinds = [claims.schema[a].kind for a in claims.attributes]
+    dev = {kind: [p.deviation for p, a in zip(ps, claims.item_attr.tolist())
+                  if p.deviation is not None and kinds[a] is kind]
            for kind in (Kind.NUMBER, Kind.TIME_OF_DAY)}
-    redundancy = metrics.object_redundancies(claims)
     for name, values, width, hard_max in (
             ("entropy", [p.entropy for p in ps], 0.25, None),
             ("deviation_relative", dev[Kind.NUMBER], 0.1, None),
             ("deviation_minutes", dev[Kind.TIME_OF_DAY], 5.0, None),
             ("dominance", [p.dominance_factor for p in ps], 0.1, 1.0),
             ("item_redundancy", [metrics.item_redundancy(it, claims)
-                                 for it in profiles], 0.1, 1.0),
-            ("object_redundancy", [redundancy[o] for o in claims.object_ids],
-             0.1, 1.0)):
+                                 for it in claims.items], 0.1, 1.0),
+            ("object_redundancy",
+             list(metrics.object_redundancies(claims).values()), 0.1, 1.0)):
         dataio.write_rows(out / f"hist_{name}.csv", ["lo", "hi", "count"],
                           _hist(values, width, hard_max), config.delimiter)
 
@@ -420,13 +417,14 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
     _write_copy_pairs(out / "pairs.csv", matrix.prob, config)
 
     if args.groups:
-        groups = _read_groups(args.groups, config)
+        groups = dataio.load_groups(args.groups, config.delimiter)
     else:
         groups = [("detected", members) for members in
                   _components(matrix, claims, config.copy.group_threshold)]
     rows = []
     for remark, members in groups:
-        if len(members) < 2:
+        # A group needs two members with claims to be compared.
+        if sum(m in claims.sources for m in members) < 2:
             continue
         g = cd.group_commonality(members, claims, gold, engine.taus,
                                  accuracy)
@@ -440,20 +438,6 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
     return 0
 
 
-def _read_groups(path: str, config: RunConfig):
-    import csv
-
-    groups = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=config.delimiter)
-        for row in reader:
-            if not row or row[0].strip().lower() == "remarks":
-                continue
-            groups.append((row[0].strip(),
-                           tuple(m.strip() for m in row[1].split(";"))))
-    return groups
-
-
 def _components(matrix, claims: ClaimSet, threshold: float):
     linked: dict[str, set[str]] = {s: {s} for s in claims.sources}
     for (a, b), p in matrix.prob.items():
@@ -462,14 +446,8 @@ def _components(matrix, claims: ClaimSet, threshold: float):
             union = linked[a] | linked[b]
             for s in union:
                 linked[s] = union
-    seen = set()
-    out = []
-    for s in claims.sources:
-        group = tuple(sorted(linked[s]))
-        if len(group) > 1 and group not in seen:
-            seen.add(group)
-            out.append(group)
-    return out
+    groups = (tuple(sorted(linked[s])) for s in claims.sources)
+    return list(dict.fromkeys(g for g in groups if len(g) > 1))
 
 
 # -- evaluate / compare --------------------------------------------------------
@@ -508,36 +486,15 @@ def _evaluate_methods(args, config: RunConfig,
     curve = evalharness.incremental_curve(methods, claims, gold, config,
                                           ranked)
 
-    report_objs = []
-    timing_rows = []
-    for report in reports:
-        report_objs.append({
-            "method": report.method,
-            "precision": report.precision,
-            "recall": report.recall,
-            "precision_with_trust": report.precision_with_trust,
-            "trust_deviation": report.trust_deviation,
-            "trust_difference": report.trust_difference,
-            "rounds": report.rounds,
-            "converged": report.converged,
-            "tie_count": report.result.tie_count,
-            "wall_time_ms": round(report.wall_time * 1000.0, 3),
-        })
-        timing_rows.append((report.method, report.wall_time * 1000.0,
-                            report.rounds))
-
-    (out / "report.json").write_text(
-        json.dumps(report_objs, sort_keys=True, indent=2) + "\n",
+    columns = ["method", "precision", "recall", "precision_with_trust",
+               "trust_deviation", "trust_difference", "rounds", "converged"]
+    rows = [[getattr(r, c) for c in columns] for r in reports]
+    (out / "report.json").write_text(json.dumps(
+        [{**dict(zip(columns, row)), "tie_count": r.result.tie_count,
+          "wall_time_ms": round(r.wall_time * 1000.0, 3)}
+         for r, row in zip(reports, rows)], sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
-    dataio.write_rows(
-        out / "report.csv",
-        ["method", "precision", "recall", "precision_with_trust",
-         "trust_deviation", "trust_difference", "rounds", "converged"],
-        [(r["method"], r["precision"], r["recall"],
-          r["precision_with_trust"], r["trust_deviation"],
-          r["trust_difference"], r["rounds"], r["converged"])
-         for r in report_objs],
-        config.delimiter)
+    dataio.write_rows(out / "report.csv", columns, rows, config.delimiter)
     dataio.write_rows(out / "curve.csv",
                       ["method", "k", "added_source", "recall"],
                       [(p.method, p.k, p.added_source, p.recall)
@@ -549,10 +506,11 @@ def _evaluate_methods(args, config: RunConfig,
                       dom_rows, config.delimiter)
     dataio.write_rows(out / "timings.csv",
                       ["method", "wall_time_ms", "rounds"],
-                      timing_rows, config.delimiter)
-    for r in report_objs:
-        print(f"{r['method']:>16}  precision={r['precision']:.4f}  "
-              f"recall={r['recall']:.4f}  rounds={r['rounds']}")
+                      [(r.method, r.wall_time * 1000.0, r.rounds)
+                       for r in reports], config.delimiter)
+    for r in reports:
+        print(f"{r.method:>16}  precision={r.precision:.4f}  "
+              f"recall={r.recall:.4f}  rounds={r.rounds}")
     return 0
 
 

@@ -30,7 +30,7 @@ from .config import CopyParams, FusionConfig
 from .fusion import FusionEngine, FusionError, _Segments, engine_for
 from .metrics import source_scores
 from .model import ClaimSet, DataItem, GoldStandard, Value
-from .normalize import item_widths, keys_match, table_keys, tolerances
+from .normalize import item_widths, keys_match, tolerances
 
 _TINY = 1e-300
 
@@ -79,22 +79,22 @@ def group_commonality(group, claims: ClaimSet,
                           "with claims")
     if taus is None:
         taus = tolerances(claims)
-    ordered, items = sorted(members), claims.items
+    ordered = sorted(members)
     at = (claims.claim_source, claims.claim_item)
-    present = np.zeros((len(claims.sources), len(items)), dtype=bool)
+    present = np.zeros((len(claims.sources), len(claims.items)), dtype=bool)
     present[at] = True
     key = np.zeros(present.shape)
-    key[at] = table_keys(claims, claims.claim_value)[0]
+    key[at] = claims.value_key[claims.claim_value]
     rows = [claims.sources.index(s) for s in ordered]
     present, key = present[rows], key[rows]
-    tol = item_widths(items, claims.schema, taus)
+    tol = item_widths(claims, taus)
     same = [(present[i] & present[i + 1:]
              & keys_match(key[i], key[i + 1:], tol)).sum(1)
             for i in range(len(ordered) - 1)]
     value_parts = [a / n for a, n in zip(np.concatenate(same).tolist(),
                                          _pair_counts(present)[0]) if n]
-    schema_parts = _jaccards(present, [it.attribute for it in items])
-    object_parts = _jaccards(present, [it.object_id for it in items])
+    schema_parts = _jaccards(present, claims.item_attr)
+    object_parts = _jaccards(present, claims.item_object)
     if accuracy is None and gold is not None:
         accuracy = {s: acc for s, (acc, _) in
                     source_scores(claims, gold).items()}
@@ -120,11 +120,10 @@ def _pair_counts(x: np.ndarray) -> tuple[list[int], list[int]]:
             (size[:, None] + size - inter)[pairs].tolist())
 
 
-def _jaccards(present: np.ndarray, labels: list[str]) -> list[float]:
-    """Each member pair's Jaccard overlap of the labels (attributes or
-    objects) of the items they claim."""
-    code = {x: k for k, x in enumerate(dict.fromkeys(labels))}
-    onehot = np.equal.outer([code[x] for x in labels], np.arange(len(code)))
+def _jaccards(present: np.ndarray, label: np.ndarray) -> list[float]:
+    """Each member pair's Jaccard overlap of the labels (attribute or
+    object codes, one per item) of the items they claim."""
+    onehot = np.equal.outer(label, np.arange(int(label.max()) + 1))
     return [a / u for a, u in zip(*_pair_counts(present @ onehot))]
 
 
@@ -286,9 +285,9 @@ class _PairIndex:
         parts, self.loc = engine.parts, engine.vsrc_source
         block = _codes([(k, vk[1] if p.per_attribute else 0)
                         for k, p in enumerate(parts) for vk in p.vsrc_list])
-        item_row = np.concatenate([_codes([
-            it.object_id if part.per_attribute else it for it in part.items])
-            for part in parts])
+        item_row = np.concatenate([
+            part.claims.item_object if part.per_attribute
+            else np.arange(part.n_items) for part in parts])
         self.blocks, w = int(block.max()) + 1, int(self.loc.max()) + 1
         self.width, self.rows = w, int(item_row.max()) + 1
         self.cells = _Segments.of_sizes(w * w * np.bincount(

@@ -8,6 +8,7 @@ Formats (UTF-8, header row, quoted fields allowed, delimiter configurable):
 * schema:  one attribute per line: name,kind,tolerance_param
 * trust:   source,trust            (or source,attribute,trust)
 * copiers: copier,original,probability
+* groups:  remarks,members        (members separated by ';')
 """
 
 from __future__ import annotations
@@ -248,6 +249,19 @@ def load_known_copiers(path: str | Path,
         if not (0.0 <= prob <= 1.0):
             raise LoadError(f"{path}:{lineno}: probability out of [0,1]")
         out[(row[0].strip(), row[1].strip())] = prob
+    return out
+
+
+def load_groups(path: str | Path,
+                delimiter: str = ",") -> list[tuple[str, tuple[str, ...]]]:
+    """Read declared source groups: ``remarks,members`` rows."""
+    out = []
+    for lineno, row in _csv_rows(path, delimiter):
+        if row[0].strip().lower() == "remarks":
+            continue
+        if len(row) < 2:
+            raise LoadError(f"{path}:{lineno}: expected remarks,members")
+        out.append((row[0].strip(), tuple(map(str.strip, row[1].split(";")))))
     return out
 
 

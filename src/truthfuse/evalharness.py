@@ -280,7 +280,7 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
     dev = diff = None
     prec_with = None
     if method.name != "vote":
-        sampled = sample_trust(method, claims, gold, config, engine)
+        sampled = sample_trust(method, claims, gold, config, match)
         if result.trust:
             dev = trust_deviation(sampled, result.trust)
             diff = trust_difference(sampled, result.trust)

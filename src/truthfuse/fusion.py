@@ -43,7 +43,6 @@ from .normalize import (
     key_similarity,
     keys_match,
     run_starts,
-    table_keys,
     tolerances,
     value_keys,
 )
@@ -196,8 +195,9 @@ class FusionEngine:
         self.items: list[DataItem] = list(claims.items)
         self.n_items = len(self.items)
         item_of = claims.claim_item
-        keys, self.spellings = table_keys(claims, claims.claim_value)
-        self.item_width = item_widths(self.items, claims.schema, self.taus)
+        keys = claims.value_key[claims.claim_value]
+        self.spellings = claims.spellings
+        self.item_width = item_widths(claims, self.taus)
 
         order, self.claim_cand, first, centres = bucket_claims(
             item_of, keys, self.item_width)
@@ -221,12 +221,13 @@ class FusionEngine:
                                       minlength=self.n_items).astype(float)
         self.item_ncand = np.bincount(self.cand_item,
                                       minlength=self.n_items).astype(float)
-        attrs = [claims.attribute_of(it) for it in self.items]
+        attrs = [claims.schema[a] for a in claims.attributes]
+        cand_attr = claims.item_attr[self.cand_item]
         self._build_similarity(np.array([
             decay_span(a, self.taus[a.name], self.sim_params)
-            for a in attrs])[self.cand_item])
+            for a in attrs])[cand_attr])
         self._build_format_pairs(np.array([a.kind is Kind.NUMBER
-                                           for a in attrs])[self.cand_item])
+                                           for a in attrs])[cand_attr])
         self._pop_term = self._build_popularity_term()
 
     def _set_vsrc(self, vsrc_list: list, vsrc_source: np.ndarray,
@@ -245,10 +246,9 @@ class FusionEngine:
         if self.per_attribute:
             raise FusionError("a per_attribute view has no global scope")
         if self._attr_view is None:
-            names = list(self.taus)
+            names = self.claims.attributes
             n = len(names)
-            attr = np.array([names.index(it.attribute) for it in self.items])
-            code = self.claim_vsrc * n + attr[self.claim_item]
+            code = self.claim_vsrc * n + self.claims.item_attr[self.claim_item]
             pairs, vsrc = np.unique(code, return_inverse=True)
             view = self._attr_view = copy.copy(self)
             view.per_attribute = True
@@ -467,13 +467,15 @@ class FusionEngine:
         item's width), on each claim's own key and each candidate's
         centre; ``KindMismatchError`` for a truth of another kind."""
         on = np.array([it in truth for it in self.items], dtype=bool)
-        covered = [(it, truth[it]) for it in self.items if it in truth]
-        for it, v in covered:
-            if v.kind is not self.claims.attribute_of(it).kind:
-                raise KindMismatchError(f"a {v.kind.value} truth on {it}")
+        covered = [truth[it] for it in self.items if it in truth]
+        kinds = [self.claims.schema[a].kind for a in self.claims.attributes]
+        for k, v in zip(np.flatnonzero(on).tolist(), covered):
+            if v.kind is not kinds[self.claims.item_attr[k]]:
+                raise KindMismatchError(
+                    f"a {v.kind.value} truth on {self.items[k]}")
         # An item without truth has a NaN key, which matches nothing.
         x = np.full(self.n_items, np.nan)
-        x[on] = value_keys([v for _, v in covered], self.spellings)[0]
+        x[on] = value_keys(covered, self.spellings)[0]
         w, ki, ci = self.item_width, self.claim_item, self.cand_item
         return GoldMatch(on, keys_match(self._claim_key, x[ki], w[ki]),
                          keys_match(self._cand_key, x[ci], w[ci]), self)
@@ -1074,8 +1076,7 @@ def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
 
 
 def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
-                 config: RunConfig,
-                 engine: FusionEngine | None = None) -> dict:
+                 config: RunConfig, match: GoldMatch | None = None) -> dict:
     """The method's own trust update (``FusionEngine.step``'s) applied once
     to gold votes, over the claims on gold items, as its rule's ``sample``
     says; 3-Estimates takes the 2-Estimates update, without value trust.
@@ -1084,14 +1085,16 @@ def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
     accuracy family takes each claim's own value. Per-attribute variants
     sample each (source, attribute), scaled within the attribute, and take
     the source's global sample when the attribute has no gold item or the
-    pair fewer gold-covered claims than ``attr_min_gold``. ``engine`` is
-    checked as in ``run_fusion``.
+    pair fewer gold-covered claims than ``attr_min_gold``. ``match`` is
+    ``gold``'s match on an engine over ``claims`` or its per-attribute view
+    (the engine is checked as in ``run_fusion``), else a new engine's.
     """
     if not gold.entries:
         raise FusionError("sample_trust requires a non-empty gold standard")
     cfg = config.fusion
-    engine = engine_for(claims, cfg, method.per_attribute_trust, engine)
-    match = engine.gold_match(gold.entries)
+    engine = engine_for(claims, cfg, method.per_attribute_trust,
+                        match.engine if match else None)
+    match = match or engine.gold_match(gold.entries)
     if not method.per_attribute_trust:
         return engine.trust_map(_sampled(method.name, engine, match,
                                          np.arange(engine.n_vsrc),

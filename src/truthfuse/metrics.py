@@ -72,11 +72,16 @@ def object_redundancy(object_id: str, claims: ClaimSet) -> float:
 
 def object_redundancies(claims: ClaimSet) -> dict[str, float]:
     """``object_redundancy`` of every object with claims, in one pass."""
-    providers: dict[str, set[str]] = {}
-    for it in claims.items:
-        providers.setdefault(it.object_id, set()).update(
-            c.source for c in claims.by_item[it])
-    return {o: len(ps) / len(claims.sources) for o, ps in providers.items()}
+    n = provider_counts(claims, claims.item_object) / len(claims.sources)
+    return dict(zip(claims.object_ids, n.tolist()))
+
+
+def provider_counts(claims: ClaimSet, item_group: np.ndarray) -> np.ndarray:
+    """Each group's number of distinct sources, for the dense codes from 0
+    (``item_attr``, ``item_object``) that ``item_group`` gives the items."""
+    n = len(claims.sources)
+    pairs = np.unique(item_group[claims.claim_item] * n + claims.claim_source)
+    return np.bincount(pairs // n)
 
 
 def entropy(buckets: Sequence[Bucket]) -> float:
@@ -145,11 +150,13 @@ def profile_items(claims: ClaimSet, engine: FusionEngine | None = None,
     engine = engine_for(claims, engine.cfg if engine else FusionConfig(),
                         engine=engine)
     counts = engine.cand_counts.astype(np.int64).tolist()
+    kinds = [claims.schema[a].kind for a in claims.attributes]
     out = {}
-    for item, cands in zip(engine.items, engine.item_cands()):
+    for item, a, cands in zip(engine.items, claims.item_attr.tolist(),
+                              engine.item_cands()):
         buckets = [_Tally(engine.cand_values[c], counts[c]) for c in cands]
         try:
-            dev = deviation(buckets, claims.attribute_of(item).kind)
+            dev = deviation(buckets, kinds[a])
         except (ValueError, UndefinedDeviationError):   # text, or v0 = 0
             dev = None
         out[item] = ItemProfile(

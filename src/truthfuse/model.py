@@ -145,6 +145,20 @@ def fold_text(s: str) -> str:
     return s.strip().casefold()
 
 
+def value_keys(values, spellings: list[str] | None = None):
+    """Each value's key for the distance rule (``normalize``), and the
+    spellings its text codes index: a number, minutes since midnight, or
+    the position of the folded spelling (``fold_text``) in ``spellings``
+    (NaN if absent), by default the sorted distinct ones of ``values``."""
+    keys = np.array([v.num for v in values], dtype=float)
+    text = [k for k, v in enumerate(values) if v.kind is Kind.TEXT]
+    folded = [fold_text(values[k].text) for k in text]
+    spellings = sorted(set(folded)) if spellings is None else spellings
+    code = {s: c for c, s in enumerate(spellings)}
+    keys[text] = [code.get(s, math.nan) for s in folded]
+    return keys, spellings
+
+
 def format_number(x: float, granularity: float | None = None) -> str:
     """Render a numeric value so that re-parsing recovers both the value and
     its inferred granularity (trailing zeros / decimal places are meaningful).
@@ -181,7 +195,8 @@ class ClaimColumns(NamedTuple):
     """Claims as codes: each claim's source, item and value number, into
     the tables ``sources``, ``items`` and ``values`` (in any order, and
     possibly with entries no claim uses). The rows are valid claims: known
-    attributes, values of their kinds, no (source, item) pair twice."""
+    attributes, values of their kinds, no (source, item) pair twice.
+    ``parent`` is the snapshot whose tables they are, if any."""
 
     sources: Sequence[str]
     items: Sequence[DataItem]
@@ -189,6 +204,7 @@ class ClaimColumns(NamedTuple):
     source: np.ndarray
     item: np.ndarray
     value: np.ndarray
+    parent: "ClaimSet | None" = None
 
 
 class ClaimSet:
@@ -197,10 +213,12 @@ class ClaimSet:
     At most one claim per (source, item) pair. Claims are kept in (item,
     source) order: ``claim_source`` and ``claim_item`` index the sorted
     ``sources`` and ``items``, and ``claim_value`` the table ``values``
-    (parsed values, shared with ``restrict``ed views), whose numbers and
-    granularities (0 for none) are ``value_num`` and ``value_gran``. An
-    item's claims are rows ``item_start[k]`` to ``item_start[k + 1]``.
-    ``claims``, ``by_item`` and ``by_source`` are built on first use.
+    (shared with ``restrict``ed views, like its keys ``value_key`` into
+    ``spellings`` and granularities ``value_gran``). Item k's claims are
+    rows ``item_start[k]`` to ``item_start[k + 1]``, its attribute and
+    object codes ``item_attr[k]`` and ``item_object[k]`` into the sorted
+    ``attributes`` and ``object_ids`` with claims. ``claims``,
+    ``by_item`` and ``by_source`` are built on first use.
     Instances are safe to share across concurrent readers.
     """
 
@@ -210,25 +228,35 @@ class ClaimSet:
         self.schema: dict[str, AttributeSpec] = dict(schema)
         cols = (claims if isinstance(claims, ClaimColumns)
                 else _columns_of(claims, self.schema))
-        self.values: tuple[Value, ...] = tuple(cols.values)
-        self.value_num = np.array([v.num for v in self.values], dtype=float)
-        self.value_gran = np.array([v.granularity or 0.0
-                                    for v in self.values], dtype=float)
-        # Rank the names the claims use; one sort by (item, source).
-        src_rank, src_names = _ranks(cols.sources, cols.source,
-                                     cols.sources.__getitem__)
-        item_rank, items = _ranks(cols.items, cols.item,
-                                  lambda k: cols.items[k].sort_key())
-        src, item = src_rank[cols.source], item_rank[cols.item]
+        if cols.parent is None:     # a restricted view shares its parent's
+            self.values: tuple[Value, ...] = tuple(cols.values)
+            self.value_key, self.spellings = value_keys(self.values)
+            self.value_gran = np.array([v.granularity or 0.0
+                                        for v in self.values], dtype=float)
+            attrs, attr = _name_codes([it.attribute for it in cols.items])
+            objs, obj = _name_codes([it.object_id for it in cols.items])
+        else:
+            p = cols.parent
+            self.values, self.value_key = p.values, p.value_key
+            self.value_gran, self.spellings = p.value_gran, p.spellings
+            attrs, attr, objs, obj = (p.attributes, p.item_attr,
+                                      p.object_ids, p.item_object)
+        # Code the names the claims use in sorted order (items by object,
+        # then attribute); one sort of the claims by (item, source).
+        names, code = _name_codes(cols.sources)
+        self.sources, src = _recode(names, code[cols.source])
+        by_name = np.lexsort((attr, obj))
+        self.items, item = _recode([cols.items[k] for k in by_name.tolist()],
+                                   np.argsort(by_name)[cols.item])
+        of_item = np.zeros((2, len(self.items)), dtype=np.int64)
+        of_item[:, item] = attr[cols.item], obj[cols.item]
+        self.attributes, self.item_attr = _recode(attrs, of_item[0])
+        self.object_ids, self.item_object = _recode(objs, of_item[1])
         order = np.lexsort((src, item))
-        self.sources: tuple[str, ...] = tuple(src_names)
-        self.items: tuple[DataItem, ...] = tuple(items)
         self.claim_source, self.claim_item = src[order], item[order]
         self.claim_value = np.asarray(cols.value, dtype=np.int64)[order]
         self.item_start = np.searchsorted(self.claim_item,
-                                          np.arange(len(items) + 1))
-        self.object_ids: tuple[str, ...] = tuple(
-            dict.fromkeys(it.object_id for it in self.items))
+                                          np.arange(len(self.items) + 1))
 
     def __len__(self) -> int:
         return len(self.claim_source)
@@ -273,23 +301,29 @@ class ClaimSet:
 
     def restrict(self, sources: Sequence[str]) -> "ClaimSet":
         """A snapshot view containing only claims from the given sources:
-        a mask over the source column, re-indexed."""
+        a mask over the source column, re-indexed, sharing this snapshot's
+        value table and item codes."""
         keep = set(sources)
         on = np.array([s in keep for s in self.sources], dtype=bool)
         rows = on[self.claim_source]
         return ClaimSet(self.snapshot_label, self.schema, ClaimColumns(
             self.sources, self.items, self.values, self.claim_source[rows],
-            self.claim_item[rows], self.claim_value[rows]))
+            self.claim_item[rows], self.claim_value[rows], self))
 
 
-def _ranks(names: Sequence, codes: np.ndarray, key):
-    """Each of ``names``' rank among the ones ``codes`` use, ordered by
-    ``key`` of their index (-1 if unused), and those names in order."""
-    used = sorted(np.flatnonzero(np.bincount(
-        codes, minlength=len(names))).tolist(), key=key)
-    rank = np.full(len(names), -1, dtype=np.int64)
+def _name_codes(names: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ``names``, and each name's code among them."""
+    table = sorted(set(names))
+    code = {s: k for k, s in enumerate(table)}
+    return table, np.array([code[s] for s in names], dtype=np.int64)
+
+
+def _recode(names: Sequence, codes: np.ndarray):
+    """The ``names`` that ``codes`` use, in order, and the codes into them."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    rank = np.zeros(len(names), dtype=np.int64)
     rank[used] = np.arange(len(used))
-    return rank, [names[k] for k in used]
+    return tuple(names[k] for k in used.tolist()), rank[codes]
 
 
 def _columns_of(claims: Iterable[Claim],

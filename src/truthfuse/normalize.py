@@ -22,6 +22,7 @@ from .model import (
     Value,
     ValueParseError,
     fold_text,
+    value_keys,
 )
 
 _TEXT = AttributeSpec("text", Kind.TEXT)
@@ -165,42 +166,35 @@ def tolerance(attribute: AttributeSpec, values) -> float:
 
 def effective_tolerance(attribute: AttributeSpec, claims: ClaimSet,
                         numbers=None) -> float | None:
-    """The matching tolerance for an attribute within a snapshot: tau for
-    numbers, else ``match_width``. ``numbers`` are the attribute's claimed
-    numbers, when already gathered; else they are read off the columns."""
-    if attribute.kind is Kind.NUMBER:
-        if numbers is None:
-            on = np.array([it.attribute == attribute.name
-                           for it in claims.items], dtype=bool)
-            numbers = claims.value_num[claims.claim_value[
-                on[claims.claim_item]]]
-        return tolerance(attribute, numbers)
-    return match_width(attribute, None)
+    """The matching tolerance for an attribute within a snapshot: tau of
+    its claimed ``numbers`` (read off the snapshot unless given) for
+    numbers, else ``match_width``."""
+    if attribute.kind is not Kind.NUMBER:
+        return match_width(attribute, None)
+    if numbers is None:
+        numbers = _claimed_numbers(claims).get(attribute.name, [])
+    return tolerance(attribute, numbers)
 
 
 def tolerances(claims: ClaimSet) -> dict[str, float | None]:
     """Per-attribute matching tolerances for every attribute with claims."""
-    return {name: effective_tolerance(claims.schema[name], claims)
-            for name in sorted({it.attribute for it in claims.items})}
+    numbers = _claimed_numbers(claims)
+    return {name: effective_tolerance(claims.schema[name], claims,
+                                      numbers.get(name))
+            for name in claims.attributes}
 
 
-# -- the distance rule: keys (numbers, minutes, codes of case-folded text),
-# their offsets, match widths and similarities. Every comparison of values
-# in the package calls these.
+def _claimed_numbers(claims: ClaimSet) -> dict[str, np.ndarray]:
+    """Each numeric attribute's claimed numbers (``value_key``)."""
+    attr = claims.item_attr[claims.claim_item]
+    keys = claims.value_key[claims.claim_value]
+    return {a: keys[attr == k] for k, a in enumerate(claims.attributes)
+            if claims.schema[a].kind is Kind.NUMBER}
 
 
-def value_keys(values, spellings: list[str] | None = None):
-    """Each value's key, and the spellings its text codes index: a text
-    key is the position of its folded spelling (``fold_text``) in
-    ``spellings`` (NaN if absent), by default the sorted distinct ones of
-    ``values``."""
-    keys = np.array([v.num for v in values], dtype=float)
-    text = [k for k, v in enumerate(values) if v.kind is Kind.TEXT]
-    folded = [fold_text(values[k].text) for k in text]
-    spellings = sorted(set(folded)) if spellings is None else spellings
-    code = {s: c for c, s in enumerate(spellings)}
-    keys[text] = [code.get(s, math.nan) for s in folded]
-    return keys, spellings
+# -- the distance rule: keys (numbers, minutes, codes of case-folded text:
+# ``model.value_keys``), their offsets, match widths and similarities.
+# Every comparison of values in the package calls these.
 
 
 def key_offset(x, y):
@@ -231,10 +225,11 @@ def bucket_width(attribute: AttributeSpec, tau: float | None) -> float:
     return float(match_width(attribute, tau) or 0.0)
 
 
-def item_widths(items, schema, taus: dict[str, float | None]) -> np.ndarray:
-    """Each item's ``bucket_width`` under ``taus``."""
-    return np.array([bucket_width(schema[it.attribute], taus[it.attribute])
-                     for it in items], dtype=float)
+def item_widths(claims: ClaimSet,
+                taus: dict[str, float | None]) -> np.ndarray:
+    """Each item's ``bucket_width`` under ``taus``, by its attribute."""
+    return np.array([bucket_width(claims.schema[a], taus[a])
+                     for a in claims.attributes], dtype=float)[claims.item_attr]
 
 
 def decay_span(attribute: AttributeSpec, tau: float | None,
@@ -306,16 +301,6 @@ def bucketize(item: DataItem, claims: ClaimSet,
                    tuple(sorted({c.value for c in cs}, key=Value.sort_key)),
                    len(cs), tuple(sorted(c.source for c in cs)))
             for cs, x in zip(groups, centres.tolist())]
-
-
-def table_keys(claims: ClaimSet, code: np.ndarray):
-    """``value_keys`` of the values ``code`` picks from ``claims.values``,
-    each distinct one keyed once, and the spellings its text keys index."""
-    used = np.flatnonzero(np.bincount(code, minlength=len(claims.values)))
-    keys, spellings = value_keys([claims.values[k] for k in used.tolist()])
-    at = np.zeros(len(claims.values))
-    at[used] = keys
-    return at[code], spellings
 
 
 def bucket_claims(item_of: np.ndarray, keys: np.ndarray,

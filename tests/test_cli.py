@@ -255,6 +255,40 @@ class TestCopyDetect:
         # rate-1.0 copiers share every value with the original
         assert ",1," in body or ",1.0," in body or ",1\n" in body + "\n"
 
+    def test_malformed_groups_file_is_a_load_error(self, dataset, tmp_path,
+                                                   capsys):
+        groups_file = tmp_path / "groups.csv"
+        groups_file.write_text("remarks,members\nlonely\n", encoding="utf-8")
+        assert main(["copydetect", "--claims", str(dataset / "claims.csv"),
+                     "--schema", str(dataset / "schema.csv"),
+                     "--groups", str(groups_file),
+                     "--out", str(tmp_path / "cd")]) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: .*groups\.csv:2: ", err), err
+
+    def test_groups_file_rows(self, tmp_path):
+        path = tmp_path / "groups.csv"
+        path.write_text("remarks,members\n\n a , s1; s2 \n,\nb,s3;s1\n",
+                        encoding="utf-8")
+        assert dataio.load_groups(path) == [
+            ("a", ("s1", "s2")), ("", ("",)), ("b", ("s3", "s1"))]
+
+    def test_groups_need_two_members_with_claims(self, dataset, tmp_path):
+        """A group left with fewer than two members that have claims is
+        skipped like a declared group of fewer than two; the rest are
+        reported."""
+        groups_file = tmp_path / "groups.csv"
+        groups_file.write_text(
+            "remarks,members\nghosts,s03;nobody;ghost\nsolo,s04\n"
+            "claimed,s03;s04;s05;nobody\n", encoding="utf-8")
+        out = tmp_path / "cd3"
+        run_ok(["copydetect", "--claims", str(dataset / "claims.csv"),
+                "--schema", str(dataset / "schema.csv"),
+                "--gold", str(dataset / "gold.csv"),
+                "--groups", str(groups_file), "--out", str(out)])
+        rows = (out / "groups.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["claimed", "3"]]
+
 
 class TestEvaluateCompare:
 

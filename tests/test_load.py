@@ -512,11 +512,13 @@ def test_writers_write_what_their_own_loops_wrote(tmp_path, hand, delimiter):
                 == (tmp_path / f"want{k}.csv").read_bytes())
 
 
-# -- no Claim objects on the fuse and copydetect paths ------------------------
+# -- no Claim objects on the CLI paths -----------------------------------------
 
 
 def test_fuse_and_copydetect_build_no_claim(tmp_path, synthetic,
                                              monkeypatch):
+    """Nor do ``profile`` (with a snapshot series), ``compare`` and
+    ``evaluate``: every layer reads the snapshot's columns."""
     schema, claims_p, gold_p = synthetic
     write_schema(schema, tmp_path / "schema.csv")
     built = []
@@ -532,7 +534,12 @@ def test_fuse_and_copydetect_build_no_claim(tmp_path, synthetic,
     for argv in (["fuse", "--method", "Vote"],
                  ["fuse", "--method", "AccuFormatAttr"],
                  ["fuse", "--method", "AccuCopy"],
-                 ["copydetect", "--gold", str(gold_p)]):
+                 ["copydetect", "--gold", str(gold_p)],
+                 ["profile", "--gold", str(gold_p),
+                  "--snapshot", f"{claims_p}:{gold_p}"],
+                 ["compare", "--gold", str(gold_p), "--methods", "all"],
+                 ["evaluate", "--gold", str(gold_p),
+                  "--method", "AccuCopyAttr"]):
         assert cli.main([*argv, *base]) == 0
     assert built == []
     # The counter sees the claims a caller asks for.

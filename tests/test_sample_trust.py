@@ -223,21 +223,32 @@ def test_attr_min_gold_threshold(name):
 
 @pytest.mark.parametrize("method", METHODS, ids=MethodSpec.label)
 def test_given_engine_equals_built_engine(method):
+    """A gold match on the global engine or on the run's own view."""
     claims, gold = copier_snapshot()
-    engine = engine_for(claims, CFG.fusion, method.per_attribute_trust)
-    assert (_bits(sample_trust(method, claims, gold, CFG, engine=engine))
-            == _bits(sample_trust(method, claims, gold, CFG)))
+    engine = engine_for(claims, CFG.fusion)
+    want = _bits(sample_trust(method, claims, gold, CFG))
+    for eng in (engine, engine.scoped(method.per_attribute_trust)):
+        assert (_bits(sample_trust(method, claims, gold, CFG,
+                                   match=eng.gold_match(gold.entries)))
+                == want)
 
 
 def test_engine_is_checked():
     claims, gold = copier_snapshot()
     wrong = engine_for(claims, CFG.fusion, True)
     with pytest.raises(FusionError):
-        sample_trust(MethodSpec("accupr"), claims, gold, CFG, engine=wrong)
+        sample_trust(MethodSpec("accupr"), claims, gold, CFG,
+                     match=wrong.gold_match(gold.entries))
     other, _ = edge_snapshot()
     with pytest.raises(FusionError):
-        sample_trust(MethodSpec("accupr"), claims, gold, CFG,
-                     engine=FusionEngine(other, CFG.fusion))
+        sample_trust(MethodSpec("accupr"), claims, gold, CFG, match=(
+            FusionEngine(other, CFG.fusion).gold_match(gold.entries)))
+    config = dataclasses.replace(
+        CFG, fusion=dataclasses.replace(CFG.fusion, rho=0.25))
+    with pytest.raises(FusionError):
+        sample_trust(MethodSpec("accupr"), claims, gold, config,
+                     match=engine_for(claims, CFG.fusion).gold_match(
+                         gold.entries))
 
 
 # -- regression guards -------------------------------------------------------
@@ -263,8 +274,8 @@ def test_sampling_on_an_engine_runs_no_per_claim_loops(monkeypatch):
             if hasattr(module, name):
                 _count_calls(monkeypatch, module, name, counts)
     for m in METHODS:
-        sample_trust(m, claims, gold, CFG,
-                     engine=engines[m.per_attribute_trust])
+        sample_trust(m, claims, gold, CFG, match=engines[
+            m.per_attribute_trust].gold_match(gold.entries))
     assert counts == {}
 
 
@@ -347,3 +358,28 @@ def test_cli_builds_one_engine_per_snapshot_and_prefix(monkeypatch,
     del built[:]
     assert cli.main(["copydetect", *files, "--out", str(tmp_path / "d")]) == 0
     assert len(built) == 1
+
+
+def test_compare_matches_gold_once_per_snapshot_and_prefix(monkeypatch,
+                                                           tmp_path):
+    """``compare --methods all`` matches the gold standard once on the
+    snapshot's engine, which every method's trust sampling reads, and
+    once on each source prefix's engine."""
+    claims, gold = copier_snapshot()
+    dataio.write_schema(claims.schema, tmp_path / "schema.csv")
+    dataio.write_claims(claims, tmp_path / "claims.csv")
+    dataio.write_gold(gold, tmp_path / "gold.csv")
+    calls = []
+    real = FusionEngine.gold_match
+
+    def counted(self, truth):
+        calls.append(self.claims)
+        return real(self, truth)
+
+    monkeypatch.setattr(FusionEngine, "gold_match", counted)
+    assert cli.main(["compare", "--claims", str(tmp_path / "claims.csv"),
+                     "--schema", str(tmp_path / "schema.csv"),
+                     "--gold", str(tmp_path / "gold.csv"), "--methods", "all",
+                     "--out", str(tmp_path / "c")]) == 0
+    assert len(calls) == 1 + len(claims.sources)
+    assert len({id(c) for c in calls}) == len(calls)
