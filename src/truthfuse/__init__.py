@@ -75,7 +75,6 @@ from .model import (
 )
 from .normalize import (
     Bucket,
-    SimilarityParams,
     bucketize,
     effective_tolerance,
     normalize_value,

@@ -160,10 +160,7 @@ def _out_dir(args) -> Path:
 def _load_inputs(args, config: RunConfig,
                  need_gold: bool = False,
                  ) -> tuple[ClaimSet, GoldStandard | None]:
-    schema = dataio.load_schema(
-        args.schema, config.delimiter,
-        default_alpha=config.fusion.alpha,
-        default_time_tolerance=config.fusion.time_tolerance_minutes)
+    schema = dataio.load_schema(args.schema, config.delimiter, config.fusion)
     claims = dataio.load_claims(args.claims, schema,
                                 delimiter=config.delimiter)
     gold = None

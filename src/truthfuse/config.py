@@ -15,17 +15,20 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import LoadError
+from .model import Kind, LoadError
 
 ENV_PREFIX = "TRUTHFUSE_"
 
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Constants of the fusion engine and the normalization layer.
+    """Constants of the fusion engine, the normalization layer and the
+    copy likelihood: the one ledger of every constant they share.
 
-    Defaults implement the documented constants ledger; every field is
-    settable via config file, environment, or CLI flag.
+    ``alpha`` and ``time_tolerance_minutes`` fill blank schema cells
+    (``default_tolerance``); ``n_false`` and ``trust_clamp`` serve the
+    accuracy votes and the copy posteriors alike. Every field is settable
+    via config file, environment, or CLI flag.
     """
 
     alpha: float = 0.01                  # relative tolerance factor
@@ -53,6 +56,10 @@ class FusionConfig:
             raise LoadError("alpha must be > 0")
         if self.time_tolerance_minutes < 0:
             raise LoadError("time_tolerance_minutes must be >= 0")
+        if self.sim_decay_width_multiplier <= 0:
+            raise LoadError("sim_decay_width_multiplier must be > 0")
+        if self.sim_time_zero_at <= 0:
+            raise LoadError("sim_time_zero_at must be > 0")
         if not (0.0 <= self.rho <= 1.0):
             raise LoadError("rho must be in [0, 1]")
         if self.w_fmt < 0:
@@ -66,6 +73,13 @@ class FusionConfig:
         if not (0.0 <= self.cosine_damping < 1.0):
             raise LoadError("cosine_damping must be in [0, 1)")
 
+    def default_tolerance(self, kind: Kind) -> float:
+        """The tolerance parameter of an attribute whose schema cell is
+        blank: ``alpha`` for numbers, the minute tolerance for times."""
+        return {Kind.NUMBER: self.alpha,
+                Kind.TIME_OF_DAY: self.time_tolerance_minutes,
+                Kind.TEXT: 0.0}[kind]
+
 
 @dataclass(frozen=True)
 class CopyParams:
@@ -73,14 +87,13 @@ class CopyParams:
 
     ``prior_copy_prob`` is the prior that one source copies another in a
     given direction (so the independence prior is 1 - 2 * prior).
-    ``copy_rate`` is the probability a copier copies any given item.
-    ``n_false`` is the false-value domain size in the shared-false-value
-    likelihood and deliberately mirrors the fusion engine's n_false.
+    ``copy_rate`` is the probability a copier copies any given item. The
+    false-value domain size and the trust clamp of the copy likelihood are
+    the engine's (``FusionConfig.n_false``, ``trust_clamp``).
     """
 
     prior_copy_prob: float = 0.1
     copy_rate: float = 0.8
-    n_false: int = 10
     group_threshold: float = 0.5         # pair prob above which CLI groups
 
     def __post_init__(self):
@@ -88,8 +101,6 @@ class CopyParams:
             raise LoadError("prior_copy_prob must be in (0, 0.5)")
         if not (0.0 < self.copy_rate <= 1.0):
             raise LoadError("copy_rate must be in (0, 1]")
-        if self.n_false < 1:
-            raise LoadError("n_false must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -137,7 +137,9 @@ def detect_copying(claims: ClaimSet, truth_estimate: dict[DataItem, Value],
     signal under this model. A bucket counts as true when its centre
     matches the item's truth estimate within tolerance. A pair with no
     counted overlap keeps the prior in both directions. A global
-    ``engine`` over ``claims`` is reused whatever its constants.
+    ``engine`` over ``claims`` is reused, and its constants give the
+    likelihood's ``n_false`` and ``trust_clamp`` (the defaults without
+    one).
     """
     engine = engine_for(claims, engine.cfg if engine else FusionConfig(),
                         False, engine)
@@ -148,21 +150,25 @@ def detect_copying(claims: ClaimSet, truth_estimate: dict[DataItem, Value],
     prob = pairs.posteriors(true_cand, np.array(
         [float(trust_estimate.get(s, 0.5)) for s in names]), params)
     # Without evidence the posterior does not depend on trust.
-    prob[pairs.co == 0] = _pair_posterior(*np.zeros((5, 1)), params)[0][0]
+    prob[pairs.co == 0] = _pair_posterior(*np.zeros((5, 1)), params,
+                                          engine.cfg)[0][0]
     return CopyMatrix(prob={(a, b): p for (a, b), p in zip(
         product(names, names), prob.tolist()) if a != b})
 
 
 def _pair_posterior(a1: np.ndarray, a2: np.ndarray, kt: np.ndarray,
-                    kf: np.ndarray, kd: np.ndarray,
-                    params: CopyParams) -> tuple[np.ndarray, np.ndarray]:
+                    kf: np.ndarray, kd: np.ndarray, params: CopyParams,
+                    fusion: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Three-hypothesis Bayes update over arrays of pairs (s1 copies s2, s2
-    copies s1, independent); returns the two directed posteriors."""
-    a1 = np.minimum(np.maximum(a1, 1e-4), 1.0 - 1e-4)
-    a2 = np.minimum(np.maximum(a2, 1e-4), 1.0 - 1e-4)
+    copies s1, independent); returns the two directed posteriors. Trust is
+    clamped, and false values are spread over ``n_false``, as in the
+    engine's accuracy votes (``fusion``)."""
+    lo, hi = fusion.trust_clamp, 1.0 - fusion.trust_clamp
+    a1 = np.minimum(np.maximum(a1, lo), hi)
+    a2 = np.minimum(np.maximum(a2, lo), hi)
     c, p0 = params.copy_rate, params.prior_copy_prob
     pt_i = a1 * a2
-    pf_i = (1.0 - a1) * (1.0 - a2) / params.n_false
+    pf_i = (1.0 - a1) * (1.0 - a2) / fusion.n_false
     pd_i = np.maximum(1.0 - pt_i - pf_i, _TINY)
     pd_dep = np.maximum((1.0 - c) * pd_i, _TINY)
     # Rows: s1 copies s2, s2 copies s1 (the original is s2, s1), neither.
@@ -283,6 +289,7 @@ class _PairIndex:
 
     def __init__(self, engine: FusionEngine):
         parts, self.loc = engine.parts, engine.vsrc_source
+        self.cfg = engine.cfg
         block = _codes([(k, vk[1] if p.per_attribute else 0)
                         for k, p in enumerate(parts) for vk in p.vsrc_list])
         item_row = np.concatenate([
@@ -343,7 +350,7 @@ class _PairIndex:
         kt = self._same_candidate(true_cand)[self.up]
         prob[self.up], prob[self.down] = _pair_posterior(
             trust[self.lo], trust[self.hi], kt, self.agree - kt,
-            self.co[self.up] - self.agree, params)
+            self.co[self.up] - self.agree, params, self.cfg)
         return prob
 
     def pinned(self, directed: dict[tuple[int, int], float],

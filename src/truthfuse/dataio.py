@@ -20,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import FusionConfig
 from .model import (
     AttributeSpec,
     ClaimColumns,
@@ -38,14 +39,12 @@ GOLD_HEADER = ["object", "attribute", "value"]
 
 
 def load_schema(path: str | Path, delimiter: str = ",",
-                default_alpha: float = 0.01,
-                default_time_tolerance: float = 10.0,
+                defaults: FusionConfig = FusionConfig(),
                 ) -> dict[str, AttributeSpec]:
     """Read attribute specs; returns a name -> spec map.
 
     An explicit per-attribute tolerance parameter wins; blank cells take
-    the configured defaults (relative factor for numbers, minutes for
-    times).
+    the ``defaults``' (``FusionConfig.default_tolerance``).
     """
     schema: dict[str, AttributeSpec] = {}
     for lineno, row in _csv_rows(path, delimiter):
@@ -62,9 +61,7 @@ def load_schema(path: str | Path, delimiter: str = ",",
                 raise LoadError(f"{path}:{lineno}: bad tolerance "
                                 f"parameter {param_raw!r}") from None
         else:
-            param = {Kind.NUMBER: default_alpha,
-                     Kind.TIME_OF_DAY: default_time_tolerance,
-                     Kind.TEXT: 0.0}[kind]
+            param = defaults.default_tolerance(kind)
         if name in schema:
             raise LoadError(f"{path}:{lineno}: duplicate attribute "
                             f"{name!r}")
@@ -187,10 +184,13 @@ def write_schema(schema: dict[str, AttributeSpec], path: str | Path,
 
 def write_claims(claims: ClaimSet, path: str | Path,
                  delimiter: str = ",") -> None:
-    """Serialize a snapshot; loading the result reproduces the ClaimSet."""
-    write_rows(path, CLAIM_HEADER,
-               ((c.source, c.item.object_id, c.item.attribute, str(c.value))
-                for c in claims.claims), delimiter)
+    """Serialize a snapshot, read off its columns; loading the result
+    reproduces the ClaimSet."""
+    items = [claims.items[i] for i in claims.claim_item.tolist()]
+    write_rows(path, CLAIM_HEADER, (
+        (claims.sources[s], it.object_id, it.attribute, str(claims.values[v]))
+        for s, it, v in zip(claims.claim_source.tolist(), items,
+                            claims.claim_value.tolist())), delimiter)
 
 
 def write_gold(gold: GoldStandard, path: str | Path,
@@ -254,11 +254,10 @@ def load_known_copiers(path: str | Path,
 
 def load_groups(path: str | Path,
                 delimiter: str = ",") -> list[tuple[str, tuple[str, ...]]]:
-    """Read declared source groups: ``remarks,members`` rows."""
+    """Read declared source groups: ``remarks,members`` rows under a header
+    (the first non-blank row)."""
     out = []
-    for lineno, row in _csv_rows(path, delimiter):
-        if row[0].strip().lower() == "remarks":
-            continue
+    for lineno, row in itertools.islice(_csv_rows(path, delimiter), 1, None):
         if len(row) < 2:
             raise LoadError(f"{path}:{lineno}: expected remarks,members")
         out.append((row[0].strip(), tuple(map(str.strip, row[1].split(";")))))

@@ -35,7 +35,6 @@ from .model import (
     Value,
 )
 from .normalize import (
-    SimilarityParams,
     bucket_centre,
     bucket_claims,
     decay_span,
@@ -187,10 +186,6 @@ class FusionEngine:
         if not len(claims):
             raise FusionError("cannot fuse an empty claim set")
         self.taus = tolerances(claims)
-        self.sim_params = SimilarityParams(
-            decay_width_multiplier=config.sim_decay_width_multiplier,
-            time_zero_at=config.sim_time_zero_at,
-            rho=config.rho)
 
         self.items: list[DataItem] = list(claims.items)
         self.n_items = len(self.items)
@@ -224,7 +219,7 @@ class FusionEngine:
         attrs = [claims.schema[a] for a in claims.attributes]
         cand_attr = claims.item_attr[self.cand_item]
         self._build_similarity(np.array([
-            decay_span(a, self.taus[a.name], self.sim_params)
+            decay_span(a, self.taus[a.name], config)
             for a in attrs])[cand_attr])
         self._build_format_pairs(np.array([a.kind is Kind.NUMBER
                                            for a in attrs])[cand_attr])

@@ -379,6 +379,8 @@ def majority_gold(sources: Sequence[str], claims: ClaimSet,
 
     Only items provided by at least ``min_providers`` of the listed sources
     are voted on; ties are omitted rather than asserting an unverified truth.
+    Equal values count together (``Counter``); the winner is its first
+    trusted provider's value in source order, whose granularity it keeps.
     """
     if not sources:
         raise LoadError("majority_gold requires a non-empty source list")
@@ -388,16 +390,15 @@ def majority_gold(sources: Sequence[str], claims: ClaimSet,
     if unknown:
         raise LoadError(f"trusted sources not present in claim set: "
                         f"{sorted(unknown)}")
-    trusted = set(sources)
+    keep = set(sources)
+    rows = np.array([s in keep for s in claims.sources])[claims.claim_source]
+    votes: dict[int, Counter] = {}
+    for i, v in zip(claims.claim_item[rows].tolist(),
+                    claims.claim_value[rows].tolist()):
+        votes.setdefault(i, Counter())[claims.values[v]] += 1
     entries: dict[DataItem, Value] = {}
-    for item in claims.items:
-        votes = Counter(c.value for c in claims.by_item[item]
-                        if c.source in trusted)
-        if sum(votes.values()) < min_providers:
-            continue
-        ranked = sorted(votes.items(),
-                        key=lambda kv: (-kv[1], kv[0].sort_key()))
-        if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-            continue
-        entries[item] = ranked[0][0]
+    for i, counts in votes.items():
+        (top, n), *rest = counts.most_common(2)
+        if counts.total() >= min_providers and not (rest and rest[0][1] == n):
+            entries[claims.items[i]] = top
     return GoldStandard(entries=entries, orphan_count=0)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FusionConfig
 from .model import (
     AttributeSpec,
     Claim,
@@ -25,8 +26,6 @@ from .model import (
     value_keys,
 )
 
-_TEXT = AttributeSpec("text", Kind.TEXT)
-
 _SUFFIX_MULT = {"k": 1e3, "m": 1e6, "b": 1e9}
 # Dropped from a number's spelling: currency signs, thousands separators
 # and percent signs.
@@ -37,29 +36,6 @@ _NUMBER_RE = re.compile(
 _TIME_RE = re.compile(
     r"^(?P<h>\d{1,2}):(?P<m>\d{2})\s*(?P<ampm>[ap]\.?m\.?)?$",
     re.IGNORECASE)
-
-
-@dataclass(frozen=True)
-class SimilarityParams:
-    """Knobs for the similarity function used by similarity-weighted fusion.
-
-    Numeric similarity decays linearly, reaching zero at
-    ``decay_width_multiplier`` tolerances; time similarity reaches zero at
-    ``time_zero_at`` minutes; ``rho`` weighs how much of a similar value's
-    vote is credited during fusion.
-    """
-
-    decay_width_multiplier: float = 10.0
-    time_zero_at: float = 60.0
-    rho: float = 0.5
-
-    def __post_init__(self):
-        if self.decay_width_multiplier <= 0:
-            raise ValueError("decay_width_multiplier must be > 0")
-        if self.time_zero_at <= 0:
-            raise ValueError("time_zero_at must be > 0")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError("rho must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -233,13 +209,14 @@ def item_widths(claims: ClaimSet,
 
 
 def decay_span(attribute: AttributeSpec, tau: float | None,
-               params: SimilarityParams) -> float:
-    """Where similarity reaches zero: ``decay_width_multiplier`` * tau for
-    numbers, ``time_zero_at`` for times; NaN for text (edit similarity)."""
+               config: FusionConfig) -> float:
+    """Where similarity reaches zero: ``sim_decay_width_multiplier`` * tau
+    for numbers, ``sim_time_zero_at`` for times; NaN for text (edit
+    similarity)."""
     if attribute.kind is Kind.NUMBER:
-        return params.decay_width_multiplier * tau
+        return config.sim_decay_width_multiplier * tau
     if attribute.kind is Kind.TIME_OF_DAY:
-        return params.time_zero_at
+        return config.sim_time_zero_at
     return math.nan
 
 
@@ -247,16 +224,20 @@ def key_similarity(x: np.ndarray, y: np.ndarray, span: np.ndarray,
                    spellings: list[str]) -> np.ndarray:
     """Similarity in [0, 1] of paired keys: their distance decays linearly
     to zero at ``span`` (equality where span <= 0); where span is NaN, the
-    ``similarity`` of the spellings their text codes name, pair by pair."""
+    ``edit_similarity`` of the spellings their text codes name."""
     d = np.abs(key_offset(x, y))
     live = span > 0
     sims = np.maximum(np.where(live, 1.0 - d / np.where(live, span, 1.0),
                                (d == 0).astype(float)), 0.0)
-    text = np.flatnonzero(np.isnan(span)).tolist()
-    words = [Value(Kind.TEXT, text=s) for s in spellings] if text else []
-    for k in text:
-        sims[k] = similarity(words[int(x[k])], words[int(y[k])], _TEXT)
+    for k in np.flatnonzero(np.isnan(span)).tolist():
+        sims[k] = edit_similarity(spellings[int(x[k])], spellings[int(y[k])])
     return sims
+
+
+def edit_similarity(a: str, b: str) -> float:
+    """Edit similarity of two folded spellings: 1 when equal, else one
+    minus their edit distance over the longer length."""
+    return 1.0 if a == b else 1.0 - _levenshtein(a, b) / max(len(a), len(b))
 
 
 def values_match(v1: Value, v2: Value, attribute: AttributeSpec,
@@ -355,20 +336,18 @@ def run_starts(*cols: np.ndarray) -> np.ndarray:
 
 
 def similarity(v1: Value, v2: Value, attribute: AttributeSpec,
-               params: SimilarityParams = SimilarityParams(),
+               config: FusionConfig = FusionConfig(),
                tau: float | None = None) -> float:
     """Symmetric similarity in [0, 1]; 1 on identical values. Numbers decay
-    linearly to zero at k*tau, times at ``time_zero_at`` minutes
-    (``key_similarity``); text is 1 on case-insensitive equality and
-    normalized edit-similarity otherwise."""
+    linearly to zero at k*tau, times at ``sim_time_zero_at`` minutes
+    (``key_similarity``); text is the ``edit_similarity`` of the folded
+    spellings."""
     _check_kinds(v1, v2, attribute, tau)
     if attribute.kind is Kind.TEXT:
-        a, b = fold_text(v1.text), fold_text(v2.text)
-        return 1.0 if a == b else (
-            1.0 - _levenshtein(a, b) / max(len(a), len(b)))
+        return edit_similarity(fold_text(v1.text), fold_text(v2.text))
     keys, _ = value_keys([v1, v2])
     return float(key_similarity(keys[:1], keys[1:], np.array(
-        [decay_span(attribute, tau, params)]), [])[0])
+        [decay_span(attribute, tau, config)]), [])[0])
 
 
 def _levenshtein(a: str, b: str) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FusionConfig
 from .model import (
     AttributeSpec,
     Claim,
@@ -36,11 +37,8 @@ class SyntheticAttribute:
     tolerance_param: float = 0.0
 
     def to_spec(self) -> AttributeSpec:
-        param = self.tolerance_param
-        if not param:
-            param = {Kind.NUMBER: 0.01, Kind.TIME_OF_DAY: 10.0,
-                     Kind.TEXT: 0.0}[self.kind]
-        return AttributeSpec(self.name, self.kind, param)
+        return AttributeSpec(self.name, self.kind, self.tolerance_param
+                             or FusionConfig().default_tolerance(self.kind))
 
 
 @dataclass(frozen=True)

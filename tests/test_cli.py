@@ -273,6 +273,14 @@ class TestCopyDetect:
         assert dataio.load_groups(path) == [
             ("a", ("s1", "s2")), ("", ("",)), ("b", ("s3", "s1"))]
 
+    def test_groups_file_skips_its_header_only(self, tmp_path):
+        """A group whose remark reads like the header is still a group."""
+        path = tmp_path / "groups.csv"
+        path.write_text("\nremarks,members\nremarks,s01;s02\n"
+                        "claimed,s01;s03\n", encoding="utf-8")
+        assert dataio.load_groups(path) == [
+            ("remarks", ("s01", "s02")), ("claimed", ("s01", "s03"))]
+
     def test_groups_need_two_members_with_claims(self, dataset, tmp_path):
         """A group left with fewer than two members that have claims is
         skipped like a declared group of fewer than two; the rest are
@@ -408,6 +416,33 @@ class TestConfigPrecedence:
                    "--out", str(tmp_path / "x")])
         assert rc != 0
         assert "n_fasle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--sim-time-zero-at", "0"), ("--sim-decay-width-multiplier", "-1")])
+    def test_invalid_similarity_constant_is_a_config_error(
+            self, dataset, tmp_path, capsys, flag, value):
+        rc = main(["fuse", "--claims", str(dataset / "claims.csv"),
+                   "--schema", str(dataset / "schema.csv"),
+                   "--method", "Vote", flag, value,
+                   "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines() == [
+            f"error: {flag[2:].replace('-', '_')} must be > 0"]
+
+    def test_blank_schema_cells_follow_the_flags(self, tmp_path):
+        path = tmp_path / "schema.csv"
+        path.write_text("price,Number\ndep,TimeOfDay,\ngate,Text\n"
+                        "vol,Number,0.2\n", encoding="utf-8")
+        args = cli._build_parser().parse_args([
+            "fuse", "--claims", "c", "--schema", str(path), "--method",
+            "Vote", "--alpha", "0.05", "--time-tolerance-minutes", "3"])
+        config = cli._config_from_args(args)
+        got = dataio.load_schema(path, defaults=config.fusion)
+        assert {a: s.tolerance_param for a, s in got.items()} == {
+            "price": 0.05, "dep": 3.0, "gate": 0.0, "vol": 0.2}
+        assert [s.tolerance_param for s in dataio.load_schema(path).values()
+                ] == [0.01, 10.0, 0.0, 0.2]
 
 
 class TestDeterminism:

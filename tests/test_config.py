@@ -3,6 +3,8 @@ override precedence, and rejection of unknown keys."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from truthfuse.config import (
@@ -37,12 +39,15 @@ class TestDefaults:
         assert f.epsilon == 1e-6
         assert f.round_cap == 100
         assert f.trust_clamp == 1e-4
+        assert f.attr_min_gold == 5
+        assert len(dataclasses.fields(f)) == 19
 
-    def test_copy_defaults_share_false_domain(self):
-        c = CopyParams()
-        assert c.n_false == FusionConfig().n_false
-        assert 0.0 < c.prior_copy_prob < 0.5
-        assert 0.0 < c.copy_rate <= 1.0
+    def test_copy_defaults(self):
+        """Copy detection keeps only its own constants: the false-value
+        domain and the trust clamp are the fusion config's."""
+        assert dataclasses.asdict(CopyParams()) == {
+            "prior_copy_prob": 0.1, "copy_rate": 0.8,
+            "group_threshold": 0.5}
 
 
 class TestRoundTrip:
@@ -95,6 +100,18 @@ class TestOverrides:
             load_config(overrides={"copy": {"prior_copy_prob": 0.6}})
         with pytest.raises(LoadError):
             load_config(overrides={"fusion": {"trust_clamp": 0.7}})
+        for key in ("sim_decay_width_multiplier", "sim_time_zero_at"):
+            with pytest.raises(LoadError, match=key):
+                load_config(overrides={"fusion": {key: 0.0}})
+
+    def test_copy_n_false_is_an_unknown_key(self, tmp_path):
+        """The false-value domain lives in [fusion] only."""
+        path = tmp_path / "old.ini"
+        path.write_text("[copy]\nn_false = 10\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=r"\[copy\] 'n_false'"):
+            load_config(path, env={})
+        with pytest.raises(LoadError, match="n_false"):
+            load_config(env={"TRUTHFUSE_COPY__N_FALSE": "10"})
 
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(LoadError, match="not found"):

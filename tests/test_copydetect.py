@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from truthfuse.config import load_config
+from truthfuse.config import FusionConfig, load_config
 from truthfuse.copydetect import (
     CopyMatrix,
     GroupCommonality,
@@ -53,9 +53,9 @@ SCHEMA_TT = {a.name: a for a in (
     AttributeSpec("gate", Kind.TEXT, 0.0))}
 
 
-def pair_oracle(a1, a2, kt, kf, kd, params):
+def pair_oracle(a1, a2, kt, kf, kd, params, fusion=CFG.fusion):
     """Independent likelihood-product oracle over the three hypotheses."""
-    n, c, p0 = params.n_false, params.copy_rate, params.prior_copy_prob
+    n, c, p0 = fusion.n_false, params.copy_rate, params.prior_copy_prob
     pt_i = a1 * a2
     pf_i = (1 - a1) * (1 - a2) / n
     pd_i = 1 - pt_i - pf_i
@@ -352,10 +352,11 @@ class TestGroupCommonality:
 _TINY = 1e-300
 
 
-def ref_pair_posterior(a1, a2, kt, kf, kd, params):
-    a1 = min(max(a1, 1e-4), 1.0 - 1e-4)
-    a2 = min(max(a2, 1e-4), 1.0 - 1e-4)
-    n = params.n_false
+def ref_pair_posterior(a1, a2, kt, kf, kd, params, fusion):
+    clamp = fusion.trust_clamp
+    a1 = min(max(a1, clamp), 1.0 - clamp)
+    a2 = min(max(a2, clamp), 1.0 - clamp)
+    n = fusion.n_false
     c = params.copy_rate
     pt_i = a1 * a2
     pf_i = (1.0 - a1) * (1.0 - a2) / n
@@ -384,7 +385,8 @@ def ref_pair_posterior(a1, a2, kt, kf, kd, params):
     return ws[0] / total, ws[1] / total
 
 
-def ref_detect_copying(claims, truth_estimate, trust_estimate, params):
+def ref_detect_copying(claims, truth_estimate, trust_estimate, params,
+                       fusion=CFG.fusion):
     taus = tolerances(claims)
     counts = {}
     for item in claims.items:
@@ -414,7 +416,7 @@ def ref_detect_copying(claims, truth_estimate, trust_estimate, params):
         kt, kf, kd = counts.get((s1, s2), (0, 0, 0))
         p12, p21 = ref_pair_posterior(
             float(trust_estimate.get(s1, 0.5)),
-            float(trust_estimate.get(s2, 0.5)), kt, kf, kd, params)
+            float(trust_estimate.get(s2, 0.5)), kt, kf, kd, params, fusion)
         prob[(s1, s2)] = p12
         prob[(s2, s1)] = p21
     return prob
@@ -501,7 +503,7 @@ def ref_detect_on_engine(engine, chosen, trust, params):
     out = {}
     for (i1, i2), (kt, kf, kd) in sorted(ref_counts(engine, chosen).items()):
         p12, p21 = ref_pair_posterior(float(trust[i1]), float(trust[i2]),
-                                      kt, kf, kd, params)
+                                      kt, kf, kd, params, engine.cfg)
         vk1, vk2 = engine.vsrc_list[i1], engine.vsrc_list[i2]
         out[(vk1, vk2)] = p12
         out[(vk2, vk1)] = p21
@@ -623,12 +625,12 @@ def assert_close_maps(got: dict, want: dict, tol=1e-12):
 class TestVectorisedAgainstLoops:
 
     def compare_runs(self, claims, per_attribute=False, detect=True,
-                     **kwargs):
-        engine = engine_for(claims, CFG.fusion, per_attribute)
-        r = run_fusion(MethodSpec("accucopy", per_attribute), claims, CFG,
-                       detect_copying=detect, engine=engine, **kwargs)
+                     config=CFG, **kwargs):
+        engine = engine_for(claims, config.fusion, per_attribute)
+        r = run_fusion(MethodSpec("accucopy", per_attribute), claims,
+                       config, detect_copying=detect, engine=engine, **kwargs)
         chosen, trust, rounds, prob, weights = ref_run_accucopy(
-            engine, CFG, detect=detect, **kwargs)
+            engine, config, detect=detect, **kwargs)
         assert r.rounds_used == rounds
         assert r.selected == {it: engine.cand_values[int(c)]
                               for it, c in zip(engine.items, chosen)}
@@ -707,6 +709,29 @@ class TestVectorisedAgainstLoops:
         assert_close_maps(got, ref_independence_weights(want, claims,
                                                         CFG.copy))
         assert matrix.independence == got
+
+    def test_engine_constants_reach_the_posteriors(self):
+        """The false-value domain and the trust clamp are read off the
+        engine's fusion config, in detection and in AccuCopy's rounds."""
+        claims, gold, _ = copier_scenario(seed=6)
+        truth = dict(gold.entries)
+        trust = {s: t for s, t in zip(claims.sources,
+                                      (0.999, 0.01, 0.5, 0.6, 0.7, 0.8))}
+        config = load_config(overrides={
+            "fusion": {"n_false": 3, "trust_clamp": 0.05}})
+        engine = FusionEngine(claims, config.fusion)
+        got = detect_copying(claims, truth, trust, CFG.copy, engine).prob
+        assert_close_maps(got, ref_detect_copying(claims, truth, trust,
+                                                  CFG.copy, config.fusion))
+        default = detect_copying(claims, truth, trust, CFG.copy).prob
+        assert max(abs(got[k] - default[k]) for k in got) > 0.01
+        for fusion in (FusionConfig(n_false=3), FusionConfig(
+                trust_clamp=0.05)):
+            one = detect_copying(claims, truth, trust, CFG.copy,
+                                 FusionEngine(claims, fusion)).prob
+            assert one != default and one != got
+        r = self.compare_runs(claims, config=config)
+        assert r.copy_matrix.prob != self.compare_runs(claims).copy_matrix.prob
 
     def test_detect_copying_reuses_a_global_engine(self):
         claims, _, _ = copier_scenario(seed=8)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from truthfuse.config import load_config
+from truthfuse.config import FusionConfig, load_config
 from truthfuse.fusion import FusionEngine, MethodSpec, run_fusion
 from truthfuse.metrics import profile_items
 from truthfuse.model import (
@@ -28,7 +28,6 @@ from truthfuse.model import (
     fold_text,
 )
 from truthfuse.normalize import (
-    SimilarityParams,
     bucketize,
     key_offset,
     key_similarity,
@@ -86,7 +85,7 @@ def test_offsets_widths_and_similarity():
         0.5, 1.0, 0.0, similarity(Value.of_text("ab"), Value.of_text("abc"),
                                   gate)]
     assert similarity(Value.number(10.0), Value.number(12.0), price,
-                      SimilarityParams(decay_width_multiplier=4.0),
+                      FusionConfig(sim_decay_width_multiplier=4.0),
                       tau=1.0) == 0.5
 
 

@@ -30,7 +30,6 @@ from truthfuse.model import (
     Value,
 )
 from truthfuse.normalize import (
-    SimilarityParams,
     bucket_width,
     bucketize,
     normalize_value,
@@ -180,7 +179,7 @@ def ref_bucketize(item, claims, tau):
     return out
 
 
-def ref_engine(claims, per_attribute, params):
+def ref_engine(claims, per_attribute, config):
     """The arrays of the loop-built engine."""
     taus = {a: tolerance(claims.schema[a], scan(claims, a))
             if claims.schema[a].kind is Kind.NUMBER
@@ -218,7 +217,7 @@ def ref_engine(claims, per_attribute, params):
             for j in range(lo, hi):
                 if i != j:
                     s = similarity(cand_values[i], cand_values[j], attr,
-                                   params, taus[attr.name])
+                                   config, taus[attr.name])
                     if s > 0.0:
                         sim_i.append(i)
                         sim_j.append(j)
@@ -284,7 +283,7 @@ def test_arrays_equal_the_loops(claims, per_attribute):
     with either flag."""
     eng = FusionEngine(claims, CFG).scoped(per_attribute)
     assert eng.per_attribute == per_attribute
-    ref = ref_engine(claims, per_attribute, eng.sim_params)
+    ref = ref_engine(claims, per_attribute, eng.cfg)
     assert eng.vsrc_list == ref["vsrc_list"] and eng.n_vsrc == len(
         ref["vsrc_list"])
     assert [claims.sources[s] for s in eng.vsrc_source.tolist()] == [
@@ -373,7 +372,7 @@ def test_member_granularity_is_the_first_providers(first):
 
 
 def test_numeric_and_time_build_makes_no_per_pair_calls(monkeypatch):
-    calls = {"similarity": 0, "subsumes": 0}
+    calls = {"similarity": 0, "edit_similarity": 0, "subsumes": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -392,10 +391,11 @@ def test_numeric_and_time_build_makes_no_per_pair_calls(monkeypatch):
     eng = FusionEngine(claims, CFG)
     eng.scoped(True)
     assert eng.sim_i.size > 0 and eng.fmt_claim.size > 0
-    assert calls == {"similarity": 0, "subsumes": 0}
-    # The counters see calls: text pairs still go one by one.
+    assert set(calls.values()) == {0}
+    # The counters see calls: text pairs still go one by one, on the
+    # snapshot's folded spellings, with no scalar ``similarity``.
     FusionEngine(random_claims(3), CFG)
-    assert calls["similarity"] > 0
+    assert calls["edit_similarity"] > 0 and calls["similarity"] == 0
 
 
 def test_tolerances_equal_the_per_attribute_scans(claims):
@@ -423,10 +423,10 @@ def test_group_commonality_with_given_tolerances(claims):
 def test_similarity_params_reach_the_pairs():
     claims = edge_claims()
     wide = FusionEngine(claims, CFG)
-    params = SimilarityParams(decay_width_multiplier=2.0, time_zero_at=5.0)
-    ref = ref_engine(claims, False, params)
-    narrow = FusionEngine(claims, dataclasses.replace(
-        CFG, sim_decay_width_multiplier=2.0, sim_time_zero_at=5.0))
+    config = dataclasses.replace(CFG, sim_decay_width_multiplier=2.0,
+                                 sim_time_zero_at=5.0)
+    ref = ref_engine(claims, False, config)
+    narrow = FusionEngine(claims, config)
     assert narrow.sim_i.size < wide.sim_i.size
     assert np.array_equal(narrow.sim_w, ref["sim_w"])
     assert np.array_equal(narrow.sim_i, ref["sim_i"])

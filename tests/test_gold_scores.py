@@ -248,7 +248,7 @@ def test_every_site_agrees_with_the_scalar_rule(scored):
                 if i != j and cand_items[i] == cand_items[j]
                 and (w := similarity(
                     engine.cand_values[i], engine.cand_values[j],
-                    claims.attribute_of(cand_items[i]), engine.sim_params,
+                    claims.attribute_of(cand_items[i]), engine.cfg,
                     engine.taus[cand_items[i].attribute])) > 0.0]
         assert list(zip(engine.sim_i.tolist(), engine.sim_j.tolist(),
                         engine.sim_w.tolist())) == want

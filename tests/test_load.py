@@ -544,3 +544,23 @@ def test_fuse_and_copydetect_build_no_claim(tmp_path, synthetic,
     assert built == []
     # The counter sees the claims a caller asks for.
     assert len(load_claims(claims_p, schema).claims) == len(built) > 0
+
+
+def test_majority_gold_and_write_claims_build_no_claim(tmp_path, synthetic,
+                                                        monkeypatch):
+    schema, claims_p, _ = synthetic
+    claims = load_claims(claims_p, schema)
+    built = []
+    init = model.Claim.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.Claim, "__init__", counting)
+    gold = model.majority_gold(claims.sources[:5], claims, min_providers=2)
+    write_claims(claims, tmp_path / "claims.csv")
+    write_claims(claims.restrict(claims.sources[2:]), tmp_path / "view.csv")
+    assert built == [] and len(gold) > 0
+    assert (tmp_path / "claims.csv").read_bytes() == claims_p.read_bytes()
+    assert len(claims.claims) == len(built) > 0

@@ -25,7 +25,13 @@ from truthfuse.model import (
     majority_gold,
 )
 
-from conftest import SCHEMA, make_claims
+from conftest import (
+    SCHEMA,
+    copier_snapshot,
+    edge_snapshot,
+    make_claims,
+    synthetic_snapshot,
+)
 
 
 class TestLoadClaims:
@@ -163,6 +169,55 @@ class TestMajorityGold:
         cs = self.claims_with_votes(["a"])
         with pytest.raises(LoadError):
             majority_gold([], cs)
+
+    def test_equal_spellings_count_together(self, tmp_path):
+        """"1200" and "1200.0" are one value; the gold keeps the first
+        trusted provider's spelling, and so does ``gold.csv``."""
+        p = tmp_path / "claims.csv"
+        p.write_text("source,object,attribute,value\n"
+                     "s0,o1,price,1300\ns1,o1,price,1200.0\n"
+                     "s2,o1,price,1200\ns3,o1,price,1300\n"
+                     "s4,o1,price,\"1,200\"\ns5,o1,price,1300\n",
+                     encoding="utf-8")
+        cs = load_claims(p, {"price": SCHEMA["price"]})
+        gold = majority_gold(["s1", "s2", "s3", "s4", "s5"], cs,
+                             min_providers=3)
+        won = gold.entries[DataItem("o1", "price")]
+        assert won == Value.number(1200.0) and won.granularity == 0.1
+        write_gold(gold, tmp_path / "gold.csv")
+        assert (tmp_path / "gold.csv").read_text().splitlines()[1] == (
+            "o1,price,1200.0")
+        assert DataItem("o1", "price") not in majority_gold(
+            cs.sources, cs, min_providers=3).entries   # 3 to 3: a tie
+
+    @pytest.mark.parametrize("make", [copier_snapshot, synthetic_snapshot,
+                                      edge_snapshot])
+    def test_counts_as_the_counter_loop(self, make):
+        cs = make()[0]
+        for k, n in ((1, 1), (3, 1), (5, 2), (len(cs.sources), 3)):
+            for view in (cs, cs.restrict(cs.sources[1:])):
+                trusted = view.sources[:k]
+                got = majority_gold(trusted, view, min_providers=n).entries
+                want = ref_majority_gold(trusted, view, n)
+                assert list(got.items()) == list(want.items())
+                assert ([v.granularity for v in got.values()]
+                        == [v.granularity for v in want.values()])
+
+
+def ref_majority_gold(sources, claims, min_providers):
+    """The per-item ``Counter`` vote ``majority_gold`` ran on ``Claim``s."""
+    entries = {}
+    for item in claims.items:
+        votes = Counter(c.value for c in claims.by_item[item]
+                        if c.source in sources)
+        if sum(votes.values()) < min_providers:
+            continue
+        ranked = sorted(votes.items(),
+                        key=lambda kv: (-kv[1], kv[0].sort_key()))
+        if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+            continue
+        entries[item] = ranked[0][0]
+    return entries
 
 
 class TestRoundTrip:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from truthfuse.config import FusionConfig
 from truthfuse.model import Kind, KindMismatchError, Value, ValueParseError
 from truthfuse.normalize import (
-    SimilarityParams,
     bucketize,
     normalize_value,
     similarity,
@@ -208,7 +208,7 @@ class TestSimilarity:
                           tau=0.12) == 0.0
 
     def test_time_zero_at_one_hour(self):
-        p = SimilarityParams()
+        p = FusionConfig()
         assert similarity(Value.time(600), Value.time(630), TIME, p) == \
             pytest.approx(0.5)
         assert similarity(Value.time(600), Value.time(700), TIME, p) == 0.0
