@@ -76,7 +76,6 @@ from .model import (
 from .normalize import (
     Bucket,
     bucketize,
-    effective_tolerance,
     normalize_value,
     similarity,
     subsumes,

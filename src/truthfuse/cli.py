@@ -18,8 +18,6 @@ import operator
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import copydetect as cd
 from . import dataio, evalharness, metrics
 from .config import CopyParams, FusionConfig, RunConfig, load_config
@@ -82,8 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("--method", required=True,
                       help=f"one of: {', '.join(method_labels())} "
                            f"(append Attr for per-attribute trust)")
-    fuse.add_argument("--per-attribute", action="store_true",
-                      help="track trust per (source, attribute)")
     fuse.add_argument("--input-trust",
                       help="fixed trust file: single deterministic vote pass")
     fuse.add_argument("--known-copiers",
@@ -182,8 +178,7 @@ def _cmd_generate(args, config: RunConfig) -> int:
     dataio.write_schema(claims.schema, out / "schema.csv", config.delimiter)
     dataio.write_claims(claims, out / "claims.csv", config.delimiter)
     dataio.write_gold(gold, out / "gold.csv", config.delimiter)
-    dataio.write_rows(out / "copiers.csv",
-                      ["copier", "original", "probability"],
+    dataio.write_rows(out / "copiers.csv", dataio.COPIER_HEADER,
                       [(c, o, r) for (c, o), r in sorted(known.items())],
                       config.delimiter)
     print(f"generated {len(claims)} claims from {len(claims.sources)} "
@@ -311,20 +306,15 @@ def _write_histograms(out: Path, claims: ClaimSet, profiles,
 
 def _hist(values, width: float, hard_max: float | None = None):
     """(lo, hi, count) rows over bins of ``width`` from 0 up to the top
-    value (or ``hard_max``); bins are half-open but the last is closed,
-    and values outside [0, last edge] are not counted."""
+    value (or ``hard_max``), counted by ``metrics.bin_counts``."""
     if not values:
         return []
     top = hard_max if hard_max is not None else max(values)
     edges = [0.0]
     while edges[-1] < top - 1e-12:
         edges.append(round(edges[-1] + width, 12))
-    x = np.asarray(values, dtype=float)
-    n = len(edges) - 1
-    k = np.searchsorted(edges, x, side="right") - 1
-    k[x == edges[-1]] = n - 1
-    counts = np.bincount(k[(k >= 0) & (k < n)], minlength=n).tolist()
-    return list(zip(edges, edges[1:], counts))
+    return list(zip(edges, edges[1:],
+                    metrics.bin_counts(values, edges).tolist()))
 
 
 def _conflict_rows(engine):
@@ -345,8 +335,6 @@ def _conflict_rows(engine):
 def _cmd_fuse(args, config: RunConfig) -> int:
     claims, _ = _load_inputs(args, config)
     method = MethodSpec.parse(args.method)
-    if args.per_attribute and not method.per_attribute_trust:
-        method = MethodSpec(method.name, per_attribute_trust=True)
     input_trust = (dataio.load_trust(args.input_trust, config.delimiter)
                    if args.input_trust else None)
     known = (dataio.load_known_copiers(args.known_copiers, config.delimiter)
@@ -384,8 +372,7 @@ def _write_copy_pairs(path: Path, prob: dict, config: RunConfig) -> None:
             for v in set(itertools.chain.from_iterable(prob))}
     rows = sorted([(name[a], name[b], p) for (a, b), p in prob.items()],
                   key=operator.itemgetter(0, 1))
-    dataio.write_rows(path, ["copier", "original", "probability"], rows,
-                      config.delimiter)
+    dataio.write_rows(path, dataio.COPIER_HEADER, rows, config.delimiter)
 
 
 def _vsrc_str(key) -> str:

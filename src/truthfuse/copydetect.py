@@ -270,10 +270,13 @@ def _expand_known(known: dict[tuple[str, str], float],
     """Known copier pairs, declared on real sources, as virtual source index
     pairs: per-attribute runs expand them to every shared attribute. A pair
     naming a source without claims cannot discount a vote and is dropped."""
-    at = {vk if engine.per_attribute else (vk, None): i
-          for i, vk in enumerate(engine.vsrc_list)}
-    return {(at[c, b], at[o, b]): p for (c, o), p in known.items()
-            for b in sorted({b for _, b in at}, key=str)
+    code = {s: k for k, s in enumerate(engine.claims.sources)}
+    at = {(s, b): i for i, (s, b) in enumerate(zip(
+        engine.vsrc_source.tolist(), engine.vsrc_attr.tolist()))}
+    pairs = [(code[c], code[o], p) for (c, o), p in known.items()
+             if c in code and o in code]
+    return {(at[c, b], at[o, b]): p for c, o, p in pairs
+            for b in range(int(engine.vsrc_attr.max()) + 1)
             if (c, b) in at and (o, b) in at}
 
 
@@ -288,17 +291,16 @@ class _PairIndex:
     """
 
     def __init__(self, engine: FusionEngine):
-        parts, self.loc = engine.parts, engine.vsrc_source
-        self.cfg = engine.cfg
-        block = _codes([(k, vk[1] if p.per_attribute else 0)
-                        for k, p in enumerate(parts) for vk in p.vsrc_list])
+        self.loc, self.cfg = engine.vsrc_source, engine.cfg
+        segs = engine.vsrc_segs
+        n_blocks = np.maximum.reduceat(engine.vsrc_attr, segs.start) + 1
+        block = engine.vsrc_attr + (np.cumsum(n_blocks) - n_blocks)[segs.of]
         item_row = np.concatenate([
             part.claims.item_object if part.per_attribute
-            else np.arange(part.n_items) for part in parts])
-        self.blocks, w = int(block.max()) + 1, int(self.loc.max()) + 1
+            else np.arange(part.n_items) for part in engine.parts])
+        self.blocks, w = int(n_blocks.sum()), int(self.loc.max()) + 1
         self.width, self.rows = w, int(item_row.max()) + 1
-        self.cells = _Segments.of_sizes(w * w * np.bincount(
-            engine.vsrc_segs.of[np.unique(block, return_index=True)[1]]))
+        self.cells = _Segments.of_sizes(w * w * n_blocks)
         self.base = block * w + self.loc        # each source's row of cells
         v = engine.claim_vsrc
         contested_cand = engine.item_ncand[engine.cand_item] > 1
@@ -376,9 +378,3 @@ class _PairIndex:
                 -1, self.width)[rows, cols], axis=2)
         return w
 
-
-def _codes(values) -> np.ndarray:
-    """Each value's index among the distinct values, by first appearance."""
-    seen: dict = {}
-    return np.array([seen.setdefault(v, len(seen)) for v in values],
-                    dtype=np.int64)

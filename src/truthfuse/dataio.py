@@ -1,14 +1,17 @@
 """Delimited-text ingestion and serialization for claims, gold standards,
 schemas, trust maps, and known-copier lists.
 
-Formats (UTF-8, header row, quoted fields allowed, delimiter configurable):
+Formats (UTF-8, quoted fields allowed, delimiter configurable):
 
 * claims:  source,object,attribute,value
 * gold:    object,attribute,value
-* schema:  one attribute per line: name,kind,tolerance_param
+* schema:  one attribute per line: name,kind,tolerance_param (no header)
 * trust:   source,trust            (or source,attribute,trust)
 * copiers: copier,original,probability
 * groups:  remarks,members        (members separated by ';')
+
+A header row holds the format's column names (``_is_header``): claims and
+gold files start with one; trust, copier and group files may.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .normalize import normalize_value
 
 CLAIM_HEADER = ["source", "object", "attribute", "value"]
 GOLD_HEADER = ["object", "attribute", "value"]
+TRUST_HEADERS = (["source", "trust"], ["source", "attribute", "trust"])
+COPIER_HEADER = ["copier", "original", "probability"]
+GROUP_HEADER = ["remarks", "members"]
 
 
 def load_schema(path: str | Path, delimiter: str = ",",
@@ -123,6 +129,17 @@ def _filled(row: list[str]) -> bool:
     return bool(row) and (len(row) > 1 or bool(row[0].strip()))
 
 
+def _is_header(row: list[str], *headers: list[str]) -> bool:
+    """Whether the row's stripped, case-folded fields are a header's."""
+    return [f.strip().casefold() for f in row] in headers
+
+
+def _data_rows(path: str | Path, delimiter: str, *headers: list[str]):
+    """``_csv_rows`` without the first non-blank row if it is a header."""
+    rows = list(_csv_rows(path, delimiter))
+    return rows[1:] if rows and _is_header(rows[0][1], *headers) else rows
+
+
 def _table(path: str | Path, header: list[str],
            schema: dict[str, AttributeSpec], delimiter: str, duplicate):
     """The rows of a claims or gold file as stripped columns; each row's
@@ -133,8 +150,7 @@ def _table(path: str | Path, header: list[str],
     turn."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        first = next(reader, [])
-        if [h.strip().lower() for h in first] != header:
+        if not _is_header(next(reader, []), header):
             raise LoadError(f"{path}: expected header {','.join(header)!r}")
         rows = [row for row in reader if _filled(row)]
     errors: list[tuple[int, int, str]] = []     # (row, check, message)
@@ -205,9 +221,7 @@ def load_trust(path: str | Path, delimiter: str = ",") -> dict:
     """Read a trust map: ``source,trust`` rows, or ``source,attribute,trust``
     rows for per-attribute trust (keys become (source, attribute) tuples)."""
     out: dict = {}
-    for lineno, row in _csv_rows(path, delimiter):
-        if lineno == 1 and row[-1].strip().lower() == "trust":
-            continue
+    for lineno, row in _data_rows(path, delimiter, *TRUST_HEADERS):
         try:
             if len(row) == 2:
                 out[row[0].strip()] = float(row[1])
@@ -225,8 +239,7 @@ def load_trust(path: str | Path, delimiter: str = ",") -> dict:
 
 def write_trust(trust: dict, path: str | Path, delimiter: str = ",") -> None:
     per_attr = any(isinstance(k, tuple) for k in trust)
-    write_rows(path, ["source", "attribute", "trust"] if per_attr
-               else ["source", "trust"],
+    write_rows(path, TRUST_HEADERS[per_attr],
                ((*k, trust[k]) if per_attr else (k, trust[k])
                 for k in sorted(trust)), delimiter)
 
@@ -235,9 +248,7 @@ def load_known_copiers(path: str | Path,
                        delimiter: str = ",") -> dict[tuple[str, str], float]:
     """Read declared copying pairs: ``copier,original,probability``."""
     out: dict[tuple[str, str], float] = {}
-    for lineno, row in _csv_rows(path, delimiter):
-        if lineno == 1 and row[-1].strip().lower() == "probability":
-            continue
+    for lineno, row in _data_rows(path, delimiter, COPIER_HEADER):
         if len(row) != 3:
             raise LoadError(f"{path}:{lineno}: expected "
                             f"copier,original,probability")
@@ -254,10 +265,9 @@ def load_known_copiers(path: str | Path,
 
 def load_groups(path: str | Path,
                 delimiter: str = ",") -> list[tuple[str, tuple[str, ...]]]:
-    """Read declared source groups: ``remarks,members`` rows under a header
-    (the first non-blank row)."""
+    """Read declared source groups: ``remarks,members`` rows."""
     out = []
-    for lineno, row in itertools.islice(_csv_rows(path, delimiter), 1, None):
+    for lineno, row in _data_rows(path, delimiter, GROUP_HEADER):
         if len(row) < 2:
             raise LoadError(f"{path}:{lineno}: expected remarks,members")
         out.append((row[0].strip(), tuple(map(str.strip, row[1].split(";")))))

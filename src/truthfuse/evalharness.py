@@ -28,7 +28,12 @@ from .fusion import (
     run_fusion,
     sample_trust,
 )
-from .metrics import scoring_match, source_scores
+from .metrics import (
+    accuracy_deviation,
+    bin_counts,
+    scoring_match,
+    source_scores,
+)
 from .model import ClaimSet, GoldStandard
 
 
@@ -209,8 +214,8 @@ def precision_by_dominance(result: FusionResult, gold: GoldStandard,
     engine, ``scoring_match``) over gold items, stratified by the share of
     an item's providers behind Vote's value (dominance factor).
 
-    Buckets are half-open [lo, hi) except the last, which closes at 1.0.
-    Empty buckets carry an explicit None precision, never 0.
+    Buckets are ``bin_counts``': half-open [lo, hi) except the last, which
+    is closed. Empty buckets carry an explicit None precision, never 0.
     """
     if edges is None:
         edges = dominance_bucket_edges()
@@ -220,16 +225,12 @@ def precision_by_dominance(result: FusionResult, gold: GoldStandard,
     factor = (match.engine.cand_counts[vote] / match.engine.item_nprov)[on]
     method_ok = match.cand[result.chosen][on]
     vote_ok = match.cand[vote][on]
-    rows = []
-    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        inside = (lo <= factor) & ((factor < hi) | (factor == hi)
-                                   & (b == len(edges) - 2))
-        n, m, v = (int(np.count_nonzero(inside & ok))
-                   for ok in (True, method_ok, vote_ok))
-        rows.append({"lo": lo, "hi": hi, "count": n,
-                     "precision": m / n if n else None,
-                     "vote_precision": v / n if n else None})
-    return rows
+    counts = (bin_counts(f, edges).tolist()
+              for f in (factor, factor[method_ok], factor[vote_ok]))
+    return [{"lo": lo, "hi": hi, "count": n,
+             "precision": m / n if n else None,
+             "vote_precision": v / n if n else None}
+            for lo, hi, n, m, v in zip(edges, edges[1:], *counts)]
 
 
 def time_series_summary(method: MethodSpec,
@@ -247,10 +248,8 @@ def time_series_summary(method: MethodSpec,
         p, _ = precision_recall(result, gold, snap,
                                 engine.gold_match(gold.entries))
         precisions.append(p)
-    mean = sum(precisions) / len(precisions)
-    std = math.sqrt(sum((p - mean) ** 2 for p in precisions)
-                    / len(precisions))
-    return mean, min(precisions), std
+    return (sum(precisions) / len(precisions), min(precisions),
+            accuracy_deviation(precisions))
 
 
 def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,

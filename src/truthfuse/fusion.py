@@ -41,6 +41,7 @@ from .normalize import (
     item_widths,
     key_similarity,
     keys_match,
+    keys_subsume,
     run_starts,
     tolerances,
     value_keys,
@@ -205,7 +206,8 @@ class FusionEngine:
         self.n_cands = len(self.cand_values)
         self.cand_segs = _Segments.of_sizes([self.n_cands])
         self.claim_item = self.cand_item[self.claim_cand]
-        self._set_vsrc(list(claims.sources), np.arange(len(claims.sources)),
+        src = np.arange(len(claims.sources))
+        self._set_vsrc(list(claims.sources), src, np.zeros_like(src),
                        claims.claim_source[order])
         self._claim_key = keys[order]
         self._cand_key = centres
@@ -226,8 +228,11 @@ class FusionEngine:
         self._pop_term = self._build_popularity_term()
 
     def _set_vsrc(self, vsrc_list: list, vsrc_source: np.ndarray,
-                  claim_vsrc: np.ndarray) -> None:
+                  vsrc_attr: np.ndarray, claim_vsrc: np.ndarray) -> None:
+        """Virtual sources: names, and codes into the claims' ``sources``
+        and ``attributes`` (0 on a global engine: a source spans all)."""
         self.vsrc_list, self.vsrc_source = vsrc_list, vsrc_source
+        self.vsrc_attr = vsrc_attr
         self.claim_vsrc, self.n_vsrc = claim_vsrc, len(vsrc_list)
         self.vsrc_segs = _Segments.of_sizes([self.n_vsrc])
         self.src_nvals = np.bincount(claim_vsrc).astype(float)  # all > 0
@@ -248,7 +253,8 @@ class FusionEngine:
             view = self._attr_view = copy.copy(self)
             view.per_attribute = True
             view._set_vsrc([(self.vsrc_list[p // n], names[p % n])
-                            for p in pairs.tolist()], pairs // n, vsrc)
+                            for p in pairs.tolist()], pairs // n, pairs % n,
+                           vsrc)
         return self._attr_view
 
     @classmethod
@@ -286,7 +292,8 @@ class FusionEngine:
                            ("fmt_cand", "n_cands"), ("sim_w", None),
                            ("src_nvals", None), ("cand_counts", None),
                            ("item_nprov", None), ("item_ncand", None),
-                           ("_pop_term", None), ("vsrc_source", None)):
+                           ("_pop_term", None), ("vsrc_source", None),
+                           ("vsrc_attr", None)):
             setattr(eng, name, cat(name, size))
         eng.n_vsrc, eng.n_cands, eng.n_items = (
             sum(sizes[n]) for n in ("n_vsrc", "n_cands", "n_items"))
@@ -330,29 +337,22 @@ class FusionEngine:
     def _build_format_pairs(self, numeric: np.ndarray) -> None:
         """Claim -> candidate pairs where the claim's value subsumes a
         strictly finer member of another candidate on the same item, in
-        claim-then-candidate order (``normalize.subsumes`` in array form).
+        claim-then-candidate order (``keys_subsume``, as ``subsumes``).
         A member equal to the claim's own value lies in the claim's own
         candidate, so only the rounding test can pair."""
         m_cand, m_key, m_fine = self.cand_members()
         on = numeric[m_cand]
         m_cand, m_key, m_fine = m_cand[on], m_key[on], m_fine[on]
         m_item = self.cand_item[m_cand]
-        claim = np.flatnonzero(numeric[self.claim_cand]
-                               & (self._claim_gran > 0))
+        claim = np.flatnonzero(numeric[self.claim_cand])
         item = self.claim_item[claim]
         k, m = _fan_out(claim, np.searchsorted(m_item, item),
                         np.bincount(m_item, minlength=self.n_items)[item])
-        other = m_cand[m] != self.claim_cand[k]
-        k, m = k[other], m[other]
-        g, b = self._claim_gran[k], self._claim_key[k]
-        a = np.rint(m_key[m] / g) * g
-        diff = np.abs(b - a)
-        # math.isclose(a, b, rel_tol=1e-9, abs_tol=g * 1e-9), written out
-        # because np.isclose is not symmetric.
-        close = (a == b) | (np.isfinite(a) & (
-            (diff <= np.abs(1e-9 * b)) | (diff <= np.abs(1e-9 * a))
-            | (diff <= g * 1e-9)))
-        hit = close & (g > m_fine[m])
+        finer = ((m_cand[m] != self.claim_cand[k])
+                 & (self._claim_gran[k] > m_fine[m]))
+        k, m = k[finer], m[finer]
+        hit = keys_subsume(self._claim_key[k], self._claim_gran[k], m_key[m],
+                           m_fine[m])
         k, cand = k[hit], m_cand[m][hit]
         new = run_starts(k, cand)
         self.fmt_claim, self.fmt_cand = k[new], cand[new]
@@ -1094,24 +1094,21 @@ def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
         return engine.trust_map(_sampled(method.name, engine, match,
                                          np.arange(engine.n_vsrc),
                                          [engine.n_vsrc]))
-    # Virtual sources are (source, attribute) pairs; the per-attribute
-    # groups list them by attribute, then source.
-    pairs = engine.vsrc_list
-    order = sorted(range(len(pairs)), key=lambda v: pairs[v][::-1])
+    # The per-attribute groups list the virtual sources by attribute, then
+    # source.
+    attr, source = engine.vsrc_attr, engine.vsrc_source
+    order = np.lexsort((source, attr))
     rank = np.argsort(order)
-    attrs = [pairs[v][1] for v in order]
     per_attr = _sampled(method.name, engine, match, rank,
-                        [attrs.count(a) for a in dict.fromkeys(attrs)])
-    source = engine.vsrc_source
+                        np.bincount(attr).tolist())[rank]
     whole = _sampled(method.name, engine, match, source,
-                     [len(claims.sources)])
-    n_covered = np.bincount(rank[engine.claim_vsrc],
+                     [len(claims.sources)])[source]
+    n_covered = np.bincount(engine.claim_vsrc, minlength=engine.n_vsrc,
                             weights=match.item[engine.claim_item])
     gold_attrs = {it.attribute for it in gold.entries}
-    return {pairs[v]: float(
-        per_attr[k] if a in gold_attrs and n_covered[k] >= cfg.attr_min_gold
-        else whole[source[v]])
-        for k, (v, a) in enumerate(zip(order, attrs))}
+    on = np.array([a in gold_attrs for a in claims.attributes])[attr]
+    trust = np.where(on & (n_covered >= cfg.attr_min_gold), per_attr, whole)
+    return {engine.vsrc_list[v]: float(trust[v]) for v in order.tolist()}
 
 
 def _sampled(name: str, engine: FusionEngine, match: GoldMatch,

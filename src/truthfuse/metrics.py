@@ -229,6 +229,17 @@ def accuracy_deviation(series: Sequence[float]) -> float:
     return math.sqrt(sum((a - mean) ** 2 for a in series) / len(series))
 
 
+def bin_counts(values, edges: Sequence[float]) -> np.ndarray:
+    """How many ``values`` fall in each bin between consecutive ascending
+    ``edges``: bins are half-open but the last is closed, and values
+    outside [first edge, last edge] are not counted."""
+    x = np.asarray(values, dtype=float)
+    n = len(edges) - 1
+    k = np.searchsorted(edges, x, side="right") - 1
+    k[x == edges[-1]] = n - 1
+    return np.bincount(k[(k >= 0) & (k < n)], minlength=n)
+
+
 def profile_sources(claims: ClaimSet, gold: GoldStandard | None,
                     snapshots: Sequence[tuple[ClaimSet, GoldStandard]] = (),
                     match: GoldMatch | None = None,

@@ -292,7 +292,9 @@ class ClaimSet:
 
     def providers(self, item: DataItem) -> tuple[str, ...]:
         """S(d): sources providing any value on the item."""
-        return tuple(c.source for c in self.by_item.get(item, ()))
+        k = self.item_index.get(item)
+        rows = slice(0) if k is None else slice(*self.item_start[k:k + 2])
+        return tuple(self.sources[s] for s in self.claim_source[rows].tolist())
 
     def claim_counts(self) -> dict[str, int]:
         """Each source's number of claims."""

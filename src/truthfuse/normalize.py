@@ -15,7 +15,6 @@ import numpy as np
 from .config import FusionConfig
 from .model import (
     AttributeSpec,
-    Claim,
     ClaimSet,
     DataItem,
     Kind,
@@ -140,32 +139,16 @@ def tolerance(attribute: AttributeSpec, values) -> float:
     return attribute.tolerance_param * median
 
 
-def effective_tolerance(attribute: AttributeSpec, claims: ClaimSet,
-                        numbers=None) -> float | None:
-    """The matching tolerance for an attribute within a snapshot: tau of
-    its claimed ``numbers`` (read off the snapshot unless given) for
-    numbers, else ``match_width``."""
-    if attribute.kind is not Kind.NUMBER:
-        return match_width(attribute, None)
-    if numbers is None:
-        numbers = _claimed_numbers(claims).get(attribute.name, [])
-    return tolerance(attribute, numbers)
-
-
 def tolerances(claims: ClaimSet) -> dict[str, float | None]:
-    """Per-attribute matching tolerances for every attribute with claims."""
-    numbers = _claimed_numbers(claims)
-    return {name: effective_tolerance(claims.schema[name], claims,
-                                      numbers.get(name))
-            for name in claims.attributes}
-
-
-def _claimed_numbers(claims: ClaimSet) -> dict[str, np.ndarray]:
-    """Each numeric attribute's claimed numbers (``value_key``)."""
+    """Per-attribute matching tolerances for every attribute with claims:
+    tau of its claimed numbers (``value_key``) for numbers, else
+    ``match_width``."""
     attr = claims.item_attr[claims.claim_item]
     keys = claims.value_key[claims.claim_value]
-    return {a: keys[attr == k] for k, a in enumerate(claims.attributes)
-            if claims.schema[a].kind is Kind.NUMBER}
+    specs = [claims.schema[a] for a in claims.attributes]
+    return {name: tolerance(a, keys[attr == k]) if a.kind is Kind.NUMBER
+            else match_width(a, None)
+            for k, (name, a) in enumerate(zip(claims.attributes, specs))}
 
 
 # -- the distance rule: keys (numbers, minutes, codes of case-folded text:
@@ -268,20 +251,24 @@ def bucketize(item: DataItem, claims: ClaimSet,
     grid spacing. Every claim lands in exactly one bucket; empty buckets
     are omitted. Text values bucket by equality of their folded spellings.
     """
-    mine = claims.by_item.get(item)
-    if not mine:
+    k = claims.item_index.get(item)
+    if k is None:
         raise ValueError(f"item {item} has no claims")
+    rows = slice(*claims.item_start[k:k + 2])
+    code = claims.claim_value[rows]
+    values = [claims.values[v] for v in code.tolist()]
+    sources = [claims.sources[s] for s in claims.claim_source[rows].tolist()]
     width = bucket_width(claims.attribute_of(item), tau)
     order, bucket_of, _, centres = bucket_claims(
-        np.zeros(len(mine), dtype=np.int64),
-        value_keys([c.value for c in mine])[0], np.array([width]))
-    groups: list[list[Claim]] = [[] for _ in centres]
+        np.zeros(len(values), dtype=np.int64), claims.value_key[code],
+        np.array([width]))
+    groups: list[list[int]] = [[] for _ in centres]
     for i, b in zip(order.tolist(), bucket_of.tolist()):
-        groups[b].append(mine[i])
-    return [Bucket(bucket_centre(cs[0].value, x), width / 2.0,
-                   tuple(sorted({c.value for c in cs}, key=Value.sort_key)),
-                   len(cs), tuple(sorted(c.source for c in cs)))
-            for cs, x in zip(groups, centres.tolist())]
+        groups[b].append(i)
+    return [Bucket(bucket_centre(values[g[0]], x), width / 2.0,
+                   tuple(sorted({values[i] for i in g}, key=Value.sort_key)),
+                   len(g), tuple(sorted(sources[i] for i in g)))
+            for g, x in zip(groups, centres.tolist())]
 
 
 def bucket_claims(item_of: np.ndarray, keys: np.ndarray,
@@ -380,10 +367,20 @@ def subsumes(coarse: Value, fine: Value, attribute: AttributeSpec) -> bool:
         return True
     if attribute.kind is not Kind.NUMBER:
         return False
-    g_c = coarse.granularity
-    g_f = fine.granularity if fine.granularity is not None else 0.0
-    if g_c is None or g_c <= 0 or g_c <= g_f:
-        return False
-    rounded = round(fine.num / g_c) * g_c
-    return math.isclose(rounded, coarse.num,
-                        rel_tol=1e-9, abs_tol=g_c * 1e-9)
+    return bool(keys_subsume(coarse.num, coarse.granularity or 0.0, fine.num,
+                             fine.granularity or 0.0))
+
+
+def keys_subsume(coarse, coarse_gran, fine, fine_gran):
+    """Whether each number ``coarse``, spelled to granularity ``coarse_gran``,
+    subsumes ``fine``, of granularity ``fine_gran`` (0 where unknown): the
+    coarse spelling is strictly coarser, and ``fine`` rounded to it is
+    ``coarse`` (``math.isclose`` with rel_tol 1e-9 and abs_tol 1e-9 *
+    granularity, written out because ``np.isclose`` is not symmetric)."""
+    g = np.asarray(coarse_gran, dtype=float)
+    a = np.rint(fine / np.where(g > 0, g, 1.0)) * g
+    diff = np.abs(coarse - a)
+    close = (a == coarse) | (np.isfinite(a) & (
+        (diff <= np.abs(1e-9 * coarse)) | (diff <= np.abs(1e-9 * a))
+        | (diff <= g * 1e-9)))
+    return close & (g > fine_gran)

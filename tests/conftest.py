@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,26 @@ TIME = AttributeSpec("depart", Kind.TIME_OF_DAY, 10.0)
 TEXT = AttributeSpec("gate", Kind.TEXT, 0.0)
 
 SCHEMA = {a.name: a for a in (NUMBER, TIME, TEXT)}
+SRC = Path(__file__).resolve().parents[1] / "src" / "truthfuse"
+
+
+def nodes_in_src(match) -> list[tuple[str, str | None]]:
+    """(module, enclosing "Class.function") of each node of the syntax trees
+    of ``src/`` that ``match(node, scope)`` accepts."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if match(child, scope):
+                found.append((module, scope))
+            visit(child, module, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
 
 
 def value_for(attr: AttributeSpec, raw) -> Value:

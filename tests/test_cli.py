@@ -226,6 +226,52 @@ class TestFuse:
         assert len(pairs) > 1
 
 
+    def fuse_accucopy(self, dataset, out, *flags):
+        run_ok(["fuse", "--claims", str(dataset / "claims.csv"),
+                "--schema", str(dataset / "schema.csv"),
+                "--method", "AccuCopy", "--no-detect", *flags,
+                "--out", str(out)])
+        return out
+
+    def test_known_copiers_without_detection(self, dataset, tmp_path):
+        """The declared copiers are the only copy pairs reported."""
+        out = self.fuse_accucopy(dataset, tmp_path / "known",
+                                 "--known-copiers",
+                                 str(dataset / "copiers.csv"))
+        assert ((out / "copy_pairs.csv").read_bytes()
+                == (dataset / "copiers.csv").read_bytes())
+        assert len((out / "copy_pairs.csv").read_text().splitlines()) == 3
+
+    def test_no_detection_runs_as_accuformat(self, dataset, tmp_path):
+        """With no copying, AccuCopy's trust and rounds are AccuFormat's."""
+        out = self.fuse_accucopy(dataset, tmp_path / "nodetect")
+        fmt = tmp_path / "fmt"
+        run_ok(["fuse", "--claims", str(dataset / "claims.csv"),
+                "--schema", str(dataset / "schema.csv"),
+                "--method", "AccuFormat", "--out", str(fmt)])
+        for name in ("trust.csv", "convergence.csv"):
+            assert (out / name).read_bytes() == (fmt / name).read_bytes()
+        assert ((out / "copy_pairs.csv").read_text()
+                == "copier,original,probability\n")
+
+    @pytest.mark.parametrize("head", [
+        "", "source,trust\n", "\n Source , TRUST \n",
+        "source,attribute,trust\n"])
+    def test_trust_file_header_is_optional(self, tmp_path, head):
+        path = tmp_path / "trust.csv"
+        path.write_text(head + "s01,0.9\ns02,0.5\n", encoding="utf-8")
+        assert dataio.load_trust(path) == {"s01": 0.9, "s02": 0.5}
+
+    @pytest.mark.parametrize("head", [
+        "", "copier,original,probability\n",
+        "\n Copier,ORIGINAL , probability\n"])
+    def test_copier_file_header_is_optional(self, tmp_path, head):
+        path = tmp_path / "copiers.csv"
+        path.write_text(head + "s04,s03,1\ns05,s03,0.5\n", encoding="utf-8")
+        assert dataio.load_known_copiers(path) == {
+            ("s04", "s03"): 1.0, ("s05", "s03"): 0.5}
+
+
 class TestCopyDetect:
 
     def test_pairs_and_groups(self, dataset, tmp_path):
@@ -280,6 +326,16 @@ class TestCopyDetect:
                         "claimed,s01;s03\n", encoding="utf-8")
         assert dataio.load_groups(path) == [
             ("remarks", ("s01", "s02")), ("claimed", ("s01", "s03"))]
+
+    @pytest.mark.parametrize("head", [
+        "", "\n", "remarks,members\n", "\n Remarks , MEMBERS \n"])
+    def test_groups_file_header_is_optional(self, tmp_path, head):
+        """The first row is skipped only when it is the header."""
+        path = tmp_path / "groups.csv"
+        path.write_text(head + "first,s03;s04\nother,s01;s02\n",
+                        encoding="utf-8")
+        assert dataio.load_groups(path) == [
+            ("first", ("s03", "s04")), ("other", ("s01", "s02"))]
 
     def test_groups_need_two_members_with_claims(self, dataset, tmp_path):
         """A group left with fewer than two members that have claims is

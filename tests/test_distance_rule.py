@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,10 +38,9 @@ from truthfuse.normalize import (
     values_match,
 )
 
-from conftest import EDGE_SCHEMA, edge_snapshot
+from conftest import EDGE_SCHEMA, SRC, edge_snapshot, nodes_in_src
 
 CFG = load_config().fusion
-SRC = Path(__file__).resolve().parents[1] / "src" / "truthfuse"
 ITEM_1 = "ROADMAP item 1: the distance rule does not follow the paper yet"
 
 
@@ -197,22 +195,9 @@ def test_modules_leave_the_rule_to_normalize(module):
 def calls_in_src(names) -> list[tuple[str, str | None]]:
     """(module, enclosing "Class.function") of each call in ``src/`` to a
     function or method named in ``names``."""
-    calls = []
-
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Call) and (
-                    getattr(child.func, "id", None) in names
-                    or getattr(child.func, "attr", None) in names):
-                calls.append((module, scope))
-            visit(child, module, inner)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, None)
-    return calls
+    return nodes_in_src(lambda node, scope: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) in names
+        or getattr(node.func, "attr", None) in names))
 
 
 def test_engines_are_built_only_in_engine_for():

@@ -4,6 +4,7 @@ against the row-by-row loader and the per-index sorts they replaced."""
 
 from __future__ import annotations
 
+import ast
 import csv
 import math
 from pathlib import Path
@@ -32,7 +33,7 @@ from truthfuse.model import (
     Value,
     ValueParseError,
 )
-from truthfuse.normalize import normalize_value
+from truthfuse.normalize import bucketize, normalize_value, tolerances
 from truthfuse.synthetic import (
     CopierGroup,
     SyntheticAttribute,
@@ -40,7 +41,12 @@ from truthfuse.synthetic import (
     generate_synthetic,
 )
 
-from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
+from conftest import (
+    copier_snapshot,
+    edge_snapshot,
+    nodes_in_src,
+    synthetic_snapshot,
+)
 
 SCHEMA = {a.name: a for a in (
     AttributeSpec("volume", Kind.NUMBER, 0.01),
@@ -515,20 +521,25 @@ def test_writers_write_what_their_own_loops_wrote(tmp_path, hand, delimiter):
 # -- no Claim objects on the CLI paths -----------------------------------------
 
 
-def test_fuse_and_copydetect_build_no_claim(tmp_path, synthetic,
-                                             monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The arguments of every ``Claim`` built while the test runs."""
+    calls = []
+    init = model.Claim.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.Claim, "__init__", counting)
+    return calls
+
+
+def test_fuse_and_copydetect_build_no_claim(tmp_path, synthetic, built):
     """Nor do ``profile`` (with a snapshot series), ``compare`` and
     ``evaluate``: every layer reads the snapshot's columns."""
     schema, claims_p, gold_p = synthetic
     write_schema(schema, tmp_path / "schema.csv")
-    built = []
-    init = model.Claim.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(model.Claim, "__init__", counting)
     base = ["--claims", str(claims_p), "--schema",
             str(tmp_path / "schema.csv"), "--out", str(tmp_path / "out")]
     for argv in (["fuse", "--method", "Vote"],
@@ -547,20 +558,47 @@ def test_fuse_and_copydetect_build_no_claim(tmp_path, synthetic,
 
 
 def test_majority_gold_and_write_claims_build_no_claim(tmp_path, synthetic,
-                                                        monkeypatch):
+                                                        built):
     schema, claims_p, _ = synthetic
     claims = load_claims(claims_p, schema)
-    built = []
-    init = model.Claim.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(model.Claim, "__init__", counting)
     gold = model.majority_gold(claims.sources[:5], claims, min_providers=2)
     write_claims(claims, tmp_path / "claims.csv")
     write_claims(claims.restrict(claims.sources[2:]), tmp_path / "view.csv")
     assert built == [] and len(gold) > 0
     assert (tmp_path / "claims.csv").read_bytes() == claims_p.read_bytes()
     assert len(claims.claims) == len(built) > 0
+
+
+def test_bucketize_and_providers_build_no_claim(synthetic, built):
+    schema, claims_p, _ = synthetic
+    claims = load_claims(claims_p, schema)
+    taus = tolerances(claims)
+    for item in claims.items:
+        buckets = bucketize(item, claims, taus[item.attribute])
+        assert (sorted(s for b in buckets for s in b.providers)
+                == sorted(claims.providers(item)))
+    assert built == [] and claims.providers(DataItem("none", "x")) == ()
+
+
+def reads_claim_objects(node, scope) -> bool:
+    """A read of a snapshot's ``by_item`` or ``by_source``, or of the
+    ``.claims`` of a snapshot: one named ``claims``, an engine's or a
+    result's (``x.claims.claims``), or ``self`` in ``ClaimSet``."""
+    if not (isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load)):
+        return False
+    if node.attr in ("by_item", "by_source"):
+        return True
+    owner = node.value
+    return node.attr == "claims" and (
+        getattr(owner, "id", None) == "claims"
+        or getattr(owner, "attr", None) == "claims"
+        or getattr(owner, "id", None) == "self"
+        and (scope or "").startswith("ClaimSet."))
+
+
+def test_src_reads_no_claim_objects():
+    """Only the two on-demand fields built from ``claims`` read it: every
+    other layer reads the snapshot's columns."""
+    assert nodes_in_src(reads_claim_objects) == [
+        ("model", "ClaimSet.by_item"), ("model", "ClaimSet.by_source")]

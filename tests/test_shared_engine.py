@@ -69,8 +69,8 @@ def test_runs_leave_shared_engine_arrays_unchanged(snapshot):
 
 
 # The fields a per-attribute view re-codes; it shares every other one.
-RECODED = {"per_attribute", "vsrc_list", "vsrc_source", "claim_vsrc",
-           "n_vsrc", "vsrc_segs", "src_nvals"}
+RECODED = {"per_attribute", "vsrc_list", "vsrc_source", "vsrc_attr",
+           "claim_vsrc", "n_vsrc", "vsrc_segs", "src_nvals"}
 
 
 def test_per_attribute_view_is_built_once(snapshot):
