@@ -28,7 +28,7 @@ print(f"vote precision with copier group present: {p_vote:.3f}")
 # Detection against the (still biased) vote selection already separates the
 # group: its members share distinctive wrong values.
 trust0 = {s: 0.8 for s in claims.sources}
-matrix = detect_copying(claims, vote.selected, trust0, config.copy)
+matrix = detect_copying(claims, vote.selected, trust0, config)
 print("\npairwise copy posteriors (sum of both directions):")
 for s1 in claims.sources:
     row = " ".join(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import copydetect as cd
 from . import dataio, evalharness, metrics
-from .config import CopyParams, FusionConfig, RunConfig, load_config
+from .config import SECTIONS, RunConfig, load_config, setting_type
 from .fusion import MethodSpec, engine_for, method_labels, run_fusion
 from .model import ClaimSet, DataItem, GoldStandard, Kind, TruthFuseError
 from .synthetic import generate_synthetic, spec_from_dict
@@ -122,27 +122,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--config", help="INI config file")
-    for f in dataclasses.fields(FusionConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}",
-                       dest=f"fusion_{f.name}",
-                       type=int if "int" in str(f.type) else float,
-                       default=None)
-    for f in dataclasses.fields(CopyParams):
-        p.add_argument(f"--copy-{f.name.replace('_', '-')}",
-                       dest=f"copy_{f.name}",
-                       type=int if "int" in str(f.type) else float,
-                       default=None)
+    for section, cls in SECTIONS.items():
+        prefix = "--" if section == "fusion" else f"--{section}-"
+        for f in dataclasses.fields(cls):
+            p.add_argument(prefix + f.name.replace("_", "-"),
+                           dest=f"{section}_{f.name}", type=setting_type(f),
+                           default=None)
     p.add_argument("--delimiter", default=None)
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {
-        "fusion": {f.name: getattr(args, f"fusion_{f.name}", None)
-                   for f in dataclasses.fields(FusionConfig)},
-        "copy": {f.name: getattr(args, f"copy_{f.name}", None)
-                 for f in dataclasses.fields(CopyParams)},
-        "run": {"delimiter": getattr(args, "delimiter", None)},
-    }
+    overrides = {section: {f.name: getattr(args, f"{section}_{f.name}", None)
+                           for f in dataclasses.fields(cls)}
+                 for section, cls in SECTIONS.items()}
+    overrides["run"] = {"delimiter": getattr(args, "delimiter", None)}
     return load_config(getattr(args, "config", None), overrides=overrides)
 
 
@@ -173,7 +166,8 @@ def _load_inputs(args, config: RunConfig,
 def _cmd_generate(args, config: RunConfig) -> int:
     with open(args.spec, encoding="utf-8") as fh:
         spec = spec_from_dict(json.load(fh))
-    claims, gold, known = generate_synthetic(spec, args.seed)
+    claims, gold, known = generate_synthetic(spec, args.seed,
+                                             defaults=config.fusion)
     out = _out_dir(args)
     dataio.write_schema(claims.schema, out / "schema.csv", config.delimiter)
     dataio.write_claims(claims, out / "claims.csv", config.delimiter)
@@ -201,7 +195,7 @@ def _cmd_profile(args, config: RunConfig) -> int:
          "entropy", "deviation", "dominant", "dominance_factor",
          "runners_up"],
         ((it.object_id, it.attribute, p.provider_count,
-          metrics.item_redundancy(it, claims), p.num_values, p.entropy,
+          p.provider_count / len(claims.sources), p.num_values, p.entropy,
           p.deviation, str(p.dominant), p.dominance_factor,
           ";".join(str(v) for v in p.runners_up))
          for it, p in profiles.items()),
@@ -296,8 +290,8 @@ def _write_histograms(out: Path, claims: ClaimSet, profiles,
             ("deviation_relative", dev[Kind.NUMBER], 0.1, None),
             ("deviation_minutes", dev[Kind.TIME_OF_DAY], 5.0, None),
             ("dominance", [p.dominance_factor for p in ps], 0.1, 1.0),
-            ("item_redundancy", [metrics.item_redundancy(it, claims)
-                                 for it in claims.items], 0.1, 1.0),
+            ("item_redundancy", [p.provider_count / len(claims.sources)
+                                 for p in ps], 0.1, 1.0),
             ("object_redundancy",
              list(metrics.object_redundancies(claims).values()), 0.1, 1.0)):
         dataio.write_rows(out / f"hist_{name}.csv", ["lo", "hi", "count"],
@@ -306,12 +300,13 @@ def _write_histograms(out: Path, claims: ClaimSet, profiles,
 
 def _hist(values, width: float, hard_max: float | None = None):
     """(lo, hi, count) rows over bins of ``width`` from 0 up to the top
-    value (or ``hard_max``), counted by ``metrics.bin_counts``."""
+    value (or ``hard_max``), at least one bin, counted by
+    ``metrics.bin_counts``."""
     if not values:
         return []
     top = hard_max if hard_max is not None else max(values)
     edges = [0.0]
-    while edges[-1] < top - 1e-12:
+    while len(edges) < 2 or edges[-1] < top - 1e-12:
         edges.append(round(edges[-1] + width, 12))
     return list(zip(edges, edges[1:],
                     metrics.bin_counts(values, edges).tolist()))
@@ -395,8 +390,7 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
             claims, gold, engine.gold_match(gold.entries)).items()}
         trust = {s: t if accuracy[s] is None else accuracy[s]
                  for s, t in trust.items()}
-    matrix = cd.detect_copying(claims, vote.selected, trust, config.copy,
-                               engine)
+    matrix = cd.detect_copying(claims, vote.selected, trust, config, engine)
     out = _out_dir(args)
     _write_copy_pairs(out / "pairs.csv", matrix.prob, config)
 

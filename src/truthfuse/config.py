@@ -43,7 +43,6 @@ class FusionConfig:
     cosine_damping: float = 0.8          # weight of the old trust
     cosine_trust_power: float = 3.0
     truthfinder_gamma: float = 0.3
-    init_vote: float = 0.5               # C0 for hub/avglog
     init_trust_bayes: float = 0.8        # T0 for truthfinder and accu family
     init_value_trust: float = 0.9        # T0(v), order-3 estimates
     epsilon: float = 1e-6                # convergence threshold on trust change
@@ -112,7 +111,7 @@ class RunConfig:
     delimiter: str = ","
 
 
-_SECTIONS = {
+SECTIONS = {
     "fusion": FusionConfig,
     "copy": CopyParams,
 }
@@ -121,7 +120,7 @@ _RUN_KEYS = ("delimiter",)
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
     parser = configparser.ConfigParser()
-    for section, cls in _SECTIONS.items():
+    for section, cls in SECTIONS.items():
         parser[section] = {
             f.name: repr(getattr(getattr(cfg, section), f.name))
             for f in dataclasses.fields(cls)}
@@ -140,7 +139,7 @@ def load_config(path: str | Path | None = None,
     unknown sections or keys are rejected by name.
     """
     env = os.environ if env is None else env
-    values: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
+    values: dict[str, dict[str, str]] = {s: {} for s in SECTIONS}
     values["run"] = {}
 
     if path is not None:
@@ -192,19 +191,20 @@ def _check_key(section: str, key: str) -> None:
         if key not in _RUN_KEYS:
             raise LoadError(f"unknown config key [run] {key!r}")
         return
-    names = {f.name for f in dataclasses.fields(_SECTIONS[section])}
+    names = {f.name for f in dataclasses.fields(SECTIONS[section])}
     if key not in names:
         raise LoadError(f"unknown config key [{section}] {key!r} "
                         f"(valid: {sorted(names)})")
 
 
+def setting_type(f: dataclasses.Field) -> type:
+    """The type a setting's text is read as: ``int`` for counts, else
+    ``float``; config files, the environment and CLI flags all read it."""
+    return int if "int" in str(f.type) else float
+
+
 def _coerce(section: str, key: str, raw: object):
-    if not isinstance(raw, str):
+    if not isinstance(raw, str) or section == "run":
         return raw
-    if section == "run":
-        return raw
-    field_type = {f.name: f.type
-                  for f in dataclasses.fields(_SECTIONS[section])}[key]
-    if "int" in str(field_type):
-        return int(raw)
-    return float(raw)
+    field = {f.name: f for f in dataclasses.fields(SECTIONS[section])}[key]
+    return setting_type(field)(raw)

@@ -26,8 +26,9 @@ from itertools import product
 
 import numpy as np
 
-from .config import CopyParams, FusionConfig
-from .fusion import FusionEngine, FusionError, _Segments, engine_for
+from .config import CopyParams, FusionConfig, RunConfig
+from .fusion import (FusionEngine, FusionError, _Segments, clamp_trust,
+                     engine_for)
 from .metrics import source_scores
 from .model import ClaimSet, DataItem, GoldStandard, Value
 from .normalize import item_widths, keys_match, tolerances
@@ -110,10 +111,17 @@ def group_commonality(group, claims: ClaimSet,
         excluded=excluded)
 
 
+def _gram(x: np.ndarray) -> np.ndarray:
+    """How many columns each pair of rows of the 0/1 array ``x`` shares (over
+    its last two axes): a float32 matmul on BLAS, exact below 2²⁴ items."""
+    f = x.astype(np.float32, copy=False)
+    return (f @ np.swapaxes(f, -1, -2)).astype(np.int64)
+
+
 def _pair_counts(x: np.ndarray) -> tuple[list[int], list[int]]:
     """Intersection and union sizes of the 0/1 rows of ``x``, for every
     pair i < j in row-major order."""
-    inter = x.astype(np.int64) @ x.T.astype(np.int64)
+    inter = _gram(x)
     size = inter.diagonal()
     pairs = np.triu_indices(len(x), 1)
     return (inter[pairs].tolist(),
@@ -128,7 +136,7 @@ def _jaccards(present: np.ndarray, label: np.ndarray) -> list[float]:
 
 
 def detect_copying(claims: ClaimSet, truth_estimate: dict[DataItem, Value],
-                   trust_estimate: dict, params: CopyParams,
+                   trust_estimate: dict, config: RunConfig,
                    engine: FusionEngine | None = None) -> CopyMatrix:
     """Posterior copy probabilities for every ordered source pair.
 
@@ -136,22 +144,21 @@ def detect_copying(claims: ClaimSet, truth_estimate: dict[DataItem, Value],
     distinct bucketed values); agreement on uncontested items carries no
     signal under this model. A bucket counts as true when its centre
     matches the item's truth estimate within tolerance. A pair with no
-    counted overlap keeps the prior in both directions. A global
-    ``engine`` over ``claims`` is reused, and its constants give the
-    likelihood's ``n_false`` and ``trust_clamp`` (the defaults without
-    one).
+    counted overlap keeps the prior in both directions. The likelihood
+    takes ``config``'s copy parameters and its fusion ``n_false`` and
+    ``trust_clamp``; a global ``engine`` over ``claims`` built with those
+    constants is reused (checked as in ``run_fusion``).
     """
-    engine = engine_for(claims, engine.cfg if engine else FusionConfig(),
-                        False, engine)
+    engine = engine_for(claims, config.fusion, False, engine)
     true_cand = ((engine.item_ncand[engine.cand_item] > 1)
                  & engine.gold_match(truth_estimate).cand)
     names = engine.vsrc_list
     pairs = _PairIndex(engine)
     prob = pairs.posteriors(true_cand, np.array(
-        [float(trust_estimate.get(s, 0.5)) for s in names]), params)
+        [float(trust_estimate.get(s, 0.5)) for s in names]), config.copy)
     # Without evidence the posterior does not depend on trust.
-    prob[pairs.co == 0] = _pair_posterior(*np.zeros((5, 1)), params,
-                                          engine.cfg)[0][0]
+    prob[pairs.co == 0] = _pair_posterior(*np.zeros((5, 1)), config.copy,
+                                          config.fusion)[0][0]
     return CopyMatrix(prob={(a, b): p for (a, b), p in zip(
         product(names, names), prob.tolist()) if a != b})
 
@@ -163,9 +170,7 @@ def _pair_posterior(a1: np.ndarray, a2: np.ndarray, kt: np.ndarray,
     copies s1, independent); returns the two directed posteriors. Trust is
     clamped, and false values are spread over ``n_false``, as in the
     engine's accuracy votes (``fusion``)."""
-    lo, hi = fusion.trust_clamp, 1.0 - fusion.trust_clamp
-    a1 = np.minimum(np.maximum(a1, lo), hi)
-    a2 = np.minimum(np.maximum(a2, lo), hi)
+    a1, a2 = clamp_trust(a1, fusion), clamp_trust(a2, fusion)
     c, p0 = params.copy_rate, params.prior_copy_prob
     pt_i = a1 * a2
     pf_i = (1.0 - a1) * (1.0 - a2) / fusion.n_false
@@ -190,7 +195,10 @@ def independence_weights(matrix: CopyMatrix, claims: ClaimSet,
     """Per-(virtual source, item) probability that the source provided its
     value independently: the product over same-value co-claimants s' of
     (1 - copy_rate * P(source copies s')). Virtual sources are the matrix's
-    (sources, or (source, attribute) pairs); ``FusionError`` if unknown."""
+    (sources, or (source, attribute) pairs); ``FusionError`` if unknown.
+    The weights read only ``copy_rate``, so the engine that places the
+    claims takes the default fusion constants: no constant moves a claim
+    or a candidate's providers."""
     engine = engine_for(claims, FusionConfig(), any(
         isinstance(a, tuple) for a, _ in matrix.prob))
     index = {s: i for i, s in enumerate(engine.vsrc_list)}
@@ -308,7 +316,7 @@ class _PairIndex:
         self._row = (block[v] * self.rows + item_row[engine.claim_item])[on]
         self._col, self._cand = self.loc[v][on], engine.claim_cand[on]
         self._first = engine.item_start[engine.cand_item]
-        self.co = self._gram(self._row, self._col, self.rows)
+        self.co = self._incidence_gram(self._row, self._col, self.rows)
         b, i, j = np.nonzero((self.co.reshape(-1, w, w) > 0)
                              & np.triu(np.ones((w, w), dtype=bool), 1))
         self.up, self.down = (b * w + i) * w + j, (b * w + j) * w + i
@@ -327,11 +335,11 @@ class _PairIndex:
                                   self.loc[v[k]][:, None, :]))
         self.n_claims, self.claim_seg = len(v), engine.vsrc_segs.of[v]
 
-    def _gram(self, row, col, n_rows: int) -> np.ndarray:
+    def _incidence_gram(self, row, col, n_rows: int) -> np.ndarray:
         """XᵀX per block, X the 0/1 incidence with ones at (row, col)."""
-        x = np.zeros((self.blocks, n_rows, self.width), dtype=np.int32)
+        x = np.zeros((self.blocks, n_rows, self.width), dtype=np.float32)
         x.reshape(-1)[row * self.width + col] = 1
-        return (x.transpose(0, 2, 1) @ x).ravel()
+        return _gram(x.transpose(0, 2, 1)).ravel()
 
     def _same_candidate(self, marked: np.ndarray) -> np.ndarray:
         """Per cell, the contested items where both sources are on one marked
@@ -341,8 +349,8 @@ class _PairIndex:
         on = marked[self._cand]
         layer = layer[self._cand[on]]
         depth = int(layer.max(initial=0)) + 1
-        return self._gram(self._row[on] * depth + layer, self._col[on],
-                          self.rows * depth)
+        return self._incidence_gram(self._row[on] * depth + layer,
+                                    self._col[on], self.rows * depth)
 
     def posteriors(self, true_cand: np.ndarray, trust: np.ndarray,
                    params: CopyParams) -> np.ndarray:

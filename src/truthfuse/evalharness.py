@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -199,26 +198,23 @@ def _batches(sizes: list[int], budget: int) -> list[list[int]]:
     return out
 
 
-def dominance_bucket_edges(width: float = 0.1) -> list[float]:
-    edges = [0.0]
-    while edges[-1] < 1.0 - 1e-9:
-        edges.append(min(1.0, round(edges[-1] + width, 12)))
-    return edges
+def dominance_bucket_edges() -> list[float]:
+    """The dominance strata's edges: 0, 0.1, ..., 1."""
+    return [k / 10 for k in range(11)]
 
 
 def precision_by_dominance(result: FusionResult, gold: GoldStandard,
                            claims: ClaimSet,
-                           edges: Sequence[float] | None = None,
                            match: GoldMatch | None = None) -> list[dict]:
     """Per-bucket precision of the method and of Vote (on the gold match's
     engine, ``scoring_match``) over gold items, stratified by the share of
     an item's providers behind Vote's value (dominance factor).
 
-    Buckets are ``bin_counts``': half-open [lo, hi) except the last, which
-    is closed. Empty buckets carry an explicit None precision, never 0.
+    Buckets are ``dominance_bucket_edges``' bins of ``bin_counts``:
+    half-open [lo, hi) except the last, which is closed. Empty buckets
+    carry an explicit None precision, never 0.
     """
-    if edges is None:
-        edges = dominance_bucket_edges()
+    edges = dominance_bucket_edges()
     match = scoring_match(claims, gold, match, result)
     vote, _ = match.engine.select(match.engine.cand_counts)
     on = match.item
@@ -254,7 +250,6 @@ def time_series_summary(method: MethodSpec,
 
 def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
               gold: GoldStandard,
-              with_input_trust: bool = True,
               engine: FusionEngine | None = None,
               match: GoldMatch | None = None) -> EvalReport:
     """Run a method end to end and assemble its report.
@@ -262,19 +257,17 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
     The default run and the input-trust re-run share ``engine`` (or its
     per-attribute view), which other methods may share too, or one built
     here, and are scored on ``match`` or on the engine's. Wall
-    time covers the default run on that prebuilt engine only (engine
-    construction, I/O and sampling excluded). Trust deviation/difference
-    compare the default-initialization run's converged trust against the
-    gold-sampled trust; the optional input-trust pass reruns the method
-    single-pass under the sampled trust.
+    time is the default run's own (``FusionResult.wall_time``: its rounds
+    on that prebuilt engine; engine construction, I/O and sampling
+    excluded). Trust deviation/difference compare the default-initialization
+    run's converged trust against the gold-sampled trust; the input-trust
+    pass reruns the method single-pass under the sampled trust.
     """
     engine = engine_for(claims, config.fusion, method.per_attribute_trust,
                         engine)
     if match is None:
         match = engine.gold_match(gold.entries)
-    t0 = time.perf_counter()
     result = run_fusion(method, claims, config, engine=engine)
-    wall = time.perf_counter() - t0
     precision, recall = precision_recall(result, gold, claims, match=match)
     dev = diff = None
     prec_with = None
@@ -283,18 +276,16 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
         if result.trust:
             dev = trust_deviation(sampled, result.trust)
             diff = trust_difference(sampled, result.trust)
-        if with_input_trust:
-            with_trust = run_fusion(method, claims, config,
-                                    input_trust=sampled, engine=engine)
-            prec_with, _ = precision_recall(with_trust, gold, claims,
-                                            match=match)
+        with_trust = run_fusion(method, claims, config, input_trust=sampled,
+                                engine=engine)
+        prec_with, _ = precision_recall(with_trust, gold, claims, match=match)
     return EvalReport(
         method=method.label(),
         precision=precision,
         recall=recall,
         trust_deviation=dev,
         trust_difference=diff,
-        wall_time=wall,
+        wall_time=result.wall_time,
         rounds=result.rounds_used,
         converged=result.converged,
         precision_with_trust=prec_with,

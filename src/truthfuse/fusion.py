@@ -164,6 +164,13 @@ def _fan_out(rows: np.ndarray, start: np.ndarray, count: np.ndarray):
                  + np.arange(len(rep)))
 
 
+def clamp_trust(trust, cfg: FusionConfig):
+    """``trust`` kept ``trust_clamp`` away from 0 and 1, so that logs and
+    odds stay finite: the accuracy votes', 3-Estimates' value trust and the
+    copy likelihood's."""
+    return np.clip(trust, cfg.trust_clamp, 1.0 - cfg.trust_clamp)
+
+
 class FusionEngine:
     """Array-backed view of a ClaimSet shared by every fusion method.
 
@@ -371,10 +378,6 @@ class FusionEngine:
 
     # -- small shared helpers -------------------------------------------
 
-    def _clamp(self, t: np.ndarray) -> np.ndarray:
-        c = self.cfg.trust_clamp
-        return np.clip(t, c, 1.0 - c)
-
     def _per_item_sum(self, per_cand: np.ndarray) -> np.ndarray:
         return np.add.reduceat(per_cand, self.item_start)
 
@@ -401,10 +404,9 @@ class FusionEngine:
             / np.where(flat, 1.0, hi - lo)[segs.of]
         return np.where(flat[segs.of], np.clip(x, 0.0, 1.0), spread)
 
-    def _boost(self, votes: np.ndarray,
-               rho: float | None = None) -> np.ndarray:
+    def _boost(self, votes: np.ndarray) -> np.ndarray:
         """Credit each value with rho * sim * vote of every similar value."""
-        r = self.cfg.rho if rho is None else rho
+        r = self.cfg.rho
         if r == 0.0 or self.sim_i.size == 0:
             return votes
         boosted = votes.copy()
@@ -564,8 +566,8 @@ class FusionEngine:
                    group: np.ndarray | None = None) -> np.ndarray:
         """The accuracy rule: each group's mean over its claims of their
         probability of truth (a posterior, or 0/1 against gold), clamped."""
-        return self._clamp(self._group_sum(per_claim, group)
-                           / self._group_size(group))
+        return clamp_trust(self._group_sum(per_claim, group)
+                           / self._group_size(group), self.cfg)
 
     # -- result assembly --------------------------------------------------
 
@@ -653,13 +655,14 @@ class _Vote(_Rule):
 @dataclass(frozen=True)
 class _Hub(_Rule):
     """Hub: votes sum trust and trust sums votes, both scaled to a maximum
-    of 1. AvgLog's trust is the mean vote times log(1 + claims)."""
+    of 1. AvgLog's trust is the mean vote times log(1 + claims). Votes
+    start equal: the first round scales trust to a maximum of 1, so any
+    positive start gives the same trust."""
 
     avg_log: bool = False
 
     def init(self, e):
-        return FusionState(0, np.zeros(e.n_vsrc),
-                           np.full(e.n_cands, e.cfg.init_vote))
+        return FusionState(0, np.zeros(e.n_vsrc), np.full(e.n_cands, 0.5))
 
     def votes(self, e, trust, value_trust, weights):
         return e._norm_max(e._claim_sum(trust[e.claim_vsrc], weights),
@@ -831,8 +834,7 @@ class _Estimates(_Rule):
             # The affine [0,1] rescale covers the vote and source-trust
             # families; the per-value error rate is truncated instead, so a
             # low-ranked true value cannot see its votes inverted.
-            value_trust = np.clip(value_trust, e.cfg.trust_clamp,
-                                  1.0 - e.cfg.trust_clamp)
+            value_trust = clamp_trust(value_trust, e.cfg)
         trust = e._rescale01(self.trust(e, votes, value_trust), e.vsrc_segs)
         return FusionState(state.round + 1, trust, votes, value_trust)
 
@@ -859,10 +861,10 @@ class _Posterior(_Rule):
 
     def sample(self, e, match, group, segs):
         return (e.mean_trust(match.claim.astype(float), group),
-                e._clamp(np.float64(e.cfg.init_trust_bayes)))
+                clamp_trust(np.float64(e.cfg.init_trust_bayes), e.cfg))
 
     def votes(self, e, trust, value_trust, weights):
-        t = e._clamp(trust)
+        t = clamp_trust(trust, e.cfg)
         if self.truthfinder:
             per_claim = -np.log(1.0 - t)
         elif self.popularity:
@@ -1048,7 +1050,6 @@ def _freeze(engine: FusionEngine, old: FusionState, new: FusionState,
 
 def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
                     variant: str = "accupr",
-                    per_attribute: bool = False,
                     ) -> dict[DataItem, dict[Value, float]]:
     """Per-item truth posteriors under fixed trust (one vote pass) for a
     ``variant`` whose confidence is a posterior (not AccuCopy's)."""
@@ -1057,7 +1058,7 @@ def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
         valid = [n for n, r in _RULES.items() if r.posterior]
         raise FusionError(f"no posteriors for {variant!r}; valid variants: "
                           f"{', '.join(valid)}")
-    engine = engine_for(claims, config.fusion, per_attribute)
+    engine = engine_for(claims, config.fusion)
     votes = engine.votes_once(variant, engine.trust_array(trust))
     post = rule.confidence(engine, votes)
     out: dict[DataItem, dict[Value, float]] = {}

@@ -171,7 +171,8 @@ def scoring_match(claims: ClaimSet, gold: GoldStandard,
                   result: FusionResult | None = None) -> GoldMatch:
     """The gold match that scores on ``claims`` reduce: ``match``, taken on
     an engine or its per-attribute view (same candidates), or a new
-    engine's. It and ``result`` are checked to be over ``claims``."""
+    engine's, whose default constants move no candidate or gold match.
+    It and ``result`` are checked to be over ``claims``."""
     if match is None:
         match = engine_for(claims, FusionConfig()).gold_match(gold.entries)
     if match.engine.claims is not claims or (

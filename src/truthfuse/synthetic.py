@@ -36,9 +36,11 @@ class SyntheticAttribute:
     kind: Kind
     tolerance_param: float = 0.0
 
-    def to_spec(self) -> AttributeSpec:
+    def to_spec(self, defaults: FusionConfig = FusionConfig(),
+                ) -> AttributeSpec:
+        """A blank (0) tolerance takes ``defaults``', as in ``load_schema``."""
         return AttributeSpec(self.name, self.kind, self.tolerance_param
-                             or FusionConfig().default_tolerance(self.kind))
+                             or defaults.default_tolerance(self.kind))
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,11 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int,
+                       defaults: FusionConfig = FusionConfig(),
                        ) -> tuple[ClaimSet, GoldStandard,
                                   dict[tuple[str, str], float]]:
-    """Generate (claims, gold, known copy map) deterministically from a seed.
+    """Generate (claims, gold, known copy map) deterministically from a seed;
+    attributes without a tolerance parameter take ``defaults``' (``to_spec``).
 
     Every source's realized accuracy against the emitted gold standard is
     the rounded target exactly; an accuracy target that forced copying of
@@ -120,7 +124,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int,
     spec.validate()
     rng = np.random.default_rng(seed)
     sources = spec.source_names()
-    schema = {a.name: a.to_spec() for a in spec.attributes}
+    schema = {a.name: a.to_spec(defaults) for a in spec.attributes}
     member_of = {m: g for g in spec.copier_groups for m in g.members}
 
     items: list[DataItem] = []

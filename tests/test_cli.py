@@ -81,6 +81,23 @@ class TestProfile:
         assert items[0].startswith("object,attribute,providers")
         assert len(items) == 1 + 80   # 40 items x 2 attributes
 
+    def test_histograms_count_every_item_without_conflicts(self, tmp_path):
+        """Without a contested item every entropy and deviation is 0, and
+        the histograms still count each item."""
+        (tmp_path / "schema.csv").write_text("price,Number,0.01\n",
+                                             encoding="utf-8")
+        (tmp_path / "claims.csv").write_text(
+            "source,object,attribute,value\n"
+            "s1,o1,price,100\ns2,o1,price,100\ns1,o2,price,7\n",
+            encoding="utf-8")
+        out = tmp_path / "prof"
+        run_ok(["profile", "--claims", str(tmp_path / "claims.csv"),
+                "--schema", str(tmp_path / "schema.csv"), "--out", str(out)])
+        for name in ("entropy", "deviation_relative"):
+            rows = (out / f"hist_{name}.csv").read_text().splitlines()
+            assert rows[1:] == ["0,0.25,2" if name == "entropy"
+                                else "0,0.1,2"], name
+
     def test_profile_without_gold(self, dataset, tmp_path):
         out = tmp_path / "prof2"
         run_ok(["profile", "--claims", str(dataset / "claims.csv"),
@@ -130,12 +147,13 @@ def test_attribute_summary_matches_per_attribute_loop(tmp_path):
 
 
 def ref_hist(values, width, hard_max=None):
-    """``cli._hist`` as it was: one scan of every value per bin."""
+    """``cli._hist`` as it was, one scan of every value per bin, with at
+    least the bin [0, width]."""
     if not values:
         return []
     top = hard_max if hard_max is not None else max(values)
     edges = [0.0]
-    while edges[-1] < top - 1e-12:
+    while len(edges) < 2 or edges[-1] < top - 1e-12:
         edges.append(round(edges[-1] + width, 12))
     rows = []
     for i in range(len(edges) - 1):
@@ -151,7 +169,10 @@ EDGY = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.25, 0.3, 0.7, 1.0, 5.0,
                         10.0, -0.1, 1.0000000000001, math.inf, -math.inf])
 
 
-@given(st.lists(st.one_of(EDGY, st.floats(-1.0, 12.0)), max_size=30),
+@given(st.one_of(st.lists(st.one_of(EDGY, st.floats(-1.0, 12.0)),
+                         max_size=30),
+                st.lists(st.sampled_from([0.0, -0.0]), min_size=1,
+                         max_size=5)),
        st.sampled_from([0.1, 0.25, 5.0]), st.sampled_from([None, 1.0]))
 @settings(max_examples=300, deadline=None)
 def test_hist_counts_as_the_per_bin_scan(values, width, hard_max):
@@ -165,6 +186,13 @@ def test_hist_counts_as_the_per_bin_scan(values, width, hard_max):
     with_nan = values + [math.nan]
     assert (cli._hist(with_nan, width, 1.0)
             == ref_hist(with_nan, width, 1.0))
+
+
+@pytest.mark.parametrize("width", [0.1, 0.25])
+def test_hist_of_all_zero_values_counts_every_value(width):
+    """A snapshot without a contested item has entropies all 0: they fill
+    the one bin [0, width], closed like every last bin."""
+    assert cli._hist([0.0, 0.0, 0.0], width) == [(0.0, width, 3)]
 
 
 class TestFuse:
@@ -462,6 +490,57 @@ class TestConfigPrecedence:
 
         assert num_values(out1) == 1
         assert num_values(out2) == 2
+
+    def test_generate_fills_blank_tolerances_from_the_flags(self, tmp_path):
+        """``generate`` writes the schema ``load_schema`` would read: blank
+        tolerances take --alpha and --time-tolerance-minutes, and an
+        explicit tolerance_param wins."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "attributes": [
+            {"name": "price", "kind": "Number"},
+            {"name": "dep", "kind": "TimeOfDay"},
+            {"name": "vol", "kind": "Number", "tolerance_param": 0.2}]}),
+            encoding="utf-8")
+        argv = ["generate", "--spec", str(spec), "--seed", "1"]
+        run_ok([*argv, "--alpha", "0.05", "--time-tolerance-minutes", "3",
+                "--out", str(tmp_path / "flags")])
+        run_ok([*argv, "--out", str(tmp_path / "plain")])
+
+        def tolerances(out):
+            return {a: s.tolerance_param for a, s in dataio.load_schema(
+                tmp_path / out / "schema.csv").items()}
+
+        assert tolerances("flags") == {"price": 0.05, "dep": 3.0, "vol": 0.2}
+        assert tolerances("plain") == {"price": 0.01, "dep": 10.0,
+                                       "vol": 0.2}
+
+    def test_settings_read_alike_from_flags_env_and_files(self, tmp_path,
+                                                          monkeypatch):
+        """One rule reads a setting's text: counts as int, the rest as
+        float, from a flag, the environment or a config file."""
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[fusion]\nround_cap = 7\nrho = 1\n",
+                       encoding="utf-8")
+        monkeypatch.setenv("TRUTHFUSE_FUSION__N_FALSE", "4")
+        monkeypatch.setenv("TRUTHFUSE_COPY__COPY_RATE", "1")
+        args = cli._build_parser().parse_args([
+            "fuse", "--claims", "c", "--schema", "s", "--method", "Vote",
+            "--config", str(cfg), "--attr-min-gold", "3", "--w-fmt", "1"])
+        config = cli._config_from_args(args)
+        got = {k: getattr(config.fusion, k) for k in (
+            "round_cap", "rho", "n_false", "attr_min_gold", "w_fmt")}
+        got["copy_rate"] = config.copy.copy_rate
+        assert {k: (v, type(v)) for k, v in got.items()} == {
+            "round_cap": (7, int), "rho": (1.0, float), "n_false": (4, int),
+            "attr_min_gold": (3, int), "w_fmt": (1.0, float),
+            "copy_rate": (1.0, float)}
+
+    def test_init_vote_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args([
+                "fuse", "--claims", "c", "--schema", "s", "--method", "Hub",
+                "--init-vote", "1"])
+        assert "--init-vote" in capsys.readouterr().err
 
     def test_unknown_config_key_named(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.ini"

@@ -3,6 +3,7 @@ override precedence, and rejection of unknown keys."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 
 import pytest
@@ -15,6 +16,8 @@ from truthfuse.config import (
     save_config,
 )
 from truthfuse.model import LoadError
+
+from conftest import nodes_in_src
 
 
 class TestDefaults:
@@ -33,14 +36,13 @@ class TestDefaults:
         assert f.cosine_damping == 0.8
         assert f.cosine_trust_power == 3.0
         assert f.truthfinder_gamma == 0.3
-        assert f.init_vote == 0.5
         assert f.init_trust_bayes == 0.8
         assert f.init_value_trust == 0.9
         assert f.epsilon == 1e-6
         assert f.round_cap == 100
         assert f.trust_clamp == 1e-4
         assert f.attr_min_gold == 5
-        assert len(dataclasses.fields(f)) == 19
+        assert len(dataclasses.fields(f)) == 18
 
     def test_copy_defaults(self):
         """Copy detection keeps only its own constants: the false-value
@@ -113,6 +115,45 @@ class TestOverrides:
         with pytest.raises(LoadError, match="n_false"):
             load_config(env={"TRUTHFUSE_COPY__N_FALSE": "10"})
 
+    def test_init_vote_is_an_unknown_key(self, tmp_path):
+        """Hub and AvgLog start from a fixed vote: no start changed their
+        trust, so the setting is gone."""
+        path = tmp_path / "old.ini"
+        path.write_text("[fusion]\ninit_vote = 0.5\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=r"\[fusion\] 'init_vote'"):
+            load_config(path, env={})
+        with pytest.raises(LoadError, match="init_vote"):
+            load_config(env={"TRUTHFUSE_FUSION__INIT_VOTE": "0.5"})
+
     def test_missing_config_file_rejected(self, tmp_path):
         with pytest.raises(LoadError, match="not found"):
             load_config(tmp_path / "absent.ini", env={})
+
+
+def default_config_builds() -> list[tuple[str, str | None]]:
+    """(module, "Class.function") of each ``FusionConfig()`` built without
+    arguments inside a function body in ``src/``; a parameter's default
+    value is not a body."""
+    functions, signatures = set(), set()
+
+    def match(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            signatures.update(ast.walk(node.args))
+            if isinstance(node, ast.FunctionDef):
+                functions.add(f"{scope}.{node.name}" if scope else node.name)
+        return (isinstance(node, ast.Call) and not node.args
+                and not node.keywords
+                and getattr(node.func, "id", None) == "FusionConfig"
+                and scope in functions and node not in signatures)
+
+    return nodes_in_src(match)
+
+
+def test_no_function_hides_a_default_config():
+    """A run's constants reach every reader from its ``RunConfig``. Only
+    readers whose outputs no fusion constant moves build a default one:
+    item profiles and gold scoring (buckets and gold matches), and
+    independence weights (``copy_rate`` only)."""
+    assert sorted(set(default_config_builds())) == [
+        ("copydetect", "independence_weights"),
+        ("metrics", "profile_items"), ("metrics", "scoring_match")]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -93,7 +94,7 @@ class TestDetectCopying:
     def test_shared_false_values_near_certain(self):
         claims, gold = self.shared_false_claims(10)
         trust = {"s1": 0.6, "s2": 0.6, "s3": 0.9}
-        matrix = detect_copying(claims, dict(gold.entries), trust, CFG.copy)
+        matrix = detect_copying(claims, dict(gold.entries), trust, CFG)
         total = matrix.probability("s1", "s2") + matrix.probability("s2", "s1")
         assert total > 0.99
         expected = pair_oracle(0.6, 0.6, 0, 10, 0, CFG.copy)
@@ -113,7 +114,7 @@ class TestDetectCopying:
                 rows.append((s, f"o{i}", "price", v))
         claims = make_claims(rows)
         trust = {s: 0.9 for s in claims.sources}
-        matrix = detect_copying(claims, truth, trust, CFG.copy)
+        matrix = detect_copying(claims, truth, trust, CFG)
         assert matrix.probability("s1", "s2") == pytest.approx(
             CFG.copy.prior_copy_prob)
 
@@ -122,7 +123,7 @@ class TestDetectCopying:
                               ("s1", "o2", "price", 11.0),
                               ("s2", "o3", "price", 12.0),
                               ("s2", "o4", "price", 13.0)])
-        matrix = detect_copying(claims, {}, {"s1": 0.8, "s2": 0.8}, CFG.copy)
+        matrix = detect_copying(claims, {}, {"s1": 0.8, "s2": 0.8}, CFG)
         assert matrix.probability("s1", "s2") == pytest.approx(
             CFG.copy.prior_copy_prob)
         assert matrix.probability("s2", "s1") == pytest.approx(
@@ -131,7 +132,7 @@ class TestDetectCopying:
     def test_disagreement_pushes_below_prior(self):
         claims, gold = self.shared_false_claims(10)
         trust = {"s1": 0.6, "s2": 0.6, "s3": 0.9}
-        matrix = detect_copying(claims, dict(gold.entries), trust, CFG.copy)
+        matrix = detect_copying(claims, dict(gold.entries), trust, CFG)
         # s3 disagrees with s1 on every contested item.
         total = matrix.probability("s1", "s3") + matrix.probability("s3", "s1")
         assert total < 2 * CFG.copy.prior_copy_prob
@@ -139,7 +140,7 @@ class TestDetectCopying:
     def test_swapping_pair_preserves_total_posterior(self):
         claims, gold = self.shared_false_claims(6)
         t1 = {"s1": 0.5, "s2": 0.8, "s3": 0.9}
-        m = detect_copying(claims, dict(gold.entries), t1, CFG.copy)
+        m = detect_copying(claims, dict(gold.entries), t1, CFG)
         total = m.probability("s1", "s2") + m.probability("s2", "s1")
         # Asymmetric accuracies allocate direction unevenly but keep the
         # total; recompute with sources relabeled.
@@ -701,7 +702,7 @@ class TestVectorisedAgainstLoops:
         # Truth from gold on most items, none on some: both rules apply.
         truth = {it: v for k, (it, v) in enumerate(gold.entries.items())
                  if k % 7}
-        matrix = detect_copying(claims, truth, trust, CFG.copy)
+        matrix = detect_copying(claims, truth, trust, CFG)
         want = ref_detect_copying(claims, truth, trust, CFG.copy)
         assert_close_maps(matrix.prob, want)
         assert len(matrix.prob) == 6 * 5
@@ -712,7 +713,7 @@ class TestVectorisedAgainstLoops:
 
     def test_engine_constants_reach_the_posteriors(self):
         """The false-value domain and the trust clamp are read off the
-        engine's fusion config, in detection and in AccuCopy's rounds."""
+        run's fusion config, in detection and in AccuCopy's rounds."""
         claims, gold, _ = copier_scenario(seed=6)
         truth = dict(gold.entries)
         trust = {s: t for s, t in zip(claims.sources,
@@ -720,34 +721,51 @@ class TestVectorisedAgainstLoops:
         config = load_config(overrides={
             "fusion": {"n_false": 3, "trust_clamp": 0.05}})
         engine = FusionEngine(claims, config.fusion)
-        got = detect_copying(claims, truth, trust, CFG.copy, engine).prob
+        got = detect_copying(claims, truth, trust, config, engine).prob
         assert_close_maps(got, ref_detect_copying(claims, truth, trust,
                                                   CFG.copy, config.fusion))
-        default = detect_copying(claims, truth, trust, CFG.copy).prob
+        default = detect_copying(claims, truth, trust, CFG).prob
         assert max(abs(got[k] - default[k]) for k in got) > 0.01
         for fusion in (FusionConfig(n_false=3), FusionConfig(
                 trust_clamp=0.05)):
-            one = detect_copying(claims, truth, trust, CFG.copy,
-                                 FusionEngine(claims, fusion)).prob
+            one = detect_copying(claims, truth, trust,
+                                 replace(CFG, fusion=fusion)).prob
             assert one != default and one != got
         r = self.compare_runs(claims, config=config)
         assert r.copy_matrix.prob != self.compare_runs(claims).copy_matrix.prob
+
+    def test_detect_copying_without_an_engine_reads_the_run_constants(self):
+        """The engine built when none is passed takes the run's fusion
+        config, so the call equals the one on that config's engine."""
+        claims, gold, _ = copier_scenario(seed=6)
+        truth = dict(gold.entries)
+        trust = {s: t for s, t in zip(claims.sources,
+                                      (0.999, 0.01, 0.5, 0.6, 0.7, 0.8))}
+        config = load_config(overrides={
+            "fusion": {"n_false": 50, "trust_clamp": 0.01}})
+        alone = detect_copying(claims, truth, trust, config).prob
+        assert alone == detect_copying(
+            claims, truth, trust, config,
+            FusionEngine(claims, config.fusion)).prob
+        assert alone != detect_copying(claims, truth, trust, CFG).prob
 
     def test_detect_copying_reuses_a_global_engine(self):
         claims, _, _ = copier_scenario(seed=8)
         truth = run_fusion(MethodSpec("vote"), claims, CFG).selected
         trust = {s: 0.6 for s in claims.sources}
-        alone = detect_copying(claims, truth, trust, CFG.copy)
+        alone = detect_copying(claims, truth, trust, CFG)
         other_constants = load_config(overrides={"fusion": {"rho": 0.1}})
         shared = FusionEngine(claims, other_constants.fusion)
-        assert detect_copying(claims, truth, trust, CFG.copy,
+        assert detect_copying(claims, truth, trust, other_constants,
                               shared).prob == alone.prob
+        with pytest.raises(FusionError, match="different fusion config"):
+            detect_copying(claims, truth, trust, CFG, shared)
         with pytest.raises(FusionError):
-            detect_copying(claims, truth, trust, CFG.copy,
+            detect_copying(claims, truth, trust, CFG,
                            engine_for(claims, CFG.fusion, True))
         with pytest.raises(FusionError):
             detect_copying(copier_scenario(seed=9)[0], truth, trust,
-                           CFG.copy, shared)
+                           other_constants, shared)
 
     def test_detect_copying_with_neighbouring_true_buckets(self):
         # Bucket centres lie tau apart, so a truth between two of them
@@ -760,7 +778,7 @@ class TestVectorisedAgainstLoops:
         truth = {DataItem(f"o{i}", "price"): Value.number(100.6)
                  for i in range(6)}
         trust = {s: 0.7 for s in claims.sources}
-        matrix = detect_copying(claims, truth, trust, CFG.copy)
+        matrix = detect_copying(claims, truth, trust, CFG)
         assert_close_maps(matrix.prob,
                           ref_detect_copying(claims, truth, trust, CFG.copy))
         assert matrix.probability("s1", "s3") < CFG.copy.prior_copy_prob

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truthfuse.config import load_config
+from truthfuse.config import FusionConfig, load_config
 from truthfuse.fusion import (
     FusionEngine,
     FusionError,
@@ -328,20 +328,19 @@ class TestSimilarityBoost:
         schema = {"price": type(make_claims(rows).schema["price"])(
             "price", Kind.NUMBER, 0.012)}
         claims = make_claims(rows, schema=schema)
-        engine = FusionEngine(claims, CFG.fusion)
+        engine = FusionEngine(claims, FusionConfig(rho=0.5))
         votes = np.array([4.0, 2.0])
-        boosted = engine._boost(votes, rho=0.5)
+        boosted = engine._boost(votes)
         assert boosted.tolist() == pytest.approx([4.5, 3.0])
 
     def test_full_similarity_full_rho_symmetric(self):
         rows = [("s1", "o1", "price", 10.0), ("s2", "o1", "price", 10.0),
                 ("s3", "o1", "price", 10.001)]
         claims = make_claims(rows)
-        engine = FusionEngine(claims, load_config(
-            overrides={"fusion": {"alpha": 0.5}}).fusion)
+        engine = FusionEngine(claims, FusionConfig(alpha=0.5, rho=1.0))
         if engine.n_cands == 2:
             votes = np.array([2.0, 1.0])
-            boosted = engine._boost(votes, rho=1.0)
+            boosted = engine._boost(votes)
             sim = engine.sim_w[0]
             assert boosted[0] == pytest.approx(2.0 + sim * 1.0)
             assert boosted[1] == pytest.approx(1.0 + sim * 2.0)

@@ -17,6 +17,7 @@ from truthfuse.fusion import (
     FusionState,
     MethodSpec,
     accu_posteriors,
+    clamp_trust,
     engine_for,
     run_fusion,
 )
@@ -60,11 +61,12 @@ class RefChainEngine(FusionEngine):
             return self._rescale01(self._estimates_votes(trust, vt, weights),
                                    self.cand_segs)
         if method == "truthfinder":
-            per_claim = -np.log(1.0 - self._clamp(trust))[self.claim_vsrc]
+            t = clamp_trust(trust, self.cfg)
+            per_claim = -np.log(1.0 - t)[self.claim_vsrc]
             votes = self._claim_sum(per_claim, weights)
             return self._boost(votes)
         if method in ("accupr", "accusim", "accuformat"):
-            t = self._clamp(trust)
+            t = clamp_trust(trust, self.cfg)
             per_claim = np.log(self.cfg.n_false * t / (1.0 - t))
             votes = self._claim_sum(per_claim[self.claim_vsrc], weights)
             if method == "accuformat":
@@ -73,7 +75,7 @@ class RefChainEngine(FusionEngine):
                 votes = self._boost(votes)
             return votes
         if method == "popaccu":
-            t = self._clamp(trust)
+            t = clamp_trust(trust, self.cfg)
             per_claim = np.log(t / (1.0 - t))
             votes = self._claim_sum(per_claim[self.claim_vsrc], weights)
             return votes + self._pop_term
@@ -171,7 +173,7 @@ class RefChainEngine(FusionEngine):
         cfg = self.cfg
         if method in ("hub", "avglog"):
             return FusionState(0, np.zeros(self.n_vsrc),
-                               np.full(self.n_cands, cfg.init_vote))
+                               np.full(self.n_cands, 0.5))
         if method == "invest":
             votes = self.cand_counts / self.item_nprov[self.cand_item]
             return FusionState(0, np.ones(self.n_vsrc), votes)
