@@ -147,15 +147,16 @@ def detect_copying(claims: ClaimSet, truth_estimate: dict[DataItem, Value],
     counted overlap keeps the prior in both directions. The likelihood
     takes ``config``'s copy parameters and its fusion ``n_false`` and
     ``trust_clamp``; a global ``engine`` over ``claims`` built with those
-    constants is reused (checked as in ``run_fusion``).
+    constants is reused (checked as in ``run_fusion``), and
+    ``trust_estimate`` must cover its sources, as input trust does.
     """
     engine = engine_for(claims, config.fusion, False, engine)
     true_cand = ((engine.item_ncand[engine.cand_item] > 1)
                  & engine.gold_match(truth_estimate).cand)
     names = engine.vsrc_list
     pairs = _PairIndex(engine)
-    prob = pairs.posteriors(true_cand, np.array(
-        [float(trust_estimate.get(s, 0.5)) for s in names]), config.copy)
+    prob = pairs.posteriors(true_cand, engine.trust_array(trust_estimate),
+                            config.copy)
     # Without evidence the posterior does not depend on trust.
     prob[pairs.co == 0] = _pair_posterior(*np.zeros((5, 1)), config.copy,
                                           config.fusion)[0][0]

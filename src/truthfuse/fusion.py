@@ -3,8 +3,8 @@
 Every method shares one skeleton: per-item vote counts and per-source
 trust scores are updated in alternation until the trust change drops under
 a threshold, then the highest-vote value on each item is selected as true.
-Methods differ in their vote rule, trust rule, initialization, and
-normalization step, which live in one rule object per method (``_RULES``)
+Methods differ in their vote term and transforms (one vote pass), trust
+rule and first state, which live in one rule object per method (``_RULES``)
 and nowhere else, and run in one round loop (``_fixed_point``).
 Conflicting values are grouped into tolerance buckets first, so the
 baseline vote method selects exactly the dominant bucketed value.
@@ -404,29 +404,6 @@ class FusionEngine:
             / np.where(flat, 1.0, hi - lo)[segs.of]
         return np.where(flat[segs.of], np.clip(x, 0.0, 1.0), spread)
 
-    def _boost(self, votes: np.ndarray) -> np.ndarray:
-        """Credit each value with rho * sim * vote of every similar value."""
-        r = self.cfg.rho
-        if r == 0.0 or self.sim_i.size == 0:
-            return votes
-        boosted = votes.copy()
-        np.add.at(boosted, self.sim_i, r * self.sim_w * votes[self.sim_j])
-        return boosted
-
-    def _format_credit(self, votes: np.ndarray, trust: np.ndarray,
-                       weights: np.ndarray | None) -> np.ndarray:
-        """Partial-provider credit: a coarse value's provider adds
-        w_fmt * trust (scaled by its independence weight) to each strictly
-        finer value it subsumes."""
-        if self.cfg.w_fmt == 0.0 or self.fmt_claim.size == 0:
-            return votes
-        out = votes.copy()
-        credit = self.cfg.w_fmt * trust[self.claim_vsrc[self.fmt_claim]]
-        if weights is not None:
-            credit = credit * weights[self.fmt_claim]
-        np.add.at(out, self.fmt_cand, credit)
-        return out
-
     def select(self, votes: np.ndarray) -> tuple[np.ndarray, int]:
         """Per-item argmax with deterministic smallest-value tie-break
         (candidates are stored in ascending value order)."""
@@ -482,15 +459,9 @@ class FusionEngine:
     def votes_once(self, method: str, trust: np.ndarray,
                    value_trust: np.ndarray | None = None,
                    weights: np.ndarray | None = None) -> np.ndarray:
-        """One vote-update pass for ``method`` under fixed trust.
-
-        ``weights`` are optional per-claim independence weights (copy-aware
-        fusion); they scale each claim's vote contribution.
-        """
+        """``method``'s vote pass (``_Rule.votes``) under fixed trust, each
+        claim scaled by its independence weight if ``weights`` are given."""
         return _rule(method).votes(self, trust, value_trust, weights)
-
-    def init_state(self, method: str) -> FusionState:
-        return _rule(method).start(self, RunConfig())
 
     def step(self, method: str,
              state: FusionState) -> tuple[FusionState, np.ndarray]:
@@ -603,12 +574,15 @@ class FusionEngine:
 
 @dataclass(frozen=True)
 class _Rule:
-    """One method's rules on an engine ``e``: ``init``, ``votes``, a trust
-    update over virtual sources or ``group`` codes (shared by rounds and
-    ``sample_trust``), ``round`` (voting through ``e.votes_once``),
-    ``sample`` (gold trust, with a default) and ``confidence``."""
+    """One method's rules on an engine ``e``: ``start`` (a run's first
+    state), ``votes`` (a per-source ``term``, summed per value, then the
+    named ``transforms`` in order), a trust update over virtual sources or
+    ``group`` codes (shared by rounds and ``sample_trust``), ``round``
+    (voting through ``e.votes_once``), ``sample`` (gold trust, with a
+    default) and ``confidence``."""
 
     label: str
+    transforms: tuple = ()
     iterates = True     # False: select on the first votes, without rounds
     input_rounds = False    # rounds run under input trust, kept fixed
     posterior = False   # accu_posteriors gives its confidence under trust
@@ -617,8 +591,15 @@ class _Rule:
     def name(self) -> str:
         return self.label.lower()
 
-    def start(self, e, config, *options):   # a run's first state
-        return self.init(e)     # only AccuCopy reads the run's options
+    def term(self, e, trust):   # each source's vote for each of its values
+        return trust
+
+    def votes(self, e, trust, value_trust, weights):
+        # The one vote pass: each claim's source term times its weight.
+        votes = e._claim_sum(self.term(e, trust)[e.claim_vsrc], weights)
+        for transform in self.transforms:
+            votes = transform(self, e, votes, trust, value_trust, weights)
+        return votes
 
     def round(self, e, state):
         raise FusionError(f"{self.label} has no rounds in the engine")
@@ -634,12 +615,86 @@ class _Rule:
         return FusionState(state.round + 1, trust, votes, state.value_trust)
 
 
+# -- vote transforms: f(rule, e, votes, trust, value_trust, weights) -> votes
+
+
+def _norm_max(rule, e, votes, *_):
+    return e._norm_max(votes, e.cand_segs)
+
+
+def _invest_power(rule, e, votes, *_):
+    return votes ** e.cfg.invest_exponent
+
+
+def _pooled_share(rule, e, votes, *_):
+    """The item's investment, shared by a power of each value's own."""
+    powed = np.power(np.maximum(votes, 0.0), e.cfg.pooled_exponent)
+    denom = e._per_item_sum(powed)[e.cand_item]
+    total = e._per_item_sum(votes)[e.cand_item]
+    return np.where(denom > 0, np.divide(
+        powed, denom, out=np.zeros_like(powed),
+        where=denom > 0) * total, votes)
+
+
+def _cosine_ratio(rule, e, votes, *_):
+    """A value's support less the item's rest, over the item's total."""
+    item_total = e._per_item_sum(votes)[e.cand_item]
+    num = 2.0 * votes - item_total
+    return np.divide(num, item_total, out=np.zeros_like(num),
+                     where=np.abs(item_total) > 1e-300)
+
+
+def _estimates_numerator(rule, e, votes, trust, value_trust, weights):
+    """Per provider of the item: a value's trust support plus the distrust
+    of the item's others; 3-Estimates weighs the difference by value trust."""
+    item_t = e._per_item_sum(votes)[e.cand_item]
+    nprov = e.item_nprov[e.cand_item]
+    if not rule.order3:
+        num = votes + (nprov - e.cand_counts) - (item_t - votes)
+    else:
+        vt = e.cfg.init_value_trust if value_trust is None else value_trust
+        num = vt * (2.0 * votes - item_t) + nprov - e.cand_counts
+    return num / nprov
+
+
+def _rescale01(rule, e, votes, *_):
+    return e._rescale01(votes, e.cand_segs)
+
+
+def _popularity(rule, e, votes, *_):
+    return votes + e._pop_term
+
+
+def _format_credit(rule, e, votes, trust, value_trust, weights):
+    """Partial-provider credit: a coarse value's provider adds
+    w_fmt * trust (scaled by its independence weight) to each strictly
+    finer value it subsumes."""
+    if e.cfg.w_fmt == 0.0 or e.fmt_claim.size == 0:
+        return votes
+    out = votes.copy()
+    credit = e.cfg.w_fmt * trust[e.claim_vsrc[e.fmt_claim]]
+    if weights is not None:
+        credit = credit * weights[e.fmt_claim]
+    np.add.at(out, e.fmt_cand, credit)
+    return out
+
+
+def _boost(rule, e, votes, *_):
+    """Credit each value with rho * sim * vote of every similar value."""
+    r = e.cfg.rho
+    if r == 0.0 or e.sim_i.size == 0:
+        return votes
+    boosted = votes.copy()
+    np.add.at(boosted, e.sim_i, r * e.sim_w * votes[e.sim_j])
+    return boosted
+
+
 class _Vote(_Rule):
     """Each value's number of providers."""
 
     iterates = False
 
-    def init(self, e):
+    def start(self, e, *_):
         return FusionState(0, np.ones(e.n_vsrc), e.cand_counts.copy())
 
     def votes(self, e, trust, value_trust, weights):
@@ -647,9 +702,6 @@ class _Vote(_Rule):
 
     def sample(self, e, match, group, segs):
         return np.ones(len(segs.of)), 1.0     # every source alike
-
-    def confidence(self, e, votes):
-        return votes / e.item_nprov[e.cand_item]
 
 
 @dataclass(frozen=True)
@@ -661,12 +713,8 @@ class _Hub(_Rule):
 
     avg_log: bool = False
 
-    def init(self, e):
+    def start(self, e, *_):
         return FusionState(0, np.zeros(e.n_vsrc), np.full(e.n_cands, 0.5))
-
-    def votes(self, e, trust, value_trust, weights):
-        return e._norm_max(e._claim_sum(trust[e.claim_vsrc], weights),
-                           e.cand_segs)
 
     def trust(self, e, votes, group=None):
         raw = e._group_sum(votes[e.claim_cand], group)
@@ -697,29 +745,20 @@ class _Invest(_Rule):
 
     pooled: bool = False
 
-    def init(self, e):
+    def start(self, e, *_):
         votes = (1.0 / e.item_ncand[e.cand_item] if self.pooled
                  else e.cand_counts / e.item_nprov[e.cand_item])
         return FusionState(0, np.ones(e.n_vsrc), votes)
 
-    def votes(self, e, trust, value_trust, weights):
-        base = e._claim_sum((trust / e.src_nvals)[e.claim_vsrc], weights)
-        if not self.pooled:
-            return e._norm_max(base ** e.cfg.invest_exponent, e.cand_segs)
-        powed = np.power(np.maximum(base, 0.0), e.cfg.pooled_exponent)
-        denom = e._per_item_sum(powed)[e.cand_item]
-        total = e._per_item_sum(base)[e.cand_item]
-        return np.where(denom > 0, np.divide(
-            powed, denom, out=np.zeros_like(powed),
-            where=denom > 0) * total, base)
+    def term(self, e, trust):
+        return trust / e.src_nvals
 
     def trust(self, e, votes, trust, group=None):
         """Each group's share of its candidates' votes, by the trust (per
         group, or one for all) it invested evenly over its claims."""
         inv_w = (trust / e._group_size(group))[
             e.claim_vsrc if group is None else group]
-        inv_sum = np.bincount(e.claim_cand, weights=inv_w,
-                              minlength=e.n_cands)
+        inv_sum = e._claim_sum(inv_w, None)
         share = np.divide(inv_w, inv_sum[e.claim_cand],
                           out=np.zeros_like(inv_w),
                           where=inv_sum[e.claim_cand] > 0)
@@ -742,16 +781,11 @@ class _Cosine(_Rule):
     """Cosine: votes in [-1, 1]; trust is the damped cosine between a
     source's claims and the votes."""
 
-    def init(self, e):
+    def start(self, e, *_):
         return FusionState(0, np.ones(e.n_vsrc), np.ones(e.n_cands))
 
-    def votes(self, e, trust, value_trust, weights):
-        cube = np.power(trust, e.cfg.cosine_trust_power)
-        support = e._claim_sum(cube[e.claim_vsrc], weights)
-        item_total = e._per_item_sum(support)[e.cand_item]
-        num = 2.0 * support - item_total
-        return np.divide(num, item_total, out=np.zeros_like(num),
-                         where=np.abs(item_total) > 1e-300)
+    def term(self, e, trust):
+        return np.power(trust, e.cfg.cosine_trust_power)
 
     def trust(self, e, votes, group=None):
         own = votes[e.claim_cand]
@@ -782,28 +816,11 @@ class _Estimates(_Rule):
 
     order3: bool = False
 
-    def init(self, e):
+    def start(self, e, *_):
         value_trust = (np.full(e.n_cands, e.cfg.init_value_trust)
                        if self.order3 else None)
         return FusionState(0, np.ones(e.n_vsrc), np.zeros(e.n_cands),
                            value_trust)
-
-    def votes(self, e, trust, value_trust, weights):
-        if value_trust is None or not self.order3:
-            value_trust = self.init(e).value_trust
-        return e._rescale01(self.raw_votes(e, trust, value_trust, weights),
-                            e.cand_segs)
-
-    def raw_votes(self, e, trust, value_trust, weights):
-        t_support = e._claim_sum(trust[e.claim_vsrc], weights)
-        item_t = e._per_item_sum(t_support)[e.cand_item]
-        nprov = e.item_nprov[e.cand_item]
-        if value_trust is None:
-            num = t_support + (nprov - e.cand_counts) - (item_t - t_support)
-        else:
-            num = (value_trust * (2.0 * t_support - item_t)
-                   + nprov - e.cand_counts)
-        return num / nprov
 
     def trust(self, e, votes, value_trust, group=None):
         own = votes[e.claim_cand]
@@ -845,17 +862,15 @@ class _Estimates(_Rule):
 
 @dataclass(frozen=True)
 class _Posterior(_Rule):
-    """AccuPr: votes sum log(n_false * t / (1 - t)); PopAccu log(t / (1 - t))
-    plus popularity; AccuSim and AccuFormat add similar and coarse values'.
+    """AccuPr: votes sum log(n_false * t / (1 - t)); PopAccu, with n_false = 1,
+    adds popularity; AccuSim and AccuFormat add similar and coarse values'.
     TruthFinder sums -log(1 - t); its truth is 1 - exp(-gamma * vote)."""
 
     truthfinder: bool = False
     popularity: bool = False
-    similarity: bool = False
-    formats: bool = False
     posterior = True
 
-    def init(self, e):
+    def start(self, e, *_):
         return FusionState(0, np.full(e.n_vsrc, e.cfg.init_trust_bayes),
                            np.zeros(e.n_cands))
 
@@ -863,20 +878,12 @@ class _Posterior(_Rule):
         return (e.mean_trust(match.claim.astype(float), group),
                 clamp_trust(np.float64(e.cfg.init_trust_bayes), e.cfg))
 
-    def votes(self, e, trust, value_trust, weights):
+    def term(self, e, trust):
         t = clamp_trust(trust, e.cfg)
         if self.truthfinder:
-            per_claim = -np.log(1.0 - t)
-        elif self.popularity:
-            per_claim = np.log(t / (1.0 - t))
-        else:
-            per_claim = np.log(e.cfg.n_false * t / (1.0 - t))
-        votes = e._claim_sum(per_claim[e.claim_vsrc], weights)
-        if self.popularity:
-            votes = votes + e._pop_term
-        if self.formats:
-            votes = e._format_credit(votes, trust, weights)
-        return e._boost(votes) if self.similarity else votes
+            return -np.log(1.0 - t)
+        n_false = 1 if self.popularity else e.cfg.n_false
+        return np.log(n_false * t / (1.0 - t))
 
     def round(self, e, state):
         votes = e.votes_once(self.name, state.trust)
@@ -902,7 +909,7 @@ class _CopyAware(_Posterior):
         if len(e.parts) > 1 and (input_trust is not None or known_copiers):
             raise FusionError("input trust and known copiers name the "
                               "sources of one engine, not of a stack")
-        state = self.init(e)
+        state = super().start(e)
         if input_trust is not None:
             state.trust = e.trust_array(input_trust)
         state.copying = Copying.start(e, config.copy, known_copiers, detect,
@@ -925,15 +932,20 @@ class _CopyAware(_Posterior):
 
 
 _RULES: dict[str, _Rule] = {rule.name: rule for rule in (
-    _Vote("Vote"), _Hub("Hub"), _Hub("AvgLog", avg_log=True),
-    _Invest("Invest"), _Invest("PooledInvest", pooled=True),
-    _Cosine("Cosine"), _Estimates("2-Estimates"),
-    _Estimates("3-Estimates", order3=True),
-    _Posterior("TruthFinder", truthfinder=True, similarity=True),
-    _Posterior("AccuPr"), _Posterior("PopAccu", popularity=True),
-    _Posterior("AccuSim", similarity=True),
-    _Posterior("AccuFormat", similarity=True, formats=True),
-    _CopyAware("AccuCopy", similarity=True, formats=True),
+    _Vote("Vote"),
+    _Hub("Hub", (_norm_max,)),
+    _Hub("AvgLog", (_norm_max,), avg_log=True),
+    _Invest("Invest", (_invest_power, _norm_max)),
+    _Invest("PooledInvest", (_pooled_share,), pooled=True),
+    _Cosine("Cosine", (_cosine_ratio,)),
+    _Estimates("2-Estimates", (_estimates_numerator, _rescale01)),
+    _Estimates("3-Estimates", (_estimates_numerator, _rescale01), order3=True),
+    _Posterior("TruthFinder", (_boost,), truthfinder=True),
+    _Posterior("AccuPr"),
+    _Posterior("PopAccu", (_popularity,), popularity=True),
+    _Posterior("AccuSim", (_boost,)),
+    _Posterior("AccuFormat", (_format_credit, _boost)),
+    _CopyAware("AccuCopy", (_format_credit, _boost)),
 )}
 METHOD_NAMES = tuple(_RULES)
 
@@ -991,8 +1003,7 @@ def run_fusion(method: MethodSpec, claims: ClaimSet, config: RunConfig,
 
 
 def fuse_segments(method: MethodSpec, engine: FusionEngine,
-                  config: RunConfig | None = None,
-                  *options) -> list[FusionResult]:
+                  config: RunConfig, *options) -> list[FusionResult]:
     """``method``'s run (``_fixed_point``) on every part of ``engine``
     (itself unless a ``stack``), one result per part, each timed as the
     whole call. Only AccuCopy reads ``config`` and the options after it."""
@@ -1014,12 +1025,12 @@ def fuse_segments(method: MethodSpec, engine: FusionEngine,
 
 
 def _fixed_point(method: MethodSpec, engine: FusionEngine,
-                 config: RunConfig | None = None, *options):
+                 config: RunConfig, *options):
     """The round loop of every method on all segments at once, each frozen
     from its first round under ``epsilon`` (or the cap) on, as if run alone:
     the final state and votes, and per segment its changes and convergence."""
     cfg, rule = engine.cfg, _RULES[method.name]
-    state = rule.start(engine, config or RunConfig(), *options)
+    state = rule.start(engine, config, *options)
     converged = np.full(len(engine.parts), not rule.iterates)
     live, deltas = ~converged, [[] for _ in engine.parts]
     while live.any() and state.round < cfg.round_cap:

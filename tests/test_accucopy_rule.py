@@ -29,6 +29,7 @@ from truthfuse.fusion import (
     FusionEngine,
     FusionError,
     MethodSpec,
+    _RULES,
     _fixed_point,
     engine_for,
     fuse_segments,
@@ -196,11 +197,11 @@ def test_vote_pass_is_accuformat_with_weights(snapshot):
 
 
 def test_steps_from_the_engine_state(snapshot):
-    """``init_state`` and ``step`` run AccuCopy with the default copy
-    parameters, as a default run does."""
+    """The rule's ``start`` and the engine's ``step`` run AccuCopy as
+    ``run_fusion`` does under the same config."""
     claims, _ = snapshot
     engine = FusionEngine(claims, CFG.fusion)
-    state = engine.init_state("accucopy")
+    state = _RULES["accucopy"].start(engine, CFG)
     deltas = []
     while state.round < CFG.fusion.round_cap:
         state, delta = engine.step("accucopy", state)
@@ -270,8 +271,18 @@ def test_copy_parameters_reach_the_stack():
     default, other = (fuse_segments(method, stack, config)
                       for config in (CFG, COPY_RATE))
     assert [r.trust for r in default] != [r.trust for r in other]
-    assert [outcome(r) for r in default] == [outcome(r) for r in
-                                             fuse_segments(method, stack)]
+
+
+def test_runs_take_no_default_config():
+    """A stacked run reads its copy parameters from the config it is
+    given, so it must be given one: no call falls back to the defaults."""
+    claims, gold = copier_snapshot()
+    stack = FusionEngine.stack(prefix_engines(claims, gold, False))
+    method = MethodSpec("accucopy")
+    with pytest.raises(TypeError, match="config"):
+        fuse_segments(method, stack)
+    with pytest.raises(TypeError, match="config"):
+        _fixed_point(method, stack)
 
 
 @pytest.mark.parametrize("options", [

@@ -20,6 +20,7 @@ from truthfuse.fusion import (
     FusionEngine,
     FusionError,
     MethodSpec,
+    _RULES,
     _Segments,
     fuse_segments,
 )
@@ -60,7 +61,7 @@ def ref_run_fusion(method: MethodSpec, engine: RefEngine):
         return engine.build_result(method, votes, np.ones(engine.n_vsrc),
                                    rounds=0, converged=True, wall_time=0.0,
                                    deltas=[], confidence=conf)
-    state = engine.init_state(method.name)
+    state = _RULES[method.name].start(engine, CFG)
     deltas: list[float] = []
     converged = False
     while state.round < cfg.round_cap:
@@ -91,7 +92,7 @@ def batched(method: MethodSpec, parts) -> list:
     (numpy's divide, overflow or invalid value) fails the test."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return fuse_segments(method, FusionEngine.stack(parts))
+        return fuse_segments(method, FusionEngine.stack(parts), CFG)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,7 @@ def test_batched_equals_per_engine_loop(prefixes, reference, method):
 def test_plain_engine_is_one_segment(prefixes, reference):
     engines, _ = prefixes[-1]
     for m in BATCHED:
-        got, = fuse_segments(m, engines[m.per_attribute_trust])
+        got, = fuse_segments(m, engines[m.per_attribute_trust], CFG)
         assert outcome(got) == outcome(reference[m][-1]), m.label()
 
 

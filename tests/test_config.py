@@ -130,10 +130,12 @@ class TestOverrides:
             load_config(tmp_path / "absent.ini", env={})
 
 
-def default_config_builds() -> list[tuple[str, str | None]]:
-    """(module, "Class.function") of each ``FusionConfig()`` built without
-    arguments inside a function body in ``src/``; a parameter's default
-    value is not a body."""
+def default_config_builds(classes=("FusionConfig", "RunConfig"),
+                          ) -> list[tuple[str, str | None]]:
+    """(module, "Class.function") of each ``FusionConfig()`` or
+    ``RunConfig()`` (of ``classes``) built without arguments inside a
+    function body in ``src/``; a parameter's default value is not a
+    body."""
     functions, signatures = set(), set()
 
     def match(node, scope):
@@ -143,7 +145,7 @@ def default_config_builds() -> list[tuple[str, str | None]]:
                 functions.add(f"{scope}.{node.name}" if scope else node.name)
         return (isinstance(node, ast.Call) and not node.args
                 and not node.keywords
-                and getattr(node.func, "id", None) == "FusionConfig"
+                and getattr(node.func, "id", None) in classes
                 and scope in functions and node not in signatures)
 
     return nodes_in_src(match)
@@ -157,3 +159,9 @@ def test_no_function_hides_a_default_config():
     assert sorted(set(default_config_builds())) == [
         ("copydetect", "independence_weights"),
         ("metrics", "profile_items"), ("metrics", "scoring_match")]
+
+
+def test_no_function_builds_a_default_run_config():
+    """No run falls back to the default copy parameters or fusion
+    constants: every ``RunConfig`` in ``src/`` comes from its caller."""
+    assert default_config_builds(("RunConfig",)) == []

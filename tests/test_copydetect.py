@@ -767,6 +767,16 @@ class TestVectorisedAgainstLoops:
             detect_copying(copier_scenario(seed=9)[0], truth, trust,
                            other_constants, shared)
 
+    def test_detect_copying_needs_every_sources_trust(self):
+        """A source missing from the trust map is an error naming it, as
+        for a run's input trust; no constant stands in for its trust."""
+        claims, gold, _ = copier_scenario(seed=6)
+        trust = {s: 0.7 for s in claims.sources}
+        missing = claims.sources[2]
+        del trust[missing]
+        with pytest.raises(FusionError, match=repr(missing)):
+            detect_copying(claims, dict(gold.entries), trust, CFG)
+
     def test_detect_copying_with_neighbouring_true_buckets(self):
         # Bucket centres lie tau apart, so a truth between two of them
         # matches both: sources on different true buckets still disagree.

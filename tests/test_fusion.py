@@ -17,6 +17,8 @@ from truthfuse.fusion import (
     MethodSpec,
     _RULES,
     _Segments,
+    _boost,
+    _estimates_numerator,
     accu_posteriors,
     method_labels,
     run_fusion,
@@ -89,14 +91,14 @@ class TestHub:
     def test_single_value_fixed_point(self):
         claims = make_claims([("s1", "o1", "price", 10.0)])
         engine = FusionEngine(claims, CFG.fusion)
-        state = engine.init_state("hub")
+        state = _RULES["hub"].start(engine, CFG)
         state, _ = engine.step("hub", state)
         assert state.trust[0] == 1.0
         assert state.votes[0] == 1.0
 
     def test_toy5_one_round_selects_majority(self, toy5):
         engine = FusionEngine(toy5, CFG.fusion)
-        state = engine.init_state("hub")
+        state = _RULES["hub"].start(engine, CFG)
         state, _ = engine.step("hub", state)
         chosen, _ = engine.select(state.votes)
         assert engine.cand_values[chosen[0]] == Value.number(10.0)
@@ -142,7 +144,7 @@ class TestInvestFamily:
     @pytest.mark.parametrize("name", ["invest", "pooledinvest"])
     def test_toy5_two_rounds_majority(self, name, toy5):
         engine = FusionEngine(toy5, CFG.fusion)
-        state = engine.init_state(name)
+        state = _RULES[name].start(engine, CFG)
         for _ in range(2):
             state, _ = engine.step(name, state)
         chosen, _ = engine.select(state.votes)
@@ -180,31 +182,38 @@ class TestCosine:
 
 class TestEstimates:
 
+    @staticmethod
+    def numerator(engine, trust):
+        """2-Estimates' votes before the rescale: its numerator transform
+        of the summed trust."""
+        rule = _RULES["2-estimates"]
+        summed = engine._claim_sum(rule.term(engine, trust)[engine.claim_vsrc],
+                                   None)
+        return _estimates_numerator(rule, engine, summed, trust, None, None)
+
     def test_toy5_votes_before_rescale(self, toy5):
         # With all trust fixed at 1 the raw complement-vote averages are
         # 0.6 and 0.4.
         engine = FusionEngine(toy5, CFG.fusion)
-        raw = _RULES["2-estimates"].raw_votes(engine, np.ones(engine.n_vsrc),
-                                              None, None)
+        raw = self.numerator(engine, np.ones(engine.n_vsrc))
         assert sorted(np.round(raw, 12).tolist()) == [0.4, 0.6]
 
     def test_unanimous_item_full_trust_vote(self):
         claims = make_claims([("s1", "o1", "price", 10.0),
                               ("s2", "o1", "price", 10.0)])
         engine = FusionEngine(claims, CFG.fusion)
-        raw = _RULES["2-estimates"].raw_votes(engine, np.ones(engine.n_vsrc),
-                                              None, None)
+        raw = self.numerator(engine, np.ones(engine.n_vsrc))
         assert raw.tolist() == [1.0]
 
     def test_order3_initializes_value_trust(self, toy5):
         engine = FusionEngine(toy5, CFG.fusion)
-        state = engine.init_state("3-estimates")
+        state = _RULES["3-estimates"].start(engine, CFG)
         assert np.all(state.value_trust == 0.9)
 
     @pytest.mark.parametrize("name", ["2-estimates", "3-estimates"])
     def test_votes_and_trust_stay_in_unit_interval(self, name, toy5):
         engine = FusionEngine(toy5, CFG.fusion)
-        state = engine.init_state(name)
+        state = _RULES[name].start(engine, CFG)
         for _ in range(5):
             state, _ = engine.step(name, state)
             assert np.all(state.votes >= 0.0) and np.all(state.votes <= 1.0)
@@ -228,7 +237,7 @@ class TestNormalizedBounds:
             ("s3", "o2", "price", 7.0), ("s2", "o3", "gate", "a"),
         ])
         engine = FusionEngine(claims, CFG.fusion)
-        state = engine.init_state(name)
+        state = _RULES[name].start(engine, CFG)
         for _ in range(8):
             state, _ = engine.step(name, state)
             assert np.all(state.trust >= 0.0)
@@ -318,7 +327,8 @@ class TestSimilarityBoost:
     def test_no_similar_values_votes_unchanged(self, toy5):
         engine = FusionEngine(toy5, CFG.fusion)
         votes = engine.cand_counts.copy()
-        assert engine._boost(votes).tolist() == votes.tolist()
+        boosted = _boost(_RULES["accusim"], engine, votes)
+        assert boosted.tolist() == votes.tolist()
 
     def test_boost_arithmetic(self):
         # tau = alpha * median = 0.012 * 10 = 0.12; sim(10, 10.6) = 0.5.
@@ -330,7 +340,7 @@ class TestSimilarityBoost:
         claims = make_claims(rows, schema=schema)
         engine = FusionEngine(claims, FusionConfig(rho=0.5))
         votes = np.array([4.0, 2.0])
-        boosted = engine._boost(votes)
+        boosted = _boost(_RULES["accusim"], engine, votes)
         assert boosted.tolist() == pytest.approx([4.5, 3.0])
 
     def test_full_similarity_full_rho_symmetric(self):
@@ -340,7 +350,7 @@ class TestSimilarityBoost:
         engine = FusionEngine(claims, FusionConfig(alpha=0.5, rho=1.0))
         if engine.n_cands == 2:
             votes = np.array([2.0, 1.0])
-            boosted = engine._boost(votes)
+            boosted = _boost(_RULES["accusim"], engine, votes)
             sim = engine.sim_w[0]
             assert boosted[0] == pytest.approx(2.0 + sim * 1.0)
             assert boosted[1] == pytest.approx(1.0 + sim * 2.0)

@@ -2,9 +2,12 @@
 ``if method == ...`` branches in ``votes_once``, ``init_state`` and ``step``
 that it replaced: every round's trust, votes and value trust are equal bit
 for bit, and so are the input-trust pass and its confidence. Also the
-errors of the table lookup and the variants ``accu_posteriors`` takes."""
+errors of the table lookup, the variants ``accu_posteriors`` takes, and
+that every rule votes through the one vote pass (``_Rule.votes``)."""
 
 from __future__ import annotations
+
+import ast
 
 import numpy as np
 import pytest
@@ -16,13 +19,21 @@ from truthfuse.fusion import (
     FusionError,
     FusionState,
     MethodSpec,
+    _RULES,
+    _Rule,
+    _rule,
     accu_posteriors,
     clamp_trust,
     engine_for,
     run_fusion,
 )
 
-from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
+from conftest import (
+    copier_snapshot,
+    edge_snapshot,
+    nodes_in_src,
+    synthetic_snapshot,
+)
 
 CFG = load_config()
 SNAPSHOTS = {"copier": copier_snapshot, "edge": edge_snapshot,
@@ -80,6 +91,24 @@ class RefChainEngine(FusionEngine):
             votes = self._claim_sum(per_claim[self.claim_vsrc], weights)
             return votes + self._pop_term
         raise FusionError(f"no vote rule for method {method!r}")
+
+    def _boost(self, votes):
+        r = self.cfg.rho
+        if r == 0.0 or self.sim_i.size == 0:
+            return votes
+        boosted = votes.copy()
+        np.add.at(boosted, self.sim_i, r * self.sim_w * votes[self.sim_j])
+        return boosted
+
+    def _format_credit(self, votes, trust, weights):
+        if self.cfg.w_fmt == 0.0 or self.fmt_claim.size == 0:
+            return votes
+        out = votes.copy()
+        credit = self.cfg.w_fmt * trust[self.claim_vsrc[self.fmt_claim]]
+        if weights is not None:
+            credit = credit * weights[self.fmt_claim]
+        np.add.at(out, self.fmt_cand, credit)
+        return out
 
     def _weighted_cand_sum(self, trust, weights):
         return self._claim_sum(trust[self.claim_vsrc], weights)
@@ -305,7 +334,7 @@ def test_snapshots_have_both_flags_apart(snap):
 @pytest.mark.parametrize("name", METHOD_NAMES)
 @pytest.mark.parametrize("flag", [False, True])
 def test_init_state_matches_chain(snap, name, flag):
-    got = snap.engines[flag].init_state(name)
+    got = _RULES[name].start(snap.engines[flag], CFG)
     want = snap.refs[flag].init_state(name)
     assert got.round == want.round == 0
     for part in ("trust", "votes", "value_trust"):
@@ -321,7 +350,7 @@ def test_every_round_matches_chain(snap, name, flag, weighted):
     rounds vote with weights through the engine's ``votes_once``."""
     engine = (snap.weighted if weighted else snap.engines)[flag]
     ref, weights = snap.refs[flag], snap.weights(flag, weighted)
-    got, want = engine.init_state(name), ref.init_state(name)
+    got, want = _RULES[name].start(engine, CFG), ref.init_state(name)
     for k in range(CFG.fusion.round_cap):
         got, got_delta = engine.step(name, got)
         want, want_delta = ref.step(name, want, weights)
@@ -389,9 +418,9 @@ def _engine():
 
 @pytest.mark.parametrize("call", [
     lambda e: e.votes_once("nosuch", np.ones(e.n_vsrc)),
-    lambda e: e.init_state("nosuch"),
-    lambda e: e.step("nosuch", e.init_state("hub")),
-    lambda e: e.step("vote", e.init_state("vote")),
+    lambda e: _rule("nosuch").start(e, CFG),
+    lambda e: e.step("nosuch", _RULES["hub"].start(e, CFG)),
+    lambda e: e.step("vote", _RULES["vote"].start(e, CFG)),
     lambda e: MethodSpec("nosuch"),
 ], ids=["votes-unknown", "init-unknown", "step-unknown", "step-vote",
         "spec-unknown"])
@@ -425,3 +454,38 @@ def test_accu_posteriors_rejects_other_variants(variant):
     with pytest.raises(FusionError, match="valid variants: " + ", ".join(
             POSTERIOR)):
         accu_posteriors(claims, trust, CFG, variant=variant)
+
+
+# -- the one vote pass -------------------------------------------------------
+
+
+def rule_classes() -> set[str]:
+    """The names of ``_Rule`` and of all its subclasses."""
+    names, todo = set(), [_Rule]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo += cls.__subclasses__()
+    return names
+
+
+def passes_weights_to_claim_sum(node, scope) -> bool:
+    if not (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "_claim_sum"):
+        return False
+    args = [*node.args, *(k.value for k in node.keywords)]
+    return any(getattr(a, "id", None) == "weights" for a in args)
+
+
+def test_rules_vote_through_the_one_pass():
+    """Only ``_Rule`` (the one pass) and ``_Vote`` (counts, which weights
+    do not scale) define ``votes``, and only ``_Rule.votes`` hands
+    ``weights`` to ``_claim_sum``: no rule writes its own gather, weight
+    and sum again, so a rule states only its term and its transforms."""
+    rules = rule_classes()
+    defines = nodes_in_src(lambda node, scope: (
+        isinstance(node, ast.FunctionDef) and node.name == "votes"
+        and scope in rules))
+    assert sorted(defines) == [("fusion", "_Rule"), ("fusion", "_Vote")]
+    assert nodes_in_src(passes_weights_to_claim_sum) == [
+        ("fusion", "_Rule.votes")]

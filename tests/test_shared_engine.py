@@ -17,6 +17,7 @@ from truthfuse.fusion import (
     FusionEngine,
     FusionError,
     MethodSpec,
+    _RULES,
     engine_for,
     method_labels,
     run_fusion,
@@ -125,7 +126,7 @@ def test_per_attribute_view_refuses_a_global_run(snapshot):
 
 def test_vote_state_does_not_alias_engine_counts(snapshot):
     engine = FusionEngine(snapshot[0], CFG.fusion)
-    state = engine.init_state("vote")
+    state = _RULES["vote"].start(engine, CFG)
     assert not np.shares_memory(state.votes, engine.cand_counts)
 
 
