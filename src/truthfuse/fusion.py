@@ -3,9 +3,9 @@
 Every method shares one skeleton: per-item vote counts and per-source
 trust scores are updated in alternation until the trust change drops under
 a threshold, then the highest-vote value on each item is selected as true.
-Methods differ in their vote term and transforms (one vote pass), trust
-rule and first state, which live in one rule object per method (``_RULES``)
-and nowhere else, and run in one round loop (``_fixed_point``).
+Methods differ in their vote and trust terms and transforms (one vote pass,
+one trust pass) and first state, which live in one rule object per method
+(``_RULES``) and nowhere else, and run in one round loop (``_fixed_point``).
 Conflicting values are grouped into tolerance buckets first, so the
 baseline vote method selects exactly the dominant bucketed value.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -495,6 +495,10 @@ class FusionEngine:
         return np.bincount(self.claim_cand, weights=per_claim,
                            minlength=self.n_cands)
 
+    def _group_sum(self, per_claim: np.ndarray) -> np.ndarray:
+        return np.bincount(self.claim_vsrc, weights=per_claim,
+                           minlength=self.n_vsrc)
+
     # -- posteriors (Bayesian family) ------------------------------------
 
     def posteriors(self, votes: np.ndarray,
@@ -513,32 +517,6 @@ class FusionEngine:
                 self.cfg.n_false + 1 - self.item_ncand[self.cand_item], 0.0)
             denom = denom + extra * np.exp(-m)
         return expd / denom
-
-    def trust_from_posteriors(self, post: np.ndarray) -> np.ndarray:
-        return self.mean_trust(post[self.claim_cand])
-
-    # -- sums over the claims of each group -------------------------------
-
-    def _group_sum(self, per_claim: np.ndarray,
-                   group: np.ndarray | None = None) -> np.ndarray:
-        """Per virtual source, or per code (dense from 0) ``group`` gives."""
-        if group is None:
-            return np.bincount(self.claim_vsrc, weights=per_claim,
-                               minlength=self.n_vsrc)
-        return np.bincount(group, weights=per_claim)
-
-    def _group_size(self, group: np.ndarray | None) -> np.ndarray:
-        """Each group's number of claims, at least 1."""
-        if group is None:
-            return self.src_nvals
-        return np.maximum(np.bincount(group), 1)
-
-    def mean_trust(self, per_claim: np.ndarray,
-                   group: np.ndarray | None = None) -> np.ndarray:
-        """The accuracy rule: each group's mean over its claims of their
-        probability of truth (a posterior, or 0/1 against gold), clamped."""
-        return clamp_trust(self._group_sum(per_claim, group)
-                           / self._group_size(group), self.cfg)
 
     # -- result assembly --------------------------------------------------
 
@@ -574,22 +552,33 @@ class FusionEngine:
 
 @dataclass(frozen=True)
 class _Rule:
-    """One method's rules on an engine ``e``: ``start`` (a run's first
-    state), ``votes`` (a per-source ``term``, summed per value, then the
-    named ``transforms`` in order), a trust update over virtual sources or
-    ``group`` codes (shared by rounds and ``sample_trust``), ``round``
-    (voting through ``e.votes_once``), ``sample`` (gold trust, with a
-    default) and ``confidence``."""
+    """One method's rules on an engine ``e``: ``start``, the vote pass
+    (``votes``: a ``term`` per source summed per value, then ``transforms``),
+    the trust pass (``trust_pass``), ``round`` (in the rule's order) and
+    ``confidence``; ``sampling`` names how gold samples differ from rounds."""
 
     label: str
     transforms: tuple = ()
+    trust_transforms: tuple = ()
+    sampling: tuple = ()    # of ``_Differs``
     iterates = True     # False: select on the first votes, without rounds
     input_rounds = False    # rounds run under input trust, kept fixed
     posterior = False   # accu_posteriors gives its confidence under trust
+    gold_false = 0.0    # a false value's gold vote (a true one's is 1)
 
     @property
     def name(self) -> str:
         return self.label.lower()
+
+    def start(self, e, *_):
+        return FusionState(0, np.full(e.n_vsrc, self.start_trust(e.cfg)),
+                           self.start_votes(e))
+
+    def start_trust(self, cfg):     # each source's trust before round 1
+        return 1.0
+
+    def start_votes(self, e):
+        return np.zeros(e.n_cands)
 
     def term(self, e, trust):   # each source's vote for each of its values
         return trust
@@ -597,12 +586,43 @@ class _Rule:
     def votes(self, e, trust, value_trust, weights):
         # The one vote pass: each claim's source term times its weight.
         votes = e._claim_sum(self.term(e, trust)[e.claim_vsrc], weights)
-        for transform in self.transforms:
-            votes = transform(self, e, votes, trust, value_trust, weights)
+        for f in self.transforms:
+            votes = f(self, e, votes, e.cand_segs, trust, value_trust, weights)
         return votes
 
+    def trust_terms(self, e, own, votes, trust, value_trust):
+        return (own,)   # per claim: its score, then divisor terms
+
+    def trust_ratio(self, e, sums, differs):
+        return sums[0]  # each group's trust from its sums of those terms
+
+    def value_trust(self, e, votes, trust):     # 3-Estimates' only
+        return None
+
+    def trust_pass(self, e, votes, trust, value_trust=None,
+                   differs=frozenset(), own=None, claimed=None):
+        """The one trust update of rounds and gold samples: per-claim terms
+        (of ``own``, else each candidate's vote) summed per virtual source
+        and divided (those past ``vsrc_segs`` dropped, those not ``claimed``
+        at the start trust), then the transforms not in ``differs``."""
+        n = len(e.vsrc_segs.of)
+        own = votes[e.claim_cand] if own is None else own
+        sums = [e._group_sum(t) for t in self.trust_terms(
+            e, own, votes, trust, value_trust)]
+        out = self.trust_ratio(e, sums, differs)[:n]
+        if claimed is not None:
+            out = np.where(claimed, out, 0.0 if _ZERO.key in differs
+                           else self.start_trust(e.cfg))
+        for transform in self.trust_transforms:
+            if transform not in differs:
+                out = transform(self, e, out, e.vsrc_segs, trust[:n])
+        return out
+
     def round(self, e, state):
-        raise FusionError(f"{self.label} has no rounds in the engine")
+        """Trust from the last votes, then votes under it."""
+        trust = self.trust_pass(e, state.votes, state.trust)
+        return FusionState(state.round + 1, trust,
+                           e.votes_once(self.name, trust))
 
     def final_votes(self, e, state):    # the votes results select on
         return state.votes
@@ -610,16 +630,12 @@ class _Rule:
     def confidence(self, e, votes):
         return None     # a value's share of its item's positive votes
 
-    def _vote_on(self, e, state, trust):
-        votes = e.votes_once(self.name, trust)
-        return FusionState(state.round + 1, trust, votes, state.value_trust)
+
+# -- transforms of votes or trust: f(rule, e, x, segs, trust, *rest) -> x
 
 
-# -- vote transforms: f(rule, e, votes, trust, value_trust, weights) -> votes
-
-
-def _norm_max(rule, e, votes, *_):
-    return e._norm_max(votes, e.cand_segs)
+def _norm_max(rule, e, x, segs, *_):
+    return e._norm_max(x, segs)
 
 
 def _invest_power(rule, e, votes, *_):
@@ -644,7 +660,7 @@ def _cosine_ratio(rule, e, votes, *_):
                      where=np.abs(item_total) > 1e-300)
 
 
-def _estimates_numerator(rule, e, votes, trust, value_trust, weights):
+def _estimates_numerator(rule, e, votes, segs, trust, value_trust, *_):
     """Per provider of the item: a value's trust support plus the distrust
     of the item's others; 3-Estimates weighs the difference by value trust."""
     item_t = e._per_item_sum(votes)[e.cand_item]
@@ -657,15 +673,15 @@ def _estimates_numerator(rule, e, votes, trust, value_trust, weights):
     return num / nprov
 
 
-def _rescale01(rule, e, votes, *_):
-    return e._rescale01(votes, e.cand_segs)
+def _rescale01(rule, e, x, segs, *_):
+    return e._rescale01(x, segs)
 
 
 def _popularity(rule, e, votes, *_):
     return votes + e._pop_term
 
 
-def _format_credit(rule, e, votes, trust, value_trust, weights):
+def _format_credit(rule, e, votes, segs, trust, value_trust, weights):
     """Partial-provider credit: a coarse value's provider adds
     w_fmt * trust (scaled by its independence weight) to each strictly
     finer value it subsumes."""
@@ -689,19 +705,44 @@ def _boost(rule, e, votes, *_):
     return boosted
 
 
+def _damping(rule, e, x, segs, trust):    # ``trust``: the pass's old trust
+    damping = e.cfg.cosine_damping
+    return damping * trust + (1.0 - damping) * x
+
+
+def _clamp(rule, e, x, *_):
+    return clamp_trust(x, e.cfg)
+
+
+# How gold samples depart from rounds (ROADMAP item 8): a key the pass or
+# ``_sampled`` reads, or a trust transform samples skip; and why.
+_Differs = NamedTuple("_Differs", [("key", object), ("why", str)])
+
+
+_LOG1P = _Differs("log1p", "AvgLog: math.log1p, 1 ulp off np.log1p on some n")
+_ZERO = _Differs("zero", "a source with no gold claim: 0.0, not start trust 1")
+_UNDAMPED = _Differs(_damping, "no earlier trust to damp towards")
+_UNSCALED = _Differs(_rescale01, "trust not rescaled onto [0, 1]")
+_NO_VT = _Differs("no vt", "3-Estimates: the 2-Estimates rule, no value trust")
+_OWN = _Differs("own", "each claim's own value against gold, not its bucket's")
+
+
 class _Vote(_Rule):
-    """Each value's number of providers."""
+    """Each value's number of providers; every source is trusted alike."""
 
     iterates = False
 
-    def start(self, e, *_):
-        return FusionState(0, np.ones(e.n_vsrc), e.cand_counts.copy())
+    def start_votes(self, e):
+        return e.cand_counts.copy()
 
     def votes(self, e, trust, value_trust, weights):
         return e.cand_counts.copy()
 
-    def sample(self, e, match, group, segs):
-        return np.ones(len(segs.of)), 1.0     # every source alike
+    def trust_ratio(self, e, sums, differs):
+        return np.ones_like(sums[0])
+
+    def round(self, e, state):
+        raise FusionError(f"{self.label} has no rounds in the engine")
 
 
 @dataclass(frozen=True)
@@ -713,29 +754,18 @@ class _Hub(_Rule):
 
     avg_log: bool = False
 
-    def start(self, e, *_):
-        return FusionState(0, np.zeros(e.n_vsrc), np.full(e.n_cands, 0.5))
+    def start_trust(self, cfg):
+        return 0.0
 
-    def trust(self, e, votes, group=None):
-        raw = e._group_sum(votes[e.claim_cand], group)
-        if self.avg_log:
-            n = e._group_size(group)
-            # +1 smoothing keeps single-value sources from log(1) = 0.
-            # numpy's log1p and the math module's differ in the last bit
-            # on a few integers (2, 13, 47, ...); rounds have always taken
-            # the former and trust sampling the latter.
-            log = (np.log1p(n) if group is None
-                   else np.array([math.log1p(k) for k in n.tolist()]))
-            raw = raw / n * log
-        return raw
+    def start_votes(self, e):
+        return np.full(e.n_cands, 0.5)
 
-    def round(self, e, state):
-        trust = e._norm_max(self.trust(e, state.votes), e.vsrc_segs)
-        return self._vote_on(e, state, trust)
-
-    def sample(self, e, match, group, segs):
-        trust = self.trust(e, match.cand.astype(float), group)
-        return e._norm_max(trust[:len(segs.of)], segs), 0.0
+    def trust_ratio(self, e, sums, differs):
+        if not self.avg_log:
+            return sums[0]
+        log = (np.array([math.log1p(k) for k in e.src_nvals.tolist()])
+               if _LOG1P.key in differs else np.log1p(e.src_nvals))
+        return sums[0] / e.src_nvals * log  # a one-claim source keeps log 2
 
 
 @dataclass(frozen=True)
@@ -745,68 +775,41 @@ class _Invest(_Rule):
 
     pooled: bool = False
 
-    def start(self, e, *_):
-        votes = (1.0 / e.item_ncand[e.cand_item] if self.pooled
-                 else e.cand_counts / e.item_nprov[e.cand_item])
-        return FusionState(0, np.ones(e.n_vsrc), votes)
+    def start_votes(self, e):
+        return (1.0 / e.item_ncand[e.cand_item] if self.pooled
+                else e.cand_counts / e.item_nprov[e.cand_item])
 
     def term(self, e, trust):
         return trust / e.src_nvals
 
-    def trust(self, e, votes, trust, group=None):
-        """Each group's share of its candidates' votes, by the trust (per
-        group, or one for all) it invested evenly over its claims."""
-        inv_w = (trust / e._group_size(group))[
-            e.claim_vsrc if group is None else group]
-        inv_sum = e._claim_sum(inv_w, None)
-        share = np.divide(inv_w, inv_sum[e.claim_cand],
-                          out=np.zeros_like(inv_w),
-                          where=inv_sum[e.claim_cand] > 0)
-        return e._group_sum(votes[e.claim_cand] * share, group)
-
-    def _scaled(self, e, trust, segs):
-        return trust if self.pooled else e._norm_max(trust, segs)
-
-    def round(self, e, state):
-        trust = self._scaled(e, self.trust(e, state.votes, state.trust),
-                             e.vsrc_segs)
-        return self._vote_on(e, state, trust)
-
-    def sample(self, e, match, group, segs):
-        trust = self.trust(e, match.cand.astype(float), 1.0, group)
-        return self._scaled(e, trust[:len(segs.of)], segs), 0.0
+    def trust_terms(self, e, own, votes, trust, value_trust):
+        inv_w = (trust / e.src_nvals)[e.claim_vsrc]     # evenly per claim
+        inv_sum = e._claim_sum(inv_w, None)[e.claim_cand]
+        return (own * np.divide(inv_w, inv_sum, out=np.zeros_like(inv_w),
+                                where=inv_sum > 0),)    # the claim's share
 
 
 class _Cosine(_Rule):
     """Cosine: votes in [-1, 1]; trust is the damped cosine between a
     source's claims and the votes."""
 
-    def start(self, e, *_):
-        return FusionState(0, np.ones(e.n_vsrc), np.ones(e.n_cands))
+    gold_false = -1.0
+
+    def start_votes(self, e):
+        return np.ones(e.n_cands)
 
     def term(self, e, trust):
         return np.power(trust, e.cfg.cosine_trust_power)
 
-    def trust(self, e, votes, group=None):
-        own = votes[e.claim_cand]
-        item_sum = e._per_item_sum(votes)
-        item_sq = e._per_item_sum(votes * votes)
-        num = e._group_sum(2.0 * own - item_sum[e.claim_item], group)
-        nvals = e._group_sum(e.item_ncand[e.claim_item], group)
-        sq = e._group_sum(item_sq[e.claim_item], group)
-        den = np.sqrt(nvals * sq)
-        cos = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return np.clip(cos, -1.0, 1.0)
+    def trust_terms(self, e, own, votes, trust, value_trust):
+        item_sum = e._per_item_sum(votes)[e.claim_item]
+        item_sq = e._per_item_sum(votes * votes)[e.claim_item]
+        return 2.0 * own - item_sum, e.item_ncand[e.claim_item], item_sq
 
-    def round(self, e, state):
-        damping = e.cfg.cosine_damping
-        trust = (damping * state.trust
-                 + (1.0 - damping) * self.trust(e, state.votes))
-        return self._vote_on(e, state, trust)
-
-    def sample(self, e, match, group, segs):
-        gold = 2.0 * match.cand.astype(float) - 1.0    # +1 true, -1 false
-        return self.trust(e, gold, group), 0.0
+    def trust_ratio(self, e, sums, differs):
+        den = np.sqrt(sums[1] * sums[2])    # the norm
+        return np.clip(np.divide(sums[0], den, out=np.zeros_like(den),
+                                 where=den > 0), -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -817,66 +820,56 @@ class _Estimates(_Rule):
     order3: bool = False
 
     def start(self, e, *_):
-        value_trust = (np.full(e.n_cands, e.cfg.init_value_trust)
-                       if self.order3 else None)
-        return FusionState(0, np.ones(e.n_vsrc), np.zeros(e.n_cands),
-                           value_trust)
+        return replace(super().start(e), value_trust=np.full(
+            e.n_cands, e.cfg.init_value_trust) if self.order3 else None)
 
-    def trust(self, e, votes, value_trust, group=None):
-        own = votes[e.claim_cand]
-        if value_trust is None:
-            item_anti = e._per_item_sum(1.0 - votes)
-            per_claim = own + item_anti[e.claim_item] - (1.0 - own)
-        else:
-            u = 1.0 / np.maximum(1.0 - value_trust, e.cfg.trust_clamp)
-            u_own = u[e.claim_cand]
-            item_anti = e._per_item_sum((1.0 - votes) * u)
-            per_claim = (own * u_own + item_anti[e.claim_item]
-                         - (1.0 - own) * u_own)
-        num = e._group_sum(per_claim, group)
-        den = e._group_sum(e.item_ncand[e.claim_item], group)
-        return num / np.maximum(den, 1.0)
+    def value_trust(self, e, votes, trust):
+        if not self.order3:
+            return None
+        r = 1.0 / np.maximum(1.0 - trust, e.cfg.trust_clamp)
+        r_support = e._claim_sum(r[e.claim_vsrc], None)
+        item_r = e._per_item_sum(r_support)[e.cand_item]
+        value_trust = (votes * r_support
+                       + (1.0 - votes) * (item_r - r_support)) \
+            / e.item_nprov[e.cand_item]
+        # The affine [0,1] rescale covers the vote and source-trust
+        # families; the per-value error rate is truncated instead, so a
+        # low-ranked true value cannot see its votes inverted.
+        return clamp_trust(value_trust, e.cfg)
+
+    def trust_terms(self, e, own, votes, trust, value_trust):
+        # A claim's support plus the distrust of its item's other values,
+        # each over 1 - value trust if there is any; its item's values.
+        u = (np.ones(e.n_cands) if value_trust is None
+             else 1.0 / np.maximum(1.0 - value_trust, e.cfg.trust_clamp))
+        u_own, item_anti = u[e.claim_cand], e._per_item_sum((1.0 - votes) * u)
+        return (own * u_own + item_anti[e.claim_item] - (1.0 - own) * u_own,
+                e.item_ncand[e.claim_item])
+
+    def trust_ratio(self, e, sums, differs):
+        return sums[0] / np.maximum(sums[1], 1.0)
 
     def round(self, e, state):
-        votes = e.votes_once(self.name, state.trust,
-                             value_trust=state.value_trust)
-        value_trust = None
-        if self.order3:
-            r = 1.0 / np.maximum(1.0 - state.trust, e.cfg.trust_clamp)
-            r_support = e._claim_sum(r[e.claim_vsrc], None)
-            item_r = e._per_item_sum(r_support)[e.cand_item]
-            value_trust = (votes * r_support
-                           + (1.0 - votes) * (item_r - r_support)) \
-                / e.item_nprov[e.cand_item]
-            # The affine [0,1] rescale covers the vote and source-trust
-            # families; the per-value error rate is truncated instead, so a
-            # low-ranked true value cannot see its votes inverted.
-            value_trust = clamp_trust(value_trust, e.cfg)
-        trust = e._rescale01(self.trust(e, votes, value_trust), e.vsrc_segs)
+        """Votes under the last trust, then value trust and trust."""
+        votes = e.votes_once(self.name, state.trust, state.value_trust)
+        value_trust = self.value_trust(e, votes, state.trust)
+        trust = self.trust_pass(e, votes, state.trust, value_trust)
         return FusionState(state.round + 1, trust, votes, value_trust)
-
-    def sample(self, e, match, group, segs):
-        # 3-Estimates samples the 2-Estimates rule (no value trust).
-        return self.trust(e, match.cand.astype(float), None, group), 1.0
 
 
 @dataclass(frozen=True)
 class _Posterior(_Rule):
     """AccuPr: votes sum log(n_false * t / (1 - t)); PopAccu, with n_false = 1,
     adds popularity; AccuSim and AccuFormat add similar and coarse values'.
-    TruthFinder sums -log(1 - t); its truth is 1 - exp(-gamma * vote)."""
+    TruthFinder sums -log(1 - t); its truth is 1 - exp(-gamma * vote).
+    Trust is a source's mean probability of truth over its claims."""
 
     truthfinder: bool = False
     popularity: bool = False
     posterior = True
 
-    def start(self, e, *_):
-        return FusionState(0, np.full(e.n_vsrc, e.cfg.init_trust_bayes),
-                           np.zeros(e.n_cands))
-
-    def sample(self, e, match, group, segs):
-        return (e.mean_trust(match.claim.astype(float), group),
-                clamp_trust(np.float64(e.cfg.init_trust_bayes), e.cfg))
+    def start_trust(self, cfg):
+        return cfg.init_trust_bayes
 
     def term(self, e, trust):
         t = clamp_trust(trust, e.cfg)
@@ -885,12 +878,16 @@ class _Posterior(_Rule):
         n_false = 1 if self.popularity else e.cfg.n_false
         return np.log(n_false * t / (1.0 - t))
 
+    def trust_ratio(self, e, sums, differs):
+        return sums[0] / e.src_nvals
+
     def round(self, e, state):
+        """Votes under the last trust, then trust from their truth."""
         votes = e.votes_once(self.name, state.trust)
         truth = (1.0 - np.exp(-e.cfg.truthfinder_gamma * votes)
                  if self.truthfinder else self.confidence(e, votes))
-        return FusionState(state.round + 1, e.trust_from_posteriors(truth),
-                           votes, state.value_trust)
+        return FusionState(state.round + 1,
+                           self.trust_pass(e, truth, state.trust), votes)
 
     def confidence(self, e, votes):
         return e.posteriors(votes, observed_only=self.popularity)
@@ -922,8 +919,8 @@ class _CopyAware(_Posterior):
             np.bincount(chosen, minlength=e.n_cands) > 0, state.trust)
         # Trust from the discounted votes, or copier blocks lock it in.
         votes = e.votes_once(self.name, state.trust, weights=copying.weights)
-        trust = (state.trust if copying.fixed_trust
-                 else e.trust_from_posteriors(self.confidence(e, votes)))
+        trust = (state.trust if copying.fixed_trust else self.trust_pass(
+            e, self.confidence(e, votes), state.trust))
         return FusionState(state.round + 1, trust, votes, None, copying)
 
     def final_votes(self, e, state):
@@ -933,19 +930,22 @@ class _CopyAware(_Posterior):
 
 _RULES: dict[str, _Rule] = {rule.name: rule for rule in (
     _Vote("Vote"),
-    _Hub("Hub", (_norm_max,)),
-    _Hub("AvgLog", (_norm_max,), avg_log=True),
-    _Invest("Invest", (_invest_power, _norm_max)),
-    _Invest("PooledInvest", (_pooled_share,), pooled=True),
-    _Cosine("Cosine", (_cosine_ratio,)),
-    _Estimates("2-Estimates", (_estimates_numerator, _rescale01)),
-    _Estimates("3-Estimates", (_estimates_numerator, _rescale01), order3=True),
-    _Posterior("TruthFinder", (_boost,), truthfinder=True),
-    _Posterior("AccuPr"),
-    _Posterior("PopAccu", (_popularity,), popularity=True),
-    _Posterior("AccuSim", (_boost,)),
-    _Posterior("AccuFormat", (_format_credit, _boost)),
-    _CopyAware("AccuCopy", (_format_credit, _boost)),
+    _Hub("Hub", (_norm_max,), (_norm_max,)),
+    _Hub("AvgLog", (_norm_max,), (_norm_max,), (_LOG1P,), avg_log=True),
+    _Invest("Invest", (_invest_power, _norm_max), (_norm_max,), (_ZERO,)),
+    _Invest("PooledInvest", (_pooled_share,), (), (_ZERO,), pooled=True),
+    _Cosine("Cosine", (_cosine_ratio,), (_damping,), (_UNDAMPED, _ZERO)),
+    _Estimates("2-Estimates", (_estimates_numerator, _rescale01),
+               (_rescale01,), (_UNSCALED,)),
+    _Estimates("3-Estimates", (_estimates_numerator, _rescale01),
+               (_rescale01,), (_UNSCALED, _NO_VT), order3=True),
+    _Posterior("TruthFinder", (_boost,), (_clamp,), (_OWN,),
+               truthfinder=True),
+    _Posterior("AccuPr", (), (_clamp,), (_OWN,)),
+    _Posterior("PopAccu", (_popularity,), (_clamp,), (_OWN,), popularity=True),
+    _Posterior("AccuSim", (_boost,), (_clamp,), (_OWN,)),
+    _Posterior("AccuFormat", (_format_credit, _boost), (_clamp,), (_OWN,)),
+    _CopyAware("AccuCopy", (_format_credit, _boost), (_clamp,), (_OWN,)),
 )}
 METHOD_NAMES = tuple(_RULES)
 
@@ -1084,17 +1084,19 @@ def accu_posteriors(claims: ClaimSet, trust: dict, config: RunConfig,
 
 def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
                  config: RunConfig, match: GoldMatch | None = None) -> dict:
-    """The method's own trust update (``FusionEngine.step``'s) applied once
-    to gold votes, over the claims on gold items, as its rule's ``sample``
-    says; 3-Estimates takes the 2-Estimates update, without value trust.
-
-    A candidate votes 1 when its centre matches the gold value, else 0; the
-    accuracy family takes each claim's own value. Per-attribute variants
+    """The method's trust pass (``_Rule.trust_pass``, as in its rounds)
+    once on gold votes over the claims on gold items (1 for a candidate
+    whose centre matches gold, else 0; Cosine -1), with the differences its
+    ``_RULES`` entry names (ROADMAP item 8): AvgLog's ``math.log1p``,
+    3-Estimates by the 2-Estimates rule, no [0, 1] rescale (2-/3-Estimates)
+    or damping (Cosine), 0.0 for a source with no gold claim (Invest,
+    PooledInvest, Cosine) and, for the accuracy family, each claim's own
+    value against gold, not its bucket's centre. Per-attribute variants
     sample each (source, attribute), scaled within the attribute, and take
     the source's global sample when the attribute has no gold item or the
     pair fewer gold-covered claims than ``attr_min_gold``. ``match`` is
     ``gold``'s match on an engine over ``claims`` or its per-attribute view
-    (the engine is checked as in ``run_fusion``), else a new engine's.
+    (checked as in ``run_fusion``), else a new engine's.
     """
     if not gold.entries:
         raise FusionError("sample_trust requires a non-empty gold standard")
@@ -1102,19 +1104,17 @@ def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
     engine = engine_for(claims, cfg, method.per_attribute_trust,
                         match.engine if match else None)
     match = match or engine.gold_match(gold.entries)
+    source = engine.vsrc_source     # on a global engine, each its own
+    whole = _sampled(method.name, engine, match, source,
+                     [len(claims.sources)])[source]
     if not method.per_attribute_trust:
-        return engine.trust_map(_sampled(method.name, engine, match,
-                                         np.arange(engine.n_vsrc),
-                                         [engine.n_vsrc]))
-    # The per-attribute groups list the virtual sources by attribute, then
-    # source.
-    attr, source = engine.vsrc_attr, engine.vsrc_source
+        return engine.trust_map(whole)
+    # Per-attribute groups list the virtual sources by attribute, then source.
+    attr = engine.vsrc_attr
     order = np.lexsort((source, attr))
     rank = np.argsort(order)
     per_attr = _sampled(method.name, engine, match, rank,
                         np.bincount(attr).tolist())[rank]
-    whole = _sampled(method.name, engine, match, source,
-                     [len(claims.sources)])[source]
     n_covered = np.bincount(engine.claim_vsrc, minlength=engine.n_vsrc,
                             weights=match.item[engine.claim_item])
     gold_attrs = {it.attribute for it in gold.entries}
@@ -1125,13 +1125,19 @@ def sample_trust(method: MethodSpec, claims: ClaimSet, gold: GoldStandard,
 
 def _sampled(name: str, engine: FusionEngine, match: GoldMatch,
              group_of_vsrc: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """``name``'s sampled trust (``sample_trust``) of the groups of virtual
-    sources given by ``group_of_vsrc``, normalised within consecutive
-    segments of ``sizes`` groups."""
-    n, segs = sum(sizes), _Segments.of_sizes(sizes)
-    # Claims off gold items form one more group, dropped at the end.
-    group = np.where(match.item[engine.claim_item],
-                     group_of_vsrc[engine.claim_vsrc], n)
-    trust, default = _rule(name).sample(engine, match, group, segs)
-    return np.where(np.bincount(group, minlength=n + 1)[:n] > 0, trust[:n],
-                    default)
+    """``name``'s trust pass from trust 1 on gold votes (``sample_trust``),
+    on a view of ``engine`` whose virtual sources are the groups that
+    ``group_of_vsrc`` gives, normalised within consecutive segments of
+    ``sizes``, and one of the claims off gold items, which the pass drops."""
+    rule, n = _rule(name), sum(sizes)
+    view = copy.copy(engine)
+    view.claim_vsrc = np.where(match.item[engine.claim_item],
+                               group_of_vsrc[engine.claim_vsrc], n)
+    view.n_vsrc, view.vsrc_segs = n + 1, _Segments.of_sizes(sizes)
+    count = np.bincount(view.claim_vsrc, minlength=n + 1)
+    view.src_nvals = np.maximum(count, 1)
+    differs = {d.key for d in rule.sampling}
+    gold, trust = np.where(match.cand, 1.0, rule.gold_false), np.ones(n + 1)
+    vt = None if _NO_VT.key in differs else rule.value_trust(view, gold, trust)
+    own = match.claim.astype(float) if _OWN.key in differs else None
+    return rule.trust_pass(view, gold, trust, vt, differs, own, count[:n] > 0)

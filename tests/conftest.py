@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from truthfuse.config import load_config
+from truthfuse.fusion import clamp_trust
 from truthfuse.model import (
     AttributeSpec,
     Claim,
@@ -49,6 +50,13 @@ def nodes_in_src(match) -> list[tuple[str, str | None]]:
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
     return found
+
+
+def ref_trust_from_posteriors(engine, post):
+    """The accuracy family's trust update, written out for the references:
+    each virtual source's mean posterior over its claims, clamped."""
+    return clamp_trust(engine._group_sum(post[engine.claim_cand])
+                       / engine.src_nvals, engine.cfg)
 
 
 def value_for(attr: AttributeSpec, raw) -> Value:

@@ -36,7 +36,12 @@ from truthfuse.fusion import (
     run_fusion,
 )
 
-from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
+from conftest import (
+    copier_snapshot,
+    edge_snapshot,
+    ref_trust_from_posteriors,
+    synthetic_snapshot,
+)
 from test_copydetect import assert_close_maps, ref_run_accucopy
 from test_method_rules import same_bits
 from test_shared_engine import COMPARE_METHODS
@@ -70,8 +75,8 @@ def ref_array_accucopy(engine, config, input_trust=None, known_copiers=None,
         new_weights = pairs.weights(new_prob, params.copy_rate)
         discounted = engine.votes_once("accuformat", trust,
                                        weights=new_weights)
-        new_trust = trust if fixed_trust else engine.trust_from_posteriors(
-            engine.posteriors(discounted))
+        new_trust = trust if fixed_trust else ref_trust_from_posteriors(
+            engine, engine.posteriors(discounted))
         delta = max(float(np.max(np.abs(new_trust - trust))),
                     float(np.max(np.abs(discounted - prev_votes))),
                     float(np.max(np.abs(new_prob - prob))))

@@ -61,7 +61,7 @@ def test_engine_fields_are_set_by_its_constructor():
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # Deleted with the AccuCopy loop, which became a fusion rule; the tracer
-# still names it (ROADMAP item 3).
+# still names it (ROADMAP item 4).
 STALE_ENTRY_POINTS = {"copydetect.run_accucopy"}
 
 

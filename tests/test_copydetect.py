@@ -45,7 +45,12 @@ from truthfuse.synthetic import (
     generate_synthetic,
 )
 
-from conftest import copier_snapshot, make_claims, make_gold
+from conftest import (
+    copier_snapshot,
+    make_claims,
+    make_gold,
+    ref_trust_from_posteriors,
+)
 from test_gold_scores import ref_source_accuracy
 
 CFG = load_config()
@@ -537,8 +542,8 @@ def ref_run_accucopy(engine, config, input_trust=None, known_copiers=None,
         new_weights = ref_claim_weights(engine, new_prob, params)
         discounted = engine.votes_once("accuformat", trust,
                                        weights=new_weights)
-        new_trust = (trust if fixed_trust else engine.trust_from_posteriors(
-            engine.posteriors(discounted)))
+        new_trust = (trust if fixed_trust else ref_trust_from_posteriors(
+            engine, engine.posteriors(discounted)))
         keys = prob.keys() | new_prob.keys()
         prob_delta = max((abs(new_prob.get(k, 0.0) - prob.get(k, 0.0))
                           for k in keys), default=0.0)

@@ -18,6 +18,7 @@ from truthfuse.fusion import (
     _RULES,
     _Segments,
     _boost,
+    _damping,
     _estimates_numerator,
     accu_posteriors,
     method_labels,
@@ -160,10 +161,18 @@ class TestInvestFamily:
 
 class TestCosine:
 
+    @staticmethod
+    def cosine(engine, votes):
+        """The trust pass's cosine, without the damping towards the trust
+        it starts from."""
+        return _RULES["cosine"].trust_pass(engine, votes,
+                                           np.ones(engine.n_vsrc),
+                                           differs={_damping})
+
     def test_full_agreement_component_is_one(self):
         claims = make_claims([("s1", "o1", "price", 10.0)])
         engine = FusionEngine(claims, CFG.fusion)
-        cos = _RULES["cosine"].trust(engine, np.array([1.0]))
+        cos = self.cosine(engine, np.array([1.0]))
         assert cos[0] == pytest.approx(1.0)
 
     def test_full_disagreement_negative(self):
@@ -171,8 +180,18 @@ class TestCosine:
                               ("s2", "o1", "price", 99.0)])
         engine = FusionEngine(claims, CFG.fusion)
         # votes concentrated on s1's value
-        cos = _RULES["cosine"].trust(engine, np.array([1.0, 0.0]))
+        cos = self.cosine(engine, np.array([1.0, 0.0]))
         assert cos[1] < 0.0
+
+    def test_rounds_damp_towards_the_last_trust(self):
+        claims = make_claims([("s1", "o1", "price", 10.0),
+                              ("s2", "o1", "price", 99.0)])
+        engine = FusionEngine(claims, CFG.fusion)
+        votes, trust = np.array([1.0, 0.0]), np.array([0.5, 0.25])
+        d = CFG.fusion.cosine_damping
+        got = _RULES["cosine"].trust_pass(engine, votes, trust)
+        assert got.tolist() == (d * trust + (1.0 - d) * self.cosine(
+            engine, votes)).tolist()
 
     def test_toy5_converges_to_majority(self, toy5):
         r = run_fusion(MethodSpec("cosine"), toy5, CFG)
@@ -189,7 +208,8 @@ class TestEstimates:
         rule = _RULES["2-estimates"]
         summed = engine._claim_sum(rule.term(engine, trust)[engine.claim_vsrc],
                                    None)
-        return _estimates_numerator(rule, engine, summed, trust, None, None)
+        return _estimates_numerator(rule, engine, summed,
+                                    engine.cand_segs, trust, None, None)
 
     def test_toy5_votes_before_rescale(self, toy5):
         # With all trust fixed at 1 the raw complement-vote averages are

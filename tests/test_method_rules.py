@@ -32,6 +32,7 @@ from conftest import (
     copier_snapshot,
     edge_snapshot,
     nodes_in_src,
+    ref_trust_from_posteriors,
     synthetic_snapshot,
 )
 
@@ -197,6 +198,9 @@ class RefChainEngine(FusionEngine):
         return (votes * r_support
                 + (1.0 - votes) * (item_r - r_support)) \
             / self.item_nprov[self.cand_item]
+
+    def trust_from_posteriors(self, post):
+        return ref_trust_from_posteriors(self, post)
 
     def init_state(self, method):
         cfg = self.cfg
@@ -489,3 +493,26 @@ def test_rules_vote_through_the_one_pass():
     assert sorted(defines) == [("fusion", "_Rule"), ("fusion", "_Vote")]
     assert nodes_in_src(passes_weights_to_claim_sum) == [
         ("fusion", "_Rule.votes")]
+
+
+# -- the one trust pass ------------------------------------------------------
+
+
+def calls_group_sum(node, scope) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "_group_sum")
+
+
+def test_rules_update_trust_through_the_one_pass():
+    """Only ``_Rule.trust_pass`` sums claims per source (``_group_sum``),
+    and no rule defines a ``trust`` or ``sample`` of its own: rounds and
+    gold sampling share each rule's one trust update, which states only
+    its per-claim terms, its divisor and its trust transforms. The engine
+    keeps no accuracy rule of its own either."""
+    rules = rule_classes()
+    assert nodes_in_src(calls_group_sum) == [("fusion", "_Rule.trust_pass")]
+    assert nodes_in_src(lambda node, scope: (
+        isinstance(node, ast.FunctionDef)
+        and node.name in ("trust", "sample", "mean_trust",
+                          "trust_from_posteriors")
+        and (scope in rules or scope == "FusionEngine"))) == []
