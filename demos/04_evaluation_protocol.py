@@ -50,7 +50,7 @@ for row in rows:
 print("the gains concentrate where no value has a strong majority.\n")
 
 print("== one-method report ==")
-report = timed_run(method, claims, config, gold, engine=engine, match=match)
+report = timed_run(result, claims, config, gold, engine=engine, match=match)
 print(f"  precision={report.precision:.3f} recall={report.recall:.3f} "
       f"with-trust={report.precision_with_trust:.3f}")
 print(f"  trust deviation={report.trust_deviation:.3f} "

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
-import operator
 import sys
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from . import copydetect as cd
 from . import dataio, evalharness, metrics
 from .config import SECTIONS, RunConfig, load_config, setting_type
 from .fusion import MethodSpec, engine_for, method_labels, run_fusion
-from .model import ClaimSet, DataItem, GoldStandard, Kind, TruthFuseError
+from .model import ClaimSet, GoldStandard, Kind, TruthFuseError
 from .synthetic import generate_synthetic, spec_from_dict
 
 
@@ -355,25 +353,21 @@ def _cmd_fuse(args, config: RunConfig) -> int:
 
 
 def _write_selection(path: Path, result, config: RunConfig) -> None:
+    # Items come in their claim set's order, ``DataItem.sort_key``'s.
     rows = ((it.object_id, it.attribute, str(result.selected[it]),
              result.selected_vote[it], result.confidence[it])
-            for it in sorted(result.selected, key=DataItem.sort_key))
+            for it in result.selected)
     dataio.write_rows(path, ["object", "attribute", "value", "vote",
                              "confidence"], rows, config.delimiter)
 
 
 def _write_copy_pairs(path: Path, prob: dict, config: RunConfig) -> None:
-    name = {v: _vsrc_str(v)
-            for v in set(itertools.chain.from_iterable(prob))}
-    rows = sorted([(name[a], name[b], p) for (a, b), p in prob.items()],
-                  key=operator.itemgetter(0, 1))
+    """Rows by (copier, original), each unique: source names, or on a
+    per-attribute run "source|attribute"."""
+    if prob and isinstance(next(iter(prob))[0], tuple):
+        prob = {("|".join(a), "|".join(b)): p for (a, b), p in prob.items()}
+    rows = sorted([(a, b, p) for (a, b), p in prob.items()])
     dataio.write_rows(path, dataio.COPIER_HEADER, rows, config.delimiter)
-
-
-def _vsrc_str(key) -> str:
-    if isinstance(key, tuple):
-        return f"{key[0]}|{key[1]}"
-    return str(key)
 
 
 # -- copydetect ---------------------------------------------------------------
@@ -419,13 +413,14 @@ def _cmd_copydetect(args, config: RunConfig) -> int:
 def _components(matrix, claims: ClaimSet, threshold: float):
     linked: dict[str, set[str]] = {s: {s} for s in claims.sources}
     for (a, b), p in matrix.prob.items():
-        total = p + matrix.prob.get((b, a), 0.0)
-        if total >= threshold:
+        if linked[a] is not linked[b] and (
+                p + matrix.prob.get((b, a), 0.0) >= threshold):
             union = linked[a] | linked[b]
             for s in union:
                 linked[s] = union
-    groups = (tuple(sorted(linked[s])) for s in claims.sources)
-    return list(dict.fromkeys(g for g in groups if len(g) > 1))
+    # Members of a group share one set object.
+    groups = {id(linked[s]): linked[s] for s in claims.sources}
+    return [tuple(sorted(g)) for g in groups.values() if len(g) > 1]
 
 
 # -- evaluate / compare --------------------------------------------------------
@@ -451,18 +446,17 @@ def _evaluate_methods(args, config: RunConfig,
     out = _out_dir(args)
     engine = engine_for(claims, config.fusion)
     match = engine.gold_match(gold.entries)
-    reports = [evalharness.timed_run(m, claims, config, gold, engine=engine,
-                                     match=match) for m in methods]
+    ranked = evalharness.rank_sources(claims, gold, match)
+    curve = evalharness.incremental_curve(methods, claims, gold, config,
+                                          ranked, match)
+    reports = [evalharness.timed_run(p.result, claims, config, gold,
+                                     engine=engine, match=match)
+               for p in curve if p.result is not None]
     dom_rows = [(report.method, r["lo"], r["hi"], r["count"],
                  r["precision"], r["vote_precision"])
                 for report in reports
                 for r in evalharness.precision_by_dominance(
                     report.result, gold, claims, match=match)]
-    ranked = evalharness.rank_sources(claims, gold, match)
-    # The curve builds its own engine for each source prefix.
-    del engine, match
-    curve = evalharness.incremental_curve(methods, claims, gold, config,
-                                          ranked)
 
     columns = ["method", "precision", "recall", "precision_with_trust",
                "trust_deviation", "trust_difference", "rounds", "converged"]

@@ -154,14 +154,13 @@ def load_config(path: str | Path | None = None,
                 _check_key(section, key)
                 values[section][key] = raw
 
-    for name, raw in sorted(env.items()):
-        if not name.startswith(ENV_PREFIX) or "__" not in name:
-            continue
+    for name in sorted(n for n in env
+                       if n.startswith(ENV_PREFIX) and "__" in n):
         section, key = name[len(ENV_PREFIX):].lower().split("__", 1)
         if section not in values:
             raise LoadError(f"unknown config section in env var {name}")
         _check_key(section, key)
-        values[section][key] = raw
+        values[section][key] = env[name]
 
     parsed: dict[str, dict[str, object]] = {
         section: {key: _coerce(section, key, raw)

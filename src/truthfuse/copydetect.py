@@ -208,7 +208,7 @@ def independence_weights(matrix: CopyMatrix, claims: ClaimSet,
     copying = Copying.start(engine, params, None, False, False)
     out = copying.with_prob(copying.pairs.pinned({
         (index[a], index[b]): p for (a, b), p in matrix.prob.items()
-    })).matrices(engine)[0].independence
+    })).matrices(engine, [0])[0].independence
     matrix.independence.update(out)
     return out
 
@@ -256,22 +256,25 @@ class Copying:
             weights=np.where(live[self.pairs.claim_seg], self.weights,
                              old.weights))
 
-    def matrices(self, engine: FusionEngine) -> list[CopyMatrix]:
-        """A ``CopyMatrix`` per part of ``engine``: detected and known copy
-        probabilities, and each claim's independence weight."""
+    def matrices(self, engine: FusionEngine, keep) -> list[CopyMatrix]:
+        """A ``CopyMatrix`` per part of ``engine`` in ``keep``: detected and
+        known copy probabilities, and each claim's independence weight."""
         p, seg = self.pairs, engine.vsrc_segs.of.tolist()
         names = [key for part in engine.parts for key in part.vsrc_list]
         items = [it for part in engine.parts for it in part.items]
         found = dict(zip(zip(np.r_[p.lo, p.hi].tolist(),
                              np.r_[p.hi, p.lo].tolist()),
                          self.prob[np.r_[p.up, p.down]].tolist()))
-        out = [CopyMatrix() for _ in engine.parts]
+        out = {k: CopyMatrix() for k in keep}
         for (i, j), q in ((found if self.detect else {}) | self.known).items():
-            out[seg[i]].prob[names[i], names[j]] = q
-        for v, i, w in zip(engine.claim_vsrc.tolist(),
-                           engine.claim_item.tolist(), self.weights.tolist()):
+            if seg[i] in out:
+                out[seg[i]].prob[names[i], names[j]] = q
+        on = np.isin(p.claim_seg, list(keep))
+        for v, i, w in zip(engine.claim_vsrc[on].tolist(),
+                           engine.claim_item[on].tolist(),
+                           self.weights[on].tolist()):
             out[seg[v]].independence[names[v], items[i]] = w
-        return out
+        return list(out.values())
 
 
 def _expand_known(known: dict[tuple[str, str], float],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from .fusion import (
     MethodSpec,
     _fixed_point,
     engine_for,
+    part_results,
     run_fusion,
     sample_trust,
 )
@@ -39,7 +41,7 @@ from .model import ClaimSet, GoldStandard
 @dataclass(frozen=True)
 class EvalReport:
     """One method's evaluation on one snapshot; ``result`` is its default
-    (not input-trust) run."""
+    (not input-trust) run, which ``compare`` takes off the curve."""
 
     method: str
     precision: float
@@ -57,12 +59,14 @@ class EvalReport:
 @dataclass(frozen=True)
 class CurvePoint:
     """Recall of one method after fusing the k best sources (by coverage
-    x accuracy)."""
+    x accuracy); at k = n, ``result`` is its run on the whole snapshot."""
 
     k: int
     recall: float
     added_source: str
     method: str
+    result: FusionResult | None = field(default=None, compare=False,
+                                        repr=False)
 
 
 def precision_recall(result: FusionResult, gold: GoldStandard,
@@ -129,59 +133,68 @@ _STACK_CLAIMS = 20_000
 def incremental_curve(methods: MethodSpec | Sequence[MethodSpec],
                       claims: ClaimSet, gold: GoldStandard,
                       config: RunConfig, ranked: Sequence[str] | None = None,
-                      ) -> list[CurvePoint]:
+                      match: GoldMatch | None = None) -> list[CurvePoint]:
     """Fuse growing prefixes of the ranked sources with each method and
     record recall against the full (fixed) gold standard at each step.
 
     ``methods`` is one method or a sequence of them. Sources are ranked
-    (``ranked`` is ``rank_sources(claims, gold)``, when already computed)
-    and each prefix is restricted once. Consecutive prefixes are taken in
-    batches of at most ``_STACK_CLAIMS`` claims (at least one prefix each),
-    whose engines (one per prefix) and gold match are shared by every
-    method and freed when the batch is done. Every method runs once per
-    batch, on the ``stack`` of the engines or of their per-attribute views
-    (kept while the next method has the same scope), and builds no result.
-    Points are ordered by method (as given), then by k.
+    (``ranked`` is ``rank_sources(claims, gold, match)``, when already
+    computed), each prefix k < n is restricted once, and k = n is
+    ``claims`` on the engine of ``match`` (``gold``'s, on a global engine
+    over ``claims``) or of one built here. Consecutive prefixes are taken
+    in batches of at most ``_STACK_CLAIMS`` claims (at least one prefix
+    each), whose engines (one per prefix) and gold matches are shared by
+    every method; those of k < n are freed when the batch is done. Every
+    method runs once per batch, on the ``stack`` of the engines or of their
+    per-attribute views (kept while the next method has the same scope),
+    and builds a result only for k = n, timed as its batch. Points are
+    ordered by method (as given), then by k.
     """
     if isinstance(methods, MethodSpec):
         methods = [methods]
     if not gold.entries:
         raise ValueError("gold standard is empty")
+    engine = engine_for(claims, config.fusion, engine=match and match.engine)
+    match = match or engine.gold_match(gold.entries)
     if ranked is None:
-        ranked = rank_sources(claims, gold)
+        ranked = rank_sources(claims, gold, match)
+    n = len(claims.sources)
     counts = claims.claim_counts()
     sizes = itertools.accumulate(counts[s] for s in ranked)
-    recalls: list[list[float]] = [[] for _ in methods]
+    points: list[list[tuple]] = [[] for _ in methods]
     for batch in _batches(list(sizes), _STACK_CLAIMS):
-        for per_method, more in zip(recalls, _batch_recalls(
-                methods, [claims.restrict(ranked[:k]) for k in batch], gold,
-                config)):
+        for per_method, more in zip(points, _batch_points(methods, [
+                match if k == n else engine_for(claims.restrict(
+                    ranked[:k]), config.fusion).gold_match(gold.entries)
+                for k in batch], len(gold.entries), config, n in batch)):
             per_method += more
     return [CurvePoint(k=k, recall=recall, added_source=ranked[k - 1],
-                       method=m.label())
-            for m, per_method in zip(methods, recalls)
-            for k, recall in enumerate(per_method, start=1)]
+                       method=m.label(), result=result)
+            for m, per_method in zip(methods, points)
+            for k, (recall, result) in enumerate(per_method, start=1)]
 
 
-def _batch_recalls(methods: Sequence[MethodSpec], subsets: list[ClaimSet],
-                   gold: GoldStandard,
-                   config: RunConfig) -> list[list[float]]:
-    """Each method's recall on each source prefix of one batch; the
-    batch's engines and gold matches are freed on return."""
-    engines = [engine_for(sub, config.fusion) for sub in subsets]
-    correct = np.concatenate([e.gold_match(gold.entries).cand
-                              for e in engines])
-    recalls: list[list[float]] = []
+def _batch_points(methods: Sequence[MethodSpec], matches: list[GoldMatch],
+                  n_gold: int, config: RunConfig,
+                  whole: bool) -> list[list[tuple]]:
+    """Each method's (recall, result) per source prefix of one batch (gold
+    ``matches``); a result only for the last prefix, and only if ``whole``."""
+    correct = np.concatenate([g.cand for g in matches])
+    out = []
     stack = None
     for m in methods:
-        parts = [e.scoped(m.per_attribute_trust) for e in engines]
+        parts = [g.engine.scoped(m.per_attribute_trust) for g in matches]
         if stack is None or stack.parts != tuple(parts):
             stack = FusionEngine.stack(parts)
-        chosen, _ = stack.select(_fixed_point(m, stack, config)[1])
+        t0 = time.perf_counter()
+        run = _fixed_point(m, stack, config)
+        results = [None] * (len(parts) - whole) + (part_results(
+            m, stack, run, t0, [len(parts) - 1]) if whole else [])
+        chosen, _ = stack.select(run[1])
         hits = np.bincount(stack.cand_segs.of[chosen[correct[chosen]]],
                            minlength=len(parts))
-        recalls.append([h / len(gold.entries) for h in hits.tolist()])
-    return recalls
+        out.append(list(zip((h / n_gold for h in hits.tolist()), results)))
+    return out
 
 
 def _batches(sizes: list[int], budget: int) -> list[list[int]]:
@@ -248,29 +261,29 @@ def time_series_summary(method: MethodSpec,
             accuracy_deviation(precisions))
 
 
-def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
+def timed_run(result: FusionResult, claims: ClaimSet, config: RunConfig,
               gold: GoldStandard,
               engine: FusionEngine | None = None,
               match: GoldMatch | None = None) -> EvalReport:
-    """Run a method end to end and assemble its report.
+    """Assemble the report of ``result``, a method's default run on
+    ``claims`` (``compare`` takes it off the curve's k = n segment).
 
-    The default run and the input-trust re-run share ``engine`` (or its
+    Trust sampling and the input-trust re-run share ``engine`` (or its
     per-attribute view), which other methods may share too, or one built
-    here, and are scored on ``match`` or on the engine's. Wall
-    time is the default run's own (``FusionResult.wall_time``: its rounds
-    on that prebuilt engine; engine construction, I/O and sampling
-    excluded). Trust deviation/difference compare the default-initialization
-    run's converged trust against the gold-sampled trust; the input-trust
-    pass reruns the method single-pass under the sampled trust.
+    here, and are scored on ``match`` or on the engine's. Wall time is
+    the default run's (``FusionResult.wall_time``: its rounds, or its
+    stacked batch's; engine construction, I/O and sampling excluded).
+    Trust deviation/difference compare the default-initialization run's
+    converged trust against the gold-sampled trust; the input-trust pass
+    reruns the method single-pass under the sampled trust.
     """
+    method = result.method
     engine = engine_for(claims, config.fusion, method.per_attribute_trust,
                         engine)
     if match is None:
         match = engine.gold_match(gold.entries)
-    result = run_fusion(method, claims, config, engine=engine)
     precision, recall = precision_recall(result, gold, claims, match=match)
-    dev = diff = None
-    prec_with = None
+    dev = diff = prec_with = None
     if method.name != "vote":
         sampled = sample_trust(method, claims, gold, config, match)
         if result.trust:
@@ -280,14 +293,8 @@ def timed_run(method: MethodSpec, claims: ClaimSet, config: RunConfig,
                                 engine=engine)
         prec_with, _ = precision_recall(with_trust, gold, claims, match=match)
     return EvalReport(
-        method=method.label(),
-        precision=precision,
-        recall=recall,
-        trust_deviation=dev,
-        trust_difference=diff,
-        wall_time=result.wall_time,
-        rounds=result.rounds_used,
-        converged=result.converged,
-        precision_with_trust=prec_with,
-        result=result,
-    )
+        method=method.label(), precision=precision, recall=recall,
+        trust_deviation=dev, trust_difference=diff,
+        wall_time=result.wall_time, rounds=result.rounds_used,
+        converged=result.converged, precision_with_trust=prec_with,
+        result=result)

@@ -99,7 +99,7 @@ class FusionResult:
     ``claims``, which gold scores read.
     ``wall_time`` is the run's time on its built engine, without building
     it. Runs that shared a stacked engine all carry the time of their
-    whole batch (``fuse_segments``).
+    whole batch (``part_results``).
     """
 
     method: MethodSpec
@@ -523,7 +523,8 @@ class FusionEngine:
     def build_result(self, method: MethodSpec, votes: np.ndarray,
                      trust: np.ndarray, rounds: int, converged: bool,
                      wall_time: float, deltas: list[float],
-                     confidence: np.ndarray | None = None) -> FusionResult:
+                     confidence: np.ndarray | None = None,
+                     copy_matrix=None) -> FusionResult:
         chosen, ties = self.select(votes)
         if confidence is None:
             pos = np.maximum(votes, 0.0)
@@ -544,7 +545,8 @@ class FusionEngine:
             confidence=dict(zip(self.items, conf.tolist())),
             trust=trust_out, rounds_used=rounds,
             converged=converged, wall_time=wall_time, tie_count=ties,
-            trust_deltas=deltas, claims=self.claims, chosen=chosen)
+            trust_deltas=deltas, copy_matrix=copy_matrix, claims=self.claims,
+            chosen=chosen)
 
 
 # -- method rules ------------------------------------------------------------
@@ -1005,23 +1007,28 @@ def run_fusion(method: MethodSpec, claims: ClaimSet, config: RunConfig,
 def fuse_segments(method: MethodSpec, engine: FusionEngine,
                   config: RunConfig, *options) -> list[FusionResult]:
     """``method``'s run (``_fixed_point``) on every part of ``engine``
-    (itself unless a ``stack``), one result per part, each timed as the
-    whole call. Only AccuCopy reads ``config`` and the options after it."""
+    (itself unless a ``stack``), one result per part (``part_results``).
+    Only AccuCopy reads ``config`` and the options after it."""
     t0 = time.perf_counter()
-    state, votes, deltas, converged = _fixed_point(method, engine, config,
-                                                   *options)
+    run = _fixed_point(method, engine, config, *options)
+    return part_results(method, engine, run, t0, range(len(engine.parts)))
+
+
+def part_results(method: MethodSpec, engine: FusionEngine, run, t0: float,
+                 keep: Sequence[int]) -> list[FusionResult]:
+    """The results of the parts ``keep`` of ``engine`` after ``run``
+    (``_fixed_point``'s), each timed as the whole batch from ``t0``."""
+    state, votes, deltas, converged = run
     conf = _RULES[method.name].confidence(engine, votes)
     wall = time.perf_counter() - t0
-    results = [part.build_result(
-        method, votes[c], state.trust[v], rounds=len(d), converged=ok,
-        deltas=d, wall_time=wall, confidence=None if conf is None else conf[c])
-        for part, v, c, d, ok in zip(engine.parts, engine.vsrc_segs.slices(),
-                                     engine.cand_segs.slices(), deltas,
-                                     converged)]
-    for result, matrix in zip(results, state.copying.matrices(engine)
-                              if state.copying else ()):
-        result.copy_matrix = matrix
-    return results
+    v, c = engine.vsrc_segs.slices(), engine.cand_segs.slices()
+    matrices = (state.copying.matrices(engine, keep) if state.copying
+                else [None] * len(keep))
+    return [engine.parts[k].build_result(
+        method, votes[c[k]], state.trust[v[k]], rounds=len(deltas[k]),
+        converged=converged[k], deltas=deltas[k], wall_time=wall,
+        confidence=None if conf is None else conf[c[k]], copy_matrix=matrix)
+        for k, matrix in zip(keep, matrices)]
 
 
 def _fixed_point(method: MethodSpec, engine: FusionEngine,

@@ -31,7 +31,7 @@ _SUFFIX_MULT = {"k": 1e3, "m": 1e6, "b": 1e9}
 _DROP = str.maketrans("", "", "$€£¥,%")
 
 _NUMBER_RE = re.compile(
-    r"^(?P<sign>[+-])?(?P<mantissa>\d+(?:\.\d+)?|\.\d+)(?P<suffix>[kKmMbB])?$")
+    r"^(?P<sign>[+-])?(?P<mantissa>\d+(?:\.\d*)?|\.\d+)(?P<suffix>[kKmMbB])?$")
 _TIME_RE = re.compile(
     r"^(?P<h>\d{1,2}):(?P<m>\d{2})\s*(?P<ampm>[ap]\.?m\.?)?$",
     re.IGNORECASE)

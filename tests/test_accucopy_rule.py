@@ -334,6 +334,9 @@ def test_curve_equals_per_prefix_runs(snapshot, config, monkeypatch):
         loops.append((m, len(e.parts))) or _fixed_point(m, e, *rest)))
     got = incremental_curve(COMPARE_METHODS, claims, gold, config)
     assert [(p.k, p.recall, p.added_source, p.method) for p in got] == want
-    assert built == []      # the curve assembles no result
+    # the curve assembles one result per method: its k = n segment's
+    assert len(built) == len(COMPARE_METHODS)
+    assert [p.k for p in got if p.result] == [len(claims.sources)] * len(
+        COMPARE_METHODS)
     # one stacked run per method, AccuCopy included, over every prefix
     assert loops == [(m, len(claims.sources)) for m in COMPARE_METHODS]

@@ -234,7 +234,8 @@ class TestTimedRun:
 
     def test_report_fields(self):
         claims, gold, _ = synthetic(9)
-        report = timed_run(MethodSpec("accupr"), claims, CFG, gold)
+        report = timed_run(run_fusion(MethodSpec("accupr"), claims, CFG),
+                           claims, CFG, gold)
         assert 0.0 <= report.precision <= 1.0
         assert 0.0 <= report.recall <= 1.0
         assert report.wall_time > 0.0
@@ -245,7 +246,8 @@ class TestTimedRun:
 
     def test_vote_has_no_trust_fields(self):
         claims, gold, _ = synthetic(10)
-        report = timed_run(MethodSpec("vote"), claims, CFG, gold)
+        report = timed_run(run_fusion(MethodSpec("vote"), claims, CFG),
+                           claims, CFG, gold)
         assert report.trust_deviation is None
         assert report.trust_difference is None
         assert report.wall_time > 0.0
@@ -261,5 +263,6 @@ class TestTimedRun:
         claims = make_claims([("s1", "o1", "price", 10.0),
                               ("s2", "o1", "price", 12.0)])
         gold = make_gold([("o1", "price", 10.0)])
-        report = timed_run(MethodSpec("vote"), claims, CFG, gold)
+        report = timed_run(run_fusion(MethodSpec("vote"), claims, CFG),
+                           claims, CFG, gold)
         assert 0.0 < report.wall_time < 1.0

@@ -5,9 +5,7 @@ dominant value's precision) against the per-item and per-claim
 
 from __future__ import annotations
 
-import gc
 import itertools
-import weakref
 
 import numpy as np
 import pytest
@@ -444,29 +442,32 @@ def test_compare_and_evaluate_score_on_the_gold_match(monkeypatch, tmp_path,
     assert counts == {}
 
 
-def test_compare_frees_the_snapshot_engines_before_the_curve(monkeypatch,
-                                                             tmp_path,
-                                                             files):
-    full: list = []
+def test_compare_runs_the_curves_last_segment_on_the_snapshot_engine(
+        monkeypatch, tmp_path, files):
+    """``compare`` builds one engine over the snapshot's ``ClaimSet`` (Attr
+    methods take its view), and the curve's k = n segment runs on it: the
+    curve gets its gold match, and every report's run is over it."""
+    built: list = []
     real_init = FusionEngine.__init__
 
     def tracked(self, claims, *args, **kwargs):
         real_init(self, claims, *args, **kwargs)
-        if not full:    # the snapshot's, built first
-            full.append(claims)
-        if claims is full[0]:
-            full.append(weakref.ref(self))
+        built.append((claims, self))
 
     real_curve = evalharness.incremental_curve
-    alive: list = []
+    seen: list = []
 
-    def curve(*args, **kwargs):
-        gc.collect()
-        alive.append(sum(r() is not None for r in full[1:]))
-        return real_curve(*args, **kwargs)
+    def curve(methods, claims, gold, config, ranked, match):
+        points = real_curve(methods, claims, gold, config, ranked, match)
+        seen.append((claims, match.engine, points))
+        return points
 
     monkeypatch.setattr(FusionEngine, "__init__", tracked)
     monkeypatch.setattr(evalharness, "incremental_curve", curve)
     assert cli.main(["compare", *files, "--out", str(tmp_path / "c")]) == 0
-    # one engine over the snapshot: Attr methods take its view
-    assert len(full) == 2 and alive == [0]
+    (claims, engine, points), = seen
+    assert [e for c, e in built if c is claims] == [engine]
+    assert built[0][1] is engine     # built first, then the curve's prefixes
+    results = [p.result for p in points if p.result is not None]
+    assert len(results) == 16 and all(r.claims is claims for r in results)
+    assert all(p.k == len(claims.sources) for p in points if p.result)

@@ -323,20 +323,21 @@ TRUTH_SCORED["compare/report.json"] = TRUTH_SCORED["compare/report.csv"]
 
 def rescaled(text: str, factor) -> str:
     """A plain decimal spelling times ``factor`` (10, 0.1 or -1), spelled so
-    that the granularity it implies scales too: the decimal point moves, or
-    an integer's last insignificant zero goes (1094.31 -> 10943.1 or
-    109.431; 1100 -> 11000 or 110)."""
+    that the granularity it implies scales too: the decimal point moves
+    (and stays when no digit follows it), or an integer's last
+    insignificant zero goes (1094.31 -> 10943.1 or 109.431; 1000.0 ->
+    10000. or 100.00; 1100 -> 11000 or 110)."""
     sign, text = ("-", text[1:]) if text.startswith("-") else ("", text)
     if factor == -1:
         return text if sign else "-" + text
-    whole, _, frac = text.partition(".")
+    whole, dot, frac = text.partition(".")
     if factor == 10:
         whole, frac = whole + (frac[:1] or "0"), frac[1:]
-    elif frac or not whole.endswith("0"):
+    elif frac or dot or not whole.endswith("0"):
         whole, frac = whole[:-1], whole[-1] + frac
     else:
         whole = whole[:-1]
-    return sign + (whole.lstrip("0") or "0") + ("." + frac if frac else "")
+    return sign + (whole.lstrip("0") or "0") + ("." + frac if frac else dot)
 
 
 def number_attributes(data: Path) -> set[str]:
@@ -378,7 +379,7 @@ def split(table: dict[str, dict], columns: dict[str, set]):
 
 
 @pytest.mark.parametrize("snapshot, factor", [
-    ("generated", 10), ("generated", 0.1), ("edge", 0.1),
+    ("generated", 10), ("generated", 0.1), ("edge", 10), ("edge", 0.1),
     pytest.param("generated", -1, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=(
             "ROADMAP item 1: tau = alpha * median is negative on negated "
@@ -391,11 +392,8 @@ def test_scaling_numbers_changes_no_answer(snapshot, tmp_path, factor):
     """Selections (scaled back), votes, confidence, trust, rounds, ties,
     copy pairs and groups of every operation match, but for the columns
     scored against a truth (``TRUTH_SCORED``). Values are compared within
-    ``REL_TOL``, as other sums over sources.
-
-    The edge snapshot is not scaled by 10: "1000.0" has no decimal spelling
-    of ten times its value at granularity 1 ("10000" reads as granularity
-    10000 and "10000." as unknown), so its format pairs would change."""
+    ``REL_TOL``, as other sums over sources. The edge snapshot's "1000.0"
+    times 10 is "10000.", granular to 1 as "10000" is not."""
     base, _, want = snapshot
     got = split(scaled_artifacts(base, factor, tmp_path), TRUTH_SCORED)[0]
     want = split(tables(want, "source"), TRUTH_SCORED)[0]

@@ -75,6 +75,25 @@ class TestNormalizeValue:
     def test_inferred_granularity(self, raw, gran):
         assert normalize_value(raw, Kind.NUMBER).granularity == pytest.approx(gran)
 
+    @pytest.mark.parametrize("raw,num,gran", [
+        ("12.", 12.0, 1.0),
+        ("10000.", 10_000.0, 1.0),
+        ("-7.", -7.0, 1.0),
+        ("0.", 0.0, 1.0),
+        ("3.k", 3_000.0, 1e3),
+    ])
+    def test_trailing_point_marks_the_units_digit(self, raw, num, gran):
+        """A spelling that ends in its decimal point is exact to the units
+        digit (times a suffix's multiplier), so "10000." spells the
+        integer whose zeros are significant and "10000" does not."""
+        v = normalize_value(raw, Kind.NUMBER)
+        assert v.num == num and v.granularity == pytest.approx(gran)
+        assert normalize_value("10000", Kind.NUMBER).granularity == 1e4
+
+    def test_a_lone_point_is_no_number(self):
+        with pytest.raises(ValueParseError):
+            normalize_value(".", Kind.NUMBER)
+
 
 class TestTolerance:
 

@@ -61,7 +61,8 @@ def test_runs_leave_shared_engine_arrays_unchanged(snapshot):
     before = {flag: _arrays(e) for flag, e in engines.items()}
     for m in COMPARE_METHODS:
         # the default run and the input-trust re-run, AccuCopy included
-        timed_run(m, claims, CFG, gold, engine=shared)
+        timed_run(run_fusion(m, claims, CFG, engine=shared), claims, CFG,
+                  gold, engine=shared)
     for flag, engine in engines.items():
         after = _arrays(engine)
         assert after.keys() == before[flag].keys()
@@ -177,5 +178,6 @@ def test_mismatched_engine_rejected(snapshot, method, kind, message):
     with pytest.raises(FusionError, match=message):
         run_fusion(m, claims, CFG, engine=engine)
     with pytest.raises(FusionError, match=message):
-        timed_run(m, claims, CFG, gold, engine=engine)
+        timed_run(run_fusion(m, claims, CFG), claims, CFG, gold,
+                  engine=engine)
 
