@@ -60,7 +60,6 @@ from .metrics import (
 )
 from .model import (
     AttributeSpec,
-    Claim,
     ClaimSet,
     DataItem,
     GoldStandard,
@@ -71,6 +70,7 @@ from .model import (
     UndefinedDeviationError,
     Value,
     ValueParseError,
+    claim_columns,
     majority_gold,
 )
 from .normalize import (

@@ -366,8 +366,9 @@ def _write_copy_pairs(path: Path, prob: dict, config: RunConfig) -> None:
     per-attribute run "source|attribute"."""
     if prob and isinstance(next(iter(prob))[0], tuple):
         prob = {("|".join(a), "|".join(b)): p for (a, b), p in prob.items()}
-    rows = sorted([(a, b, p) for (a, b), p in prob.items()])
-    dataio.write_rows(path, dataio.COPIER_HEADER, rows, config.delimiter)
+    dataio.write_rows(path, dataio.COPIER_HEADER,
+                      ((a, b, prob[a, b]) for a, b in sorted(prob)),
+                      config.delimiter)
 
 
 # -- copydetect ---------------------------------------------------------------

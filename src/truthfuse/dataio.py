@@ -17,7 +17,6 @@ gold files start with one; trust, copier and group files may.
 from __future__ import annotations
 
 import csv
-import itertools
 from pathlib import Path
 from typing import Iterable
 
@@ -26,14 +25,15 @@ import numpy as np
 from .config import FusionConfig
 from .model import (
     AttributeSpec,
-    ClaimColumns,
     ClaimSet,
     DataItem,
     GoldStandard,
     Kind,
     LoadError,
+    TruthFuseError,
     Value,
     ValueParseError,
+    claim_columns,
 )
 from .normalize import normalize_value
 
@@ -80,41 +80,36 @@ def load_schema(path: str | Path, delimiter: str = ",",
 def load_claims(path: str | Path, schema: dict[str, AttributeSpec],
                 snapshot_label: str | None = None,
                 delimiter: str = ",") -> ClaimSet:
-    """Load, normalize, validate, and index a claims file.
-
-    Rejects duplicate (source, item) pairs, unparseable values, and unknown
-    attributes, naming the offending line. Reads the file into the
-    snapshot's columns at once, parsing each spelling once.
-    """
-    (source, obj, attr, _), code, values = _table(
-        path, CLAIM_HEADER, schema, delimiter, lambda c, k: (
-            f"duplicate claim by {c[0][k]!r} on ({c[1][k]!r}, {c[2][k]!r})"))
-    sources: dict[str, int] = {}
-    items: dict[tuple[str, str], int] = {}
-    src = [sources.setdefault(s, len(sources)) for s in source]
-    item = [items.setdefault(key, len(items)) for key in zip(obj, attr)]
-    if "" in sources:
-        raise LoadError("source id must be non-empty")
+    """Load, normalize, validate (``claim_columns``) and index a claims
+    file, naming the first offending line. Reads the file into the
+    snapshot's columns at once, parsing each spelling once."""
     label = snapshot_label if snapshot_label is not None else Path(path).stem
-    return ClaimSet(label, schema, ClaimColumns(
-        list(sources), [DataItem(*key) for key in items], values,
-        np.array(src, dtype=np.int64), np.array(item, dtype=np.int64), code))
+    return ClaimSet(label, schema, _table(
+        path, CLAIM_HEADER, schema, delimiter,
+        lambda *cols: claim_columns(schema, *cols)))
 
 
 def load_gold(path: str | Path, claims: ClaimSet,
               delimiter: str = ",") -> GoldStandard:
-    """Load a gold standard, normalized identically to claims.
+    """Load a gold standard, normalized identically to claims, with known
+    attributes and no item twice; items no claim covers are allowed but
+    counted in ``orphan_count``."""
+    schema = claims.schema
 
-    Gold items with no claim coverage are allowed but counted in
-    ``orphan_count``.
-    """
-    (obj, attr, _), code, values = _table(
-        path, GOLD_HEADER, claims.schema, delimiter,
-        lambda c, k: f"duplicate gold row for ({c[0][k]!r}, {c[1][k]!r})")
-    entries = {DataItem(o, a): values[v]
-               for o, a, v in zip(obj, attr, code.tolist())}
-    orphans = sum(1 for item in entries if item not in claims.item_index)
-    return GoldStandard(entries=entries, orphan_count=orphans)
+    def entries_of(obj, attr, code: np.ndarray, values: list[Value]):
+        entries: dict[DataItem, Value] = {}
+        for k, (o, a, v) in enumerate(zip(obj, attr, code.tolist())):
+            item = DataItem(o, a)
+            if a not in schema or item in entries:
+                exc = LoadError(f"unknown attribute {a!r}" if a not in schema
+                                else f"duplicate gold row for {(o, a)!r}")
+                exc.row = k
+                raise exc
+            entries[item] = values[v]
+        return entries
+
+    gold = _table(path, GOLD_HEADER, schema, delimiter, entries_of)
+    return GoldStandard(gold, len(gold.keys() - claims.item_index.keys()))
 
 
 def _csv_rows(path: str | Path, delimiter: str):
@@ -141,13 +136,12 @@ def _data_rows(path: str | Path, delimiter: str, *headers: list[str]):
 
 
 def _table(path: str | Path, header: list[str],
-           schema: dict[str, AttributeSpec], delimiter: str, duplicate):
-    """The rows of a claims or gold file as stripped columns; each row's
-    code of its (attribute, spelling), and the values parsed for the
-    codes. Raises for the first malformed row in file order, where a
-    row's width, attribute, key (all columns but the value: its repeat
-    is named by ``duplicate(columns, row)``) and value are checked in
-    turn."""
+           schema: dict[str, AttributeSpec], delimiter: str, check):
+    """What ``check(*columns, codes, values)`` makes of the stripped columns
+    of a claims or gold file, less the value; each row's code of its
+    (attribute, spelling); and the values parsed for the codes, a blank for
+    one that does not parse. Raises for the first bad row in file order, by
+    width, ``check``'s rules (errors with a ``row``), then value, in turn."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         if not _is_header(next(reader, []), header):
@@ -160,33 +154,28 @@ def _table(path: str | Path, header: list[str],
         errors.append((bad, 0, f"expected {len(header)} columns, got "
                        f"{widths[bad]}"))
         del rows[bad:]
-    cols = [list(map(str.strip, c)) for c in zip(*rows)]
-    cols = cols or [[] for _ in header]
-    if len(set(zip(*cols[:-1]))) < len(cols[0]):
-        seen: set = set()       # set.add gives None: the first repeat stops
-        k = next(k for k, key in enumerate(zip(*cols[:-1]))
-                 if key in seen or seen.add(key))
-        errors.append((k, 2, duplicate(cols, k)))
+    cols = [list(map(str.strip, c)) for c in zip(*rows)] or [[]] * len(header)
     spellings: dict[tuple[str, str], int] = {}
-    code = [spellings.setdefault(key, len(spellings))
-            for key in zip(cols[-2], cols[-1])]
+    code = np.array([spellings.setdefault(key, len(spellings))
+                     for key in zip(cols[-2], cols[-1])], dtype=np.int64)
     values: list[Value] = []
     for k, (attr, raw) in zip(np.unique(code, return_index=True)[1].tolist(),
                               spellings):
-        if attr not in schema:
-            errors.append((k, 1, f"unknown attribute {attr!r}"))
-            break
-        try:
-            values.append(normalize_value(raw, schema[attr].kind))
+        kind = schema[attr].kind if attr in schema else Kind.TEXT
+        try:    # ``check`` rejects an unknown attribute's rows
+            values.append(normalize_value(raw, kind))
         except ValueParseError as exc:
-            errors.append((k, 3, str(exc)))
-            break
+            values.append(Value(kind))
+            errors.append((k, 2, str(exc)))
+    try:
+        out = check(*cols[:-1], code, values)
+    except TruthFuseError as exc:
+        errors.append((exc.row, 1, str(exc)))
     if errors:
         row, _, message = min(errors)
-        lineno = next(itertools.islice(_csv_rows(path, delimiter), row + 1,
-                                       None))[0]
+        lineno = [n for n, _ in _csv_rows(path, delimiter)][row + 1]
         raise LoadError(f"{path}:{lineno}: {message}")
-    return cols, np.array(code, dtype=np.int64), values
+    return out
 
 
 def write_schema(schema: dict[str, AttributeSpec], path: str | Path,

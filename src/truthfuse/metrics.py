@@ -24,7 +24,7 @@ from .model import (
     UndefinedDeviationError,
     Value,
 )
-from .normalize import Bucket, key_offset
+from .normalize import key_offset
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,14 @@ def provider_counts(claims: ClaimSet, item_group: np.ndarray) -> np.ndarray:
     return np.bincount(pairs // n)
 
 
-def entropy(buckets: Sequence[Bucket]) -> float:
+class _Tally(NamedTuple):
+    """A bucket's centre and provider count, all the profile reads."""
+
+    center: Value
+    provider_count: int
+
+
+def entropy(buckets: Sequence[_Tally]) -> float:
     """Value-distribution entropy in bits over bucketed multiplicities.
 
     Zero for a single value; exactly 1 for two values split 50/50.
@@ -100,7 +107,7 @@ def entropy(buckets: Sequence[Bucket]) -> float:
     return max(0.0, e)
 
 
-def deviation(buckets: Sequence[Bucket], kind: Kind) -> float:
+def deviation(buckets: Sequence[_Tally], kind: Kind) -> float:
     """Spread of the distinct (bucketed) values around the dominant one v0:
     the RMS of their ``key_offset``s from it, relative to v0 for numbers
     (undefined when v0 is zero) and in minutes for times."""
@@ -117,7 +124,7 @@ def deviation(buckets: Sequence[Bucket], kind: Kind) -> float:
     return math.sqrt(sum(terms) / len(terms))
 
 
-def dominant(buckets: Sequence[Bucket]) -> tuple[Value, float]:
+def dominant(buckets: Sequence[_Tally]) -> tuple[Value, float]:
     """The bucketed value with the most providers and its dominance factor.
 
     Ties break deterministically toward the smallest value under the total
@@ -128,13 +135,6 @@ def dominant(buckets: Sequence[Bucket]) -> tuple[Value, float]:
     total = sum(b.provider_count for b in buckets)
     best = min(buckets, key=_rank)
     return best.center, best.provider_count / total
-
-
-class _Tally(NamedTuple):
-    """What ``entropy``, ``deviation`` and ``dominant`` read of a bucket."""
-
-    center: Value
-    provider_count: int
 
 
 def _rank(b) -> tuple:

@@ -12,7 +12,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,21 +182,11 @@ class DataItem:
         return (self.object_id, self.attribute)
 
 
-@dataclass(frozen=True)
-class Claim:
-    """A single source's asserted value on one data item."""
-
-    source: str
-    item: DataItem
-    value: Value
-
-
 class ClaimColumns(NamedTuple):
-    """Claims as codes: each claim's source, item and value number, into
-    the tables ``sources``, ``items`` and ``values`` (in any order, and
-    possibly with entries no claim uses). The rows are valid claims: known
-    attributes, values of their kinds, no (source, item) pair twice.
-    ``parent`` is the snapshot whose tables they are, if any."""
+    """Valid claims (``claim_columns``) as codes: each claim's source, item
+    and value number into the tables ``sources``, ``items`` and ``values``
+    (in any order, possibly with entries no claim uses). ``parent`` is the
+    snapshot whose tables they are, if any."""
 
     sources: Sequence[str]
     items: Sequence[DataItem]
@@ -205,6 +195,48 @@ class ClaimColumns(NamedTuple):
     item: np.ndarray
     value: np.ndarray
     parent: "ClaimSet | None" = None
+
+
+def claim_columns(schema: Mapping[str, AttributeSpec], source=(), obj=(),
+                  attr=(), value=(), values: Sequence[Value] | None = None,
+                  ) -> ClaimColumns:
+    """Validated ``ClaimColumns`` of claims given as columns of sources,
+    object ids, attribute names and values (``*zip(*rows)``): ``Value``s
+    told apart by identity (equal ones may differ in granularity or the
+    sign of zero), or codes into ``values``. Raises for the first row
+    (``row``) with, checked in turn, an empty source, an unknown attribute,
+    a value not of its attribute's kind or a repeated (source, item)."""
+    if values is None:
+        values = list({id(v): v for v in value}.values())
+        pos = {id(v): k for k, v in enumerate(values)}
+        value = np.array([pos[id(v)] for v in value], dtype=np.int64)
+    sources, items = {}, {}     # each name's and (object, attribute)'s code
+    src = np.array([sources.setdefault(s, len(sources)) for s in source],
+                   dtype=np.int64)
+    item = np.array([items.setdefault(key, len(items))
+                     for key in zip(obj, attr)], dtype=np.int64)
+    kinds = ["", *(k.value for k in Kind)]      # "": an unknown attribute's
+    want = np.array([kinds.index(schema[a].kind.value) if a in schema else 0
+                     for _, a in items], dtype=np.int8)[item]
+    have = np.array([kinds.index(v.kind.value) for v in values], dtype=np.int8)
+    again = np.ones(len(src), dtype=bool)
+    again[np.unique(src * len(items) + item, return_index=True)[1]] = False
+    fails = [(int(np.argmax(m)), n) for n, m in enumerate((
+        src == sources.get("", -1), want == 0,
+        (have[value] != want) & (want > 0), again)) if m.any()]
+    if fails:
+        k, n = min(fails)
+        exc = [LoadError("source id must be non-empty"),
+               LoadError(f"unknown attribute {attr[k]!r}"),
+               KindMismatchError(
+                   f"value kind {kinds[have[value[k]]]} does not match "
+                   f"attribute {attr[k]!r} ({kinds[want[k]]})"),
+               LoadError(f"duplicate claim by {source[k]!r} on "
+                         f"({obj[k]!r}, {attr[k]!r})")][n]
+        exc.row = k
+        raise exc
+    return ClaimColumns(list(sources), [DataItem(*key) for key in items],
+                        values, src, item, value)
 
 
 class ClaimSet:
@@ -217,17 +249,14 @@ class ClaimSet:
     ``spellings`` and granularities ``value_gran``). Item k's claims are
     rows ``item_start[k]`` to ``item_start[k + 1]``, its attribute and
     object codes ``item_attr[k]`` and ``item_object[k]`` into the sorted
-    ``attributes`` and ``object_ids`` with claims. ``claims``,
-    ``by_item`` and ``by_source`` are built on first use.
-    Instances are safe to share across concurrent readers.
+    ``attributes`` and ``object_ids`` with claims. Safe to share across
+    concurrent readers.
     """
 
     def __init__(self, snapshot_label: str, schema: Mapping[str, AttributeSpec],
-                 claims: Iterable[Claim] | ClaimColumns):
+                 cols: ClaimColumns):
         self.snapshot_label = snapshot_label
         self.schema: dict[str, AttributeSpec] = dict(schema)
-        cols = (claims if isinstance(claims, ClaimColumns)
-                else _columns_of(claims, self.schema))
         if cols.parent is None:     # a restricted view shares its parent's
             self.values: tuple[Value, ...] = tuple(cols.values)
             self.value_key, self.spellings = value_keys(self.values)
@@ -262,39 +291,12 @@ class ClaimSet:
         return len(self.claim_source)
 
     @functools.cached_property
-    def claims(self) -> tuple[Claim, ...]:
-        """Every claim, in (item, source) order."""
-        return tuple(map(
-            Claim, [self.sources[s] for s in self.claim_source.tolist()],
-            [self.items[i] for i in self.claim_item.tolist()],
-            [self.values[v] for v in self.claim_value.tolist()]))
-
-    @functools.cached_property
-    def by_item(self) -> dict[DataItem, tuple[Claim, ...]]:
-        bounds = self.item_start.tolist()
-        return {it: self.claims[a:b]
-                for it, a, b in zip(self.items, bounds, bounds[1:])}
-
-    @functools.cached_property
-    def by_source(self) -> dict[str, tuple[Claim, ...]]:
-        out: dict[str, list[Claim]] = {s: [] for s in self.sources}
-        for c in self.claims:
-            out[c.source].append(c)
-        return {s: tuple(cs) for s, cs in out.items()}
-
-    @functools.cached_property
     def item_index(self) -> dict[DataItem, int]:
         """Each item's number in ``items``."""
         return {it: k for k, it in enumerate(self.items)}
 
     def attribute_of(self, item: DataItem) -> AttributeSpec:
         return self.schema[item.attribute]
-
-    def providers(self, item: DataItem) -> tuple[str, ...]:
-        """S(d): sources providing any value on the item."""
-        k = self.item_index.get(item)
-        rows = slice(0) if k is None else slice(*self.item_start[k:k + 2])
-        return tuple(self.sources[s] for s in self.claim_source[rows].tolist())
 
     def claim_counts(self) -> dict[str, int]:
         """Each source's number of claims."""
@@ -326,38 +328,6 @@ def _recode(names: Sequence, codes: np.ndarray):
     rank = np.zeros(len(names), dtype=np.int64)
     rank[used] = np.arange(len(used))
     return tuple(names[k] for k in used.tolist()), rank[codes]
-
-
-def _columns_of(claims: Iterable[Claim],
-                schema: Mapping[str, AttributeSpec]) -> ClaimColumns:
-    """Validated columns of ``Claim``s, each checked in input order. Values
-    are told apart by identity: equal ones may differ in granularity or in
-    the sign of zero."""
-    tables: tuple[dict, dict, dict] = ({}, {}, {})
-    codes: tuple[list, list, list] = ([], [], [])
-    values, seen = [], set()
-    for c in claims:
-        attr = schema.get(c.item.attribute)
-        if not c.source:
-            raise LoadError("source id must be non-empty")
-        if attr is None:
-            raise LoadError(f"claim references unknown attribute "
-                            f"{c.item.attribute!r}")
-        if attr.kind is not c.value.kind:
-            raise KindMismatchError(
-                f"value kind {c.value.kind.value} does not match "
-                f"attribute {attr.name!r} ({attr.kind.value})")
-        if (c.source, c.item) in seen:
-            raise LoadError(f"duplicate claim by source {c.source!r} "
-                            f"on item {c.item}")
-        seen.add((c.source, c.item))
-        if id(c.value) not in tables[2]:
-            values.append(c.value)
-        for table, code, key in zip(tables, codes,
-                                    (c.source, c.item, id(c.value))):
-            code.append(table.setdefault(key, len(table)))
-    return ClaimColumns(list(tables[0]), list(tables[1]), values,
-                        *(np.array(c, dtype=np.int64) for c in codes))
 
 
 @dataclass(frozen=True)
@@ -392,15 +362,14 @@ def majority_gold(sources: Sequence[str], claims: ClaimSet,
     if unknown:
         raise LoadError(f"trusted sources not present in claim set: "
                         f"{sorted(unknown)}")
-    keep = set(sources)
-    rows = np.array([s in keep for s in claims.sources])[claims.claim_source]
+    trusted = claims.restrict(sources)
     votes: dict[int, Counter] = {}
-    for i, v in zip(claims.claim_item[rows].tolist(),
-                    claims.claim_value[rows].tolist()):
-        votes.setdefault(i, Counter())[claims.values[v]] += 1
+    for i, v in zip(trusted.claim_item.tolist(),
+                    trusted.claim_value.tolist()):
+        votes.setdefault(i, Counter())[trusted.values[v]] += 1
     entries: dict[DataItem, Value] = {}
     for i, counts in votes.items():
         (top, n), *rest = counts.most_common(2)
         if counts.total() >= min_providers and not (rest and rest[0][1] == n):
-            entries[claims.items[i]] = top
+            entries[trusted.items[i]] = top
     return GoldStandard(entries=entries, orphan_count=0)

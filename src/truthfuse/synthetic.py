@@ -16,13 +16,13 @@ import numpy as np
 from .config import FusionConfig
 from .model import (
     AttributeSpec,
-    Claim,
     ClaimSet,
     DataItem,
     GoldStandard,
     Kind,
     TruthFuseError,
     Value,
+    claim_columns,
 )
 
 
@@ -197,12 +197,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int,
                 f"{len(free)} free claims)")
         assign_independent(s, free, need)
 
-    claims = [Claim(s, it, values[(s, it)])
-              for s in sources for it in covered[s]]
-    claim_set = ClaimSet(spec.label, schema, claims)
-    claimed_items = set(claim_set.items)
-    orphans = sum(1 for it in items if it not in claimed_items)
-    gold = GoldStandard(entries=dict(truth), orphan_count=orphans)
+    claim_set = ClaimSet(spec.label, schema, claim_columns(schema, *zip(*(
+        (s, it.object_id, it.attribute, values[(s, it)])
+        for s in sources for it in covered[s]))))
+    gold = GoldStandard(entries=dict(truth),
+                        orphan_count=len(items) - len(claim_set.items))
     known = {(m, g.original): g.rate
              for g in spec.copier_groups for m in g.members}
     return claim_set, gold, known

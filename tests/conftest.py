@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import random
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import pytest
 
@@ -12,12 +13,12 @@ from truthfuse.config import load_config
 from truthfuse.fusion import clamp_trust
 from truthfuse.model import (
     AttributeSpec,
-    Claim,
     ClaimSet,
     DataItem,
     GoldStandard,
     Kind,
     Value,
+    claim_columns,
 )
 from truthfuse.synthetic import (
     SyntheticAttribute,
@@ -70,12 +71,46 @@ def value_for(attr: AttributeSpec, raw) -> Value:
 def make_claims(rows, label="snap", schema=None) -> ClaimSet:
     """rows: (source, object_id, attribute_name, raw_value) tuples."""
     schema = schema or SCHEMA
-    claims = []
-    for source, obj, attr_name, raw in rows:
-        attr = schema[attr_name]
-        claims.append(Claim(source, DataItem(obj, attr_name),
-                            value_for(attr, raw)))
-    return ClaimSet(label, schema, claims)
+    return ClaimSet(label, schema, claim_columns(schema, *zip(*(
+        (s, o, a, value_for(schema[a], raw)) for s, o, a, raw in rows))))
+
+
+class Claim(NamedTuple):
+    """One claim of a snapshot, for the tests that read claim by claim."""
+
+    source: str
+    item: DataItem
+    value: Value
+
+
+def claim_set(label: str, schema, claims: Iterable[Claim]) -> ClaimSet:
+    """The snapshot of ``Claim``s, built from their rows."""
+    return ClaimSet(label, schema, claim_columns(schema, *zip(*(
+        (c.source, c.item.object_id, c.item.attribute, c.value)
+        for c in claims))))
+
+
+def claims_of(claims: ClaimSet) -> tuple[Claim, ...]:
+    """Every claim of a snapshot, in (item, source) order."""
+    return tuple(Claim(claims.sources[s], claims.items[i], claims.values[v])
+                 for s, i, v in zip(claims.claim_source.tolist(),
+                                    claims.claim_item.tolist(),
+                                    claims.claim_value.tolist()))
+
+
+def by_item(claims: ClaimSet) -> dict[DataItem, tuple[Claim, ...]]:
+    """Each item's claims, in source order."""
+    rows, bounds = claims_of(claims), claims.item_start.tolist()
+    return {it: rows[a:b] for it, a, b in zip(claims.items, bounds,
+                                                bounds[1:])}
+
+
+def by_source(claims: ClaimSet) -> dict[str, tuple[Claim, ...]]:
+    """Each source's claims, in item order."""
+    out: dict[str, list[Claim]] = {s: [] for s in claims.sources}
+    for c in claims_of(claims):
+        out[c.source].append(c)
+    return {s: tuple(cs) for s, cs in out.items()}
 
 
 def make_gold(rows, schema=None) -> GoldStandard:
@@ -144,10 +179,10 @@ def copier_snapshot():
         own.update({c: own["s6"] for c in ("s7", "s8", "s9")})
         for s, (p, d, g) in own.items():
             if rng.random() < 0.9:
-                claims.append(Claim(s, DataItem(obj, "price"), p))
-                claims.append(Claim(s, DataItem(obj, "depart"), d))
-                claims.append(Claim(s, DataItem(obj, "gate"), g))
-    return ClaimSet("shared", SCHEMA, claims), GoldStandard(truth)
+                claims += [(s, obj, "price", p), (s, obj, "depart", d),
+                           (s, obj, "gate", g)]
+    return (ClaimSet("shared", SCHEMA, claim_columns(SCHEMA, *zip(*claims))),
+            GoldStandard(truth))
 
 
 def synthetic_snapshot():
@@ -209,8 +244,8 @@ def edge_snapshot():
         ("s3", "o1", "volume", 1100.0), ("s5", "o1", "volume", 1000.0),
         ("s5", "o4", "change", -0.70), ("s5", "o4", "gate", "Z9"),
     ]
-    claims = ClaimSet("edge", EDGE_SCHEMA, [
-        Claim(s, DataItem(o, a), _v(a, x)) for s, o, a, x in rows])
+    claims = ClaimSet("edge", EDGE_SCHEMA, claim_columns(EDGE_SCHEMA, *zip(*(
+        (s, o, a, _v(a, x)) for s, o, a, x in rows))))
     gold = GoldStandard({DataItem(o, a): _v(a, x) for o, a, x in [
         ("o1", "change", -0.50), ("o2", "change", -1.20),
         ("o3", "change", -0.30),

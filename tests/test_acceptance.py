@@ -23,8 +23,6 @@ import truthfuse as tf
 from truthfuse.cli import main as cli_main
 from truthfuse.model import (
     AttributeSpec,
-    Claim,
-    ClaimSet,
     DataItem,
     Kind,
     Value,
@@ -127,13 +125,19 @@ def test_criterion_1_metric_oracles():
     report(1, "metric oracles")
 
 
+def _price_claims(rows) -> tf.ClaimSet:
+    """The snapshot of (source, object, "price", number) rows."""
+    schema = {"price": PRICE}
+    return tf.ClaimSet("t", schema, tf.claim_columns(schema, *zip(*(
+        (s, o, a, Value.number(v)) for s, o, a, v in rows))))
+
+
 def _buckets(flat_values, tau=100.0):
     """Bucketize one item; values aligned to the grid (multiples of tau)
     keep the bucket centers identical to the raw distinct values, so the
     oracle and the implementation see the same value multiset."""
     rows = [(f"s{i}", "o1", "price", v) for i, v in enumerate(flat_values)]
-    claims = ClaimSet("t", {"price": PRICE}, [
-        Claim(s, DataItem(o, a), Value.number(v)) for s, o, a, v in rows])
+    claims = _price_claims(rows)
     return tf.bucketize(claims.items[0], claims, tau)
 
 
@@ -185,9 +189,7 @@ def test_criterion_3_bayes_oracle():
             for k in range(3):
                 rows.append((f"s{k}", f"o{j}", "price", vals[picks[k]]))
             assignment[f"o{j}"] = (vals, picks)
-        claims = ClaimSet("t", {"price": PRICE}, [
-            Claim(s, DataItem(o, a), Value.number(v))
-            for s, o, a, v in rows])
+        claims = _price_claims(rows)
         post = tf.accu_posteriors(claims, trust, cfg)
         for obj, (vals, picks) in assignment.items():
             item = DataItem(obj, "price")

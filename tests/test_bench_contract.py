@@ -8,7 +8,6 @@ finds every entry point it names."""
 from __future__ import annotations
 
 import ast
-import functools
 import gc
 import importlib
 import inspect
@@ -24,7 +23,7 @@ from truthfuse.fusion import FusionEngine, MethodSpec, engine_for
 from truthfuse.model import ClaimSet
 from truthfuse.normalize import tolerances
 
-from conftest import copier_snapshot, synthetic_snapshot
+from conftest import claim_set, claims_of, copier_snapshot, synthetic_snapshot
 
 
 def test_claimset_is_weakly_referenceable_and_sized():
@@ -37,12 +36,6 @@ def test_claimset_is_weakly_referenceable_and_sized():
     del claims, sub
     gc.collect()
     assert ref() is None and not keyed
-
-
-def test_on_demand_fields_are_cached_properties():
-    """Built on first use, and assignable by a subclass."""
-    for name in ("claims", "by_item", "by_source"):
-        assert isinstance(ClaimSet.__dict__[name], functools.cached_property)
 
 
 def test_tolerances_takes_the_snapshot_first():
@@ -66,8 +59,9 @@ def stock_like_snapshot() -> ClaimSet:
     """Numbers only, as Stock is: the copier snapshot's prices, whose false
     values are near misses and coarse spellings of the truth."""
     claims, _ = copier_snapshot()
-    return ClaimSet("stock", {"price": claims.schema["price"]},
-                    [c for c in claims.claims if c.item.attribute == "price"])
+    return claim_set("stock", {"price": claims.schema["price"]},
+                     [c for c in claims_of(claims)
+                      if c.item.attribute == "price"])
 
 
 def test_a_stock_like_engine_has_its_pairs_when_built(monkeypatch):

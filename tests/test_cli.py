@@ -15,7 +15,7 @@ from truthfuse import cli, dataio, metrics
 from truthfuse.cli import main
 from truthfuse.config import load_config
 
-from conftest import edge_snapshot, synthetic_snapshot
+from conftest import claims_of, edge_snapshot, synthetic_snapshot
 
 SPEC = {
     "label": "cli-demo",
@@ -131,7 +131,7 @@ def test_attribute_summary_matches_per_attribute_loop(tmp_path):
         for name in sorted({it.attribute for it in claims.items}):
             ps = [profiles[it] for it in claims.items if it.attribute == name]
             devs = [p.deviation for p in ps if p.deviation is not None]
-            providers = len({c.source for c in claims.claims
+            providers = len({c.source for c in claims_of(claims)
                              if c.item.attribute == name})
             rows.append((
                 name, claims.schema[name].kind.value, providers, len(ps),

@@ -30,8 +30,6 @@ from truthfuse.fusion import (
 from truthfuse.metrics import source_accuracy, source_scores
 from truthfuse.model import (
     AttributeSpec,
-    Claim,
-    ClaimSet,
     DataItem,
     GoldStandard,
     Kind,
@@ -46,6 +44,10 @@ from truthfuse.synthetic import (
 )
 
 from conftest import (
+    Claim,
+    by_source,
+    claim_set,
+    claims_of,
     copier_snapshot,
     make_claims,
     make_gold,
@@ -559,18 +561,19 @@ def ref_run_accucopy(engine, config, input_trust=None, known_copiers=None,
 
 
 def ref_group_commonality(group, claims, gold=None, taus=None):
-    members = [s for s in group if claims.by_source.get(s)]
+    claimed = by_source(claims)
+    members = [s for s in group if claimed.get(s)]
     excluded = tuple(sorted(set(group) - set(members)))
     if len(members) < 2:
         raise FusionError("group_commonality requires at least two members "
                           "with claims")
     if taus is None:
         taus = tolerances(claims)
-    attrs = {s: {c.item.attribute for c in claims.by_source[s]}
+    attrs = {s: {c.item.attribute for c in claimed[s]}
              for s in members}
-    objects = {s: {c.item.object_id for c in claims.by_source[s]}
+    objects = {s: {c.item.object_id for c in claimed[s]}
                for s in members}
-    items = {s: {c.item: c.value for c in claims.by_source[s]}
+    items = {s: {c.item: c.value for c in claimed[s]}
              for s in members}
     schema_parts, object_parts, value_parts = [], [], []
     for s1, s2 in combinations(sorted(members), 2):
@@ -677,8 +680,8 @@ class TestVectorisedAgainstLoops:
     def test_known_copiers_one_without_co_coverage(self, per_attribute):
         claims, _, known = copier_scenario(seed=2, n_attrs=2)
         lone = Claim("zz", DataItem("lone", "a0"), Value.number(5.0))
-        claims = ClaimSet(claims.snapshot_label, claims.schema,
-                          (*claims.claims, lone))
+        claims = claim_set(claims.snapshot_label, claims.schema,
+                          (*claims_of(claims), lone))
         known = {**known, ("zz", "s01"): 0.7}
         r = self.compare_runs(claims, per_attribute, known_copiers=known)
         zz = ("zz", "a0") if per_attribute else "zz"
@@ -854,15 +857,15 @@ class TestGroupCommonalityAgainstLoop:
 
     def test_partial_coverage_and_ghosts(self):
         claims, gold, _ = copier_scenario(seed=7, n_attrs=2)
-        rows = [c for c in claims.claims
+        rows = [c for c in claims_of(claims)
                 if not (c.source == "s06" and c.item.attribute == "a1")]
-        claims = ClaimSet("snap", claims.schema, rows)
+        claims = claim_set("snap", claims.schema, rows)
         got = self.check(["s06", "ghost", "s01", "s06", "s03"], claims, gold)
         assert got.excluded == ("ghost",) and got.size == 4
 
     def test_member_without_gold_overlap(self):
         claims, gold, _ = copier_scenario(seed=7, n_attrs=2)
-        covered = {c.item for c in claims.by_source["s06"]}
+        covered = {c.item for c in by_source(claims)["s06"]}
         gold = GoldStandard({it: v for it, v in gold.entries.items()
                              if it not in covered})
         assert source_accuracy("s06", claims, gold) is None
@@ -887,7 +890,7 @@ class TestGroupCommonalityAgainstLoop:
         depart, gate = SCHEMA_TT["depart"], SCHEMA_TT["gate"]
         values = {"s1": (600, "A1"), "s2": (609, "a1"), "s3": (611, "b2"),
                   "s4": (1439, "A1 ")}
-        claims = ClaimSet("snap", SCHEMA_TT, [
+        claims = claim_set("snap", SCHEMA_TT, [
             c for s, (m, g) in values.items() for i in range(3)
             for c in (Claim(s, DataItem(f"o{i}", depart.name),
                             Value.time(m + i if s == "s1" else m)),

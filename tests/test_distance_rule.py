@@ -17,8 +17,6 @@ from truthfuse.fusion import FusionEngine, MethodSpec, run_fusion
 from truthfuse.metrics import profile_items
 from truthfuse.model import (
     AttributeSpec,
-    Claim,
-    ClaimSet,
     DataItem,
     GoldStandard,
     Kind,
@@ -38,7 +36,14 @@ from truthfuse.normalize import (
     values_match,
 )
 
-from conftest import EDGE_SCHEMA, SRC, edge_snapshot, nodes_in_src
+from conftest import (
+    Claim,
+    EDGE_SCHEMA,
+    SRC,
+    claim_set,
+    edge_snapshot,
+    nodes_in_src,
+)
 
 CFG = load_config().fusion
 ITEM_1 = "ROADMAP item 1: the distance rule does not follow the paper yet"
@@ -108,7 +113,7 @@ def test_vote_and_dominant_break_a_padded_tie_alike():
     by the folded spelling, so Vote and the profile's dominant value both
     pick "a"; "a " and "A" share one bucket."""
     tie, same = DataItem("o1", "gate"), DataItem("o2", "gate")
-    claims = ClaimSet("padded", EDGE_SCHEMA, [
+    claims = claim_set("padded", EDGE_SCHEMA, [
         Claim(s, item, Value(Kind.TEXT, text=t)) for s, item, t in (
             ("s1", tie, " b"), ("s2", tie, "a"),
             ("s1", same, "a "), ("s2", same, "A"))])
@@ -163,7 +168,7 @@ def test_times_across_midnight_are_ten_minutes_apart():
     late, early = Value.time(23 * 60 + 55), Value.time(5)
     assert values_match(late, early, depart)
     item = DataItem("f1", "depart")
-    claims = ClaimSet("midnight", EDGE_SCHEMA, [
+    claims = claim_set("midnight", EDGE_SCHEMA, [
         Claim("s1", item, late), Claim("s2", item, early)])
     engine = FusionEngine(claims, CFG)
     match = engine.gold_match(GoldStandard({item: early}).entries)

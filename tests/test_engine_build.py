@@ -23,7 +23,6 @@ from truthfuse.copydetect import group_commonality
 from truthfuse.fusion import FusionEngine
 from truthfuse.model import (
     AttributeSpec,
-    Claim,
     ClaimSet,
     DataItem,
     Kind,
@@ -39,6 +38,8 @@ from truthfuse.normalize import (
     tolerances,
 )
 
+from conftest import Claim, by_item, claim_set, claims_of
+
 CFG = load_config().fusion
 
 SCHEMA = {a.name: a for a in (
@@ -53,7 +54,7 @@ SCHEMA = {a.name: a for a in (
 
 def claims_from(rows) -> ClaimSet:
     """rows: (source, object, attribute, raw spelling) tuples."""
-    return ClaimSet("snap", SCHEMA, [
+    return claim_set("snap", SCHEMA, [
         Claim(s, DataItem(o, a), normalize_value(raw, SCHEMA[a].kind))
         for s, o, a, raw in rows])
 
@@ -143,10 +144,10 @@ FIXTURES = {"edge": edge_claims, "random-1": lambda: random_claims(1),
 # -- the loops the array build replaced ----------------------------------------
 
 
-def ref_bucketize(item, claims, tau):
+def ref_bucketize(item, claims, tau, item_claims=None):
     """(centre, half width, members, providers) per bucket, as the loop
-    computed them."""
-    item_claims = claims.by_item[item]
+    computed them, over the item's claims (``item_claims``)."""
+    item_claims = item_claims or by_item(claims)[item]
     attr = claims.attribute_of(item)
     if attr.kind is Kind.TEXT:
         groups = {}
@@ -190,19 +191,20 @@ def ref_engine(claims, per_attribute, config):
     def vkey(c):
         return (c.source, c.item.attribute) if per_attribute else c.source
 
-    vsrc_list = sorted({vkey(c) for c in claims.claims})
+    vsrc_list = sorted({vkey(c) for c in claims_of(claims)})
+    item_claims = by_item(claims)
     vsrc_index = {k: i for i, k in enumerate(vsrc_list)}
     cand_values, cand_members, cand_item, item_start = [], [], [], [0]
     claim_vsrc, claim_cand = [], []
     for ii, it in enumerate(claims.items):
-        for centre, _, members, _ in ref_bucketize(it, claims,
-                                                   taus[it.attribute]):
+        for centre, _, members, _ in ref_bucketize(
+                it, claims, taus[it.attribute], item_claims[it]):
             ci = len(cand_values)
             cand_values.append(centre)
             cand_members.append(members)
             cand_item.append(ii)
             member_set = set(members)
-            for c in claims.by_item[it]:
+            for c in item_claims[it]:
                 if c.value in member_set:
                     claim_vsrc.append(vsrc_index[vkey(c)])
                     claim_cand.append(ci)
@@ -231,7 +233,7 @@ def ref_engine(claims, per_attribute, config):
             continue
         vk = vsrc_list[claim_vsrc[k]]
         source = vk[0] if per_attribute else vk
-        coarse = next(c.value for c in claims.by_item[claims.items[ii]]
+        coarse = next(c.value for c in item_claims[claims.items[ii]]
                       if c.source == source)
         if coarse.granularity is None:
             continue
@@ -257,7 +259,7 @@ def ref_engine(claims, per_attribute, config):
 
 def scan(claims, attribute):
     """An attribute's claimed numbers, by a scan of all claims."""
-    return [c.value.num for c in claims.claims
+    return [c.value.num for c in claims_of(claims)
             if c.item.attribute == attribute]
 
 
@@ -385,9 +387,9 @@ def test_numeric_and_time_build_makes_no_per_pair_calls(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod,
                                                                      name)))
-    rows = [r for r in random_claims(3).claims
+    rows = [r for r in claims_of(random_claims(3))
             if r.item.attribute != "gate"]
-    claims = ClaimSet("snap", SCHEMA, rows)
+    claims = claim_set("snap", SCHEMA, rows)
     eng = FusionEngine(claims, CFG)
     eng.scoped(True)
     assert eng.sim_i.size > 0 and eng.fmt_claim.size > 0

@@ -34,7 +34,7 @@ from truthfuse.synthetic import (
 )
 from truthfuse.model import Kind
 
-from conftest import make_claims, make_gold
+from conftest import claims_of, make_claims, make_gold
 
 CFG = load_config()
 
@@ -84,7 +84,7 @@ class TestSingleSource:
     def test_selects_exactly_that_sources_values(self, name):
         claims = single_source_claims()
         r = run_fusion(MethodSpec.parse(name), claims, CFG)
-        assert r.selected == {c.item: c.value for c in claims.claims}
+        assert r.selected == {c.item: c.value for c in claims_of(claims)}
 
 
 class TestHub:

@@ -45,7 +45,13 @@ from truthfuse.normalize import (
     values_match,
 )
 
-from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
+from conftest import (
+    by_source,
+    claims_of,
+    copier_snapshot,
+    edge_snapshot,
+    synthetic_snapshot,
+)
 
 CFG = load_config()
 
@@ -82,7 +88,7 @@ def ref_source_accuracy(source, claims, gold, taus=None):
         taus = tolerances(claims)
     correct = 0
     covered = 0
-    for c in claims.by_source.get(source, ()):
+    for c in by_source(claims).get(source, ()):
         truth = gold.entries.get(c.item)
         if truth is None:
             continue
@@ -98,7 +104,7 @@ def ref_source_accuracy(source, claims, gold, taus=None):
 def ref_source_coverage(source, claims, gold):
     if not gold.entries:
         return 0.0
-    provided = sum(1 for c in claims.by_source.get(source, ())
+    provided = sum(1 for c in by_source(claims).get(source, ())
                    if c.item in gold.entries)
     return provided / len(gold.entries)
 
@@ -158,7 +164,7 @@ def ref_precision_of_dominant(claims, gold, taus=None):
     if taus is None:
         taus = tolerances(claims)
     items = [it for it in sorted(gold.entries, key=DataItem.sort_key)
-             if it in claims.by_item]
+             if it in claims.item_index]
     if not items:
         raise ValueError("no gold item is covered by any claim")
     correct = sum(
@@ -199,7 +205,7 @@ def scored(request):
 
 def test_snapshots_exercise_their_cases():
     claims, gold = edge_snapshot()
-    assert any(it not in claims.by_item for it in gold.entries)
+    assert any(it not in claims.item_index for it in gold.entries)
     assert ref_source_accuracy("s5", claims, gold) is None
     assert tolerances(claims)["change"] < 0
 
@@ -223,7 +229,7 @@ def test_every_site_agrees_with_the_scalar_rule(scored):
     with its weights, and ``group_commonality``'s per-pair same-value
     share is the ``values_match`` count over the pair's shared items."""
     claims, gold = scored.claims, scored.gold
-    value = {(c.source, c.item): c.value for c in claims.claims}
+    value = {(c.source, c.item): c.value for c in claims_of(claims)}
 
     def agree(item, v):
         truth = gold.entries.get(item)
@@ -251,8 +257,9 @@ def test_every_site_agrees_with_the_scalar_rule(scored):
         assert list(zip(engine.sim_i.tolist(), engine.sim_j.tolist(),
                         engine.sim_w.tolist())) == want
     taus = scored.match.engine.taus
+    claimed = by_source(claims)
     for pair in itertools.combinations(claims.sources, 2):
-        one, two = ({c.item: c.value for c in claims.by_source[s]}
+        one, two = ({c.item: c.value for c in claimed[s]}
                     for s in pair)
         shared = one.keys() & two.keys()
         same = sum(values_match(one[it], two[it], claims.attribute_of(it),
@@ -308,7 +315,7 @@ def test_uncovered_gold_and_sources_without_gold():
     claims, gold = edge_snapshot()
     result = run_fusion(MethodSpec("vote"), claims, CFG)
     precision, recall = precision_recall(result, gold, claims)
-    assert any(it not in claims.by_item for it in gold.entries)
+    assert any(it not in claims.item_index for it in gold.entries)
     assert (precision, recall) == ref_precision_recall(result, gold, claims)
     assert 0 < recall < precision
     assert source_scores(claims, gold)["s5"] == (None, 0.0)

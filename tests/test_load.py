@@ -1,6 +1,6 @@
-"""Loading a snapshot: the one-pass columnar loader and the ClaimSet
-columns, with ``claims``, ``by_item`` and ``by_source`` built on demand,
-against the row-by-row loader and the per-index sorts they replaced."""
+"""Loading a snapshot: the one-pass columnar loader, the one claim check
+(``claim_columns``) and the ClaimSet columns, against the row-by-row
+loader and the per-index sorts they replaced."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ import csv
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import truthfuse
 from truthfuse import cli, dataio, model
 from truthfuse.dataio import (
     CLAIM_HEADER,
@@ -21,9 +23,10 @@ from truthfuse.dataio import (
     write_gold,
     write_schema,
 )
+from truthfuse.config import load_config
+from truthfuse.fusion import FusionEngine
 from truthfuse.model import (
     AttributeSpec,
-    Claim,
     ClaimSet,
     DataItem,
     GoldStandard,
@@ -32,8 +35,14 @@ from truthfuse.model import (
     LoadError,
     Value,
     ValueParseError,
+    claim_columns,
 )
-from truthfuse.normalize import bucketize, normalize_value, tolerances
+from truthfuse.normalize import (
+    bucketize,
+    normalize_value,
+    subsumes,
+    tolerances,
+)
 from truthfuse.synthetic import (
     CopierGroup,
     SyntheticAttribute,
@@ -42,6 +51,11 @@ from truthfuse.synthetic import (
 )
 
 from conftest import (
+    Claim,
+    by_item,
+    by_source,
+    claim_set,
+    claims_of,
     copier_snapshot,
     edge_snapshot,
     nodes_in_src,
@@ -72,16 +86,16 @@ class RefClaimSet(ClaimSet):
                 raise LoadError("source id must be non-empty")
             attr = self.schema.get(c.item.attribute)
             if attr is None:
-                raise LoadError(f"claim references unknown attribute "
-                                f"{c.item.attribute!r}")
+                raise LoadError(f"unknown attribute {c.item.attribute!r}")
             if attr.kind is not c.value.kind:
                 raise KindMismatchError(
                     f"value kind {c.value.kind.value} does not match "
                     f"attribute {attr.name!r} ({attr.kind.value})")
             key = (c.source, c.item)
             if key in seen:
-                raise LoadError(f"duplicate claim by source {c.source!r} "
-                                f"on item {c.item}")
+                raise LoadError(f"duplicate claim by {c.source!r} on "
+                                f"({c.item.object_id!r}, "
+                                f"{c.item.attribute!r})")
             seen.add(key)
             by_item.setdefault(c.item, []).append(c)
             by_source.setdefault(c.source, []).append(c)
@@ -117,6 +131,9 @@ def ref_load_claims(path, schema, snapshot_label=None, delimiter=","):
                 raise LoadError(f"{path}:{lineno}: expected 4 columns, "
                                 f"got {len(row)}")
             source, obj, attr_name, raw = (f.strip() for f in row)
+            if not source:
+                raise LoadError(f"{path}:{lineno}: source id must be "
+                                f"non-empty")
             attr = schema.get(attr_name)
             if attr is None:
                 raise LoadError(f"{path}:{lineno}: unknown attribute "
@@ -222,14 +239,14 @@ def assert_same(got: ClaimSet, want: ClaimSet):
     assert type(want) is RefClaimSet
     assert got.snapshot_label == want.snapshot_label
     assert got.schema == want.schema
-    assert got.claims == want.claims
+    assert claims_of(got) == want.claims
     assert ([(c.value.granularity, math.copysign(1.0, c.value.num))
-             for c in got.claims]
+             for c in claims_of(got)]
             == [(c.value.granularity, math.copysign(1.0, c.value.num))
                 for c in want.claims])
     assert len(got) == len(want.claims)
-    assert got.by_item == want.by_item
-    assert got.by_source == want.by_source
+    assert by_item(got) == want.by_item
+    assert by_source(got) == want.by_source
     assert got.items == want.items
     assert got.sources == want.sources
     assert got.object_ids == want.object_ids
@@ -277,7 +294,7 @@ def test_hand_made_file_loads_as_before(hand):
     want = ref_load_claims(claims_p, SCHEMA)
     assert_same(got, want)
     assert len(got) == 25
-    volumes = {str(c.value.granularity) for c in got.claims
+    volumes = {str(c.value.granularity) for c in claims_of(got)
                if c.item.attribute == "volume"}
     assert volumes == {"1000000.0", "0.1"}
     assert_same_gold(load_gold(gold_p, got), ref_load_gold(gold_p, want))
@@ -296,7 +313,7 @@ def test_restrict_indexes_as_before(synthetic):
     claims = load_claims(claims_p, schema)
     keep = claims.sources[::3]
     want = RefClaimSet(claims.snapshot_label, schema,
-                       [c for c in claims.claims if c.source in keep])
+                       [c for c in claims_of(claims) if c.source in keep])
     assert_same(claims.restrict(keep), want)
 
 
@@ -306,26 +323,26 @@ def test_restrict_on_every_source_prefix_indexes_as_before(synthetic):
     for k in range(len(claims.sources) + 1):
         keep = [*claims.sources[:k], "ghost"]
         want = RefClaimSet(claims.snapshot_label, schema,
-                           [c for c in claims.claims if c.source in keep])
+                           [c for c in claims_of(claims) if c.source in keep])
         got = claims.restrict(keep)
         assert_same(got, want)
         assert got.values is claims.values    # one shared value table
         assert_same(got.restrict(keep[1:]), RefClaimSet(
             claims.snapshot_label, schema,
-            [c for c in claims.claims if c.source in keep[1:]]))
+            [c for c in claims_of(claims) if c.source in keep[1:]]))
 
 
 @pytest.mark.parametrize("make", [synthetic_snapshot, edge_snapshot,
                                   copier_snapshot])
 def test_claimsets_of_claims_index_as_before(tmp_path, make):
-    """A ClaimSet built from ``Claim``s, and the same snapshot written and
+    """A ClaimSet built from rows, and the same snapshot written and
     loaded again, against the reference index; values keep their
     granularity and the sign of a zero."""
     claims, _ = make()
-    rows = list(claims.claims)
+    rows = list(claims_of(claims))
     want = RefClaimSet(claims.snapshot_label, claims.schema, rows)
     assert_same(claims, want)
-    assert_same(ClaimSet(claims.snapshot_label, claims.schema, rows[::-1]),
+    assert_same(claim_set(claims.snapshot_label, claims.schema, rows[::-1]),
                 want)
     write_claims(claims, tmp_path / "claims.csv")
     assert_same(load_claims(tmp_path / "claims.csv", claims.schema, "x"),
@@ -336,14 +353,14 @@ def test_claimset_in_any_input_order(synthetic):
     # Distinct but equal DataItems per claim, in reversed file order.
     schema, claims_p, _ = synthetic
     rows = [Claim(c.source, DataItem(c.item.object_id, c.item.attribute),
-                  c.value) for c in load_claims(claims_p, schema).claims]
+                  c.value) for c in claims_of(load_claims(claims_p, schema))]
     rows.reverse()
-    assert_same(ClaimSet("x", schema, rows), RefClaimSet("x", schema, rows))
+    assert_same(claim_set("x", schema, rows), RefClaimSet("x", schema, rows))
 
 
 def test_one_data_item_per_item(hand):
     claims = load_claims(hand[0], SCHEMA)
-    assert len({id(c.item) for c in claims.claims}) == len(claims.items)
+    assert len({id(c.item) for c in claims_of(claims)}) == len(claims.items)
 
 
 # -- identical errors ---------------------------------------------------------
@@ -439,9 +456,103 @@ MALFORMED_SETS = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SETS))
 def test_malformed_claim_sets_fail_as_before(case):
+    """In the loader's words; the error's ``row`` is the first failing row:
+    the rows before it build, and with it they fail the same way."""
     rows = MALFORMED_SETS[case]
-    assert (error_of(ClaimSet, "x", SCHEMA, rows)
-            == error_of(RefClaimSet, "x", SCHEMA, rows))
+    got = error_of(claim_set, "x", SCHEMA, rows)
+    assert got == error_of(RefClaimSet, "x", SCHEMA, rows)
+    with pytest.raises(got[0]) as info:
+        claim_set("x", SCHEMA, rows)
+    row = info.value.row
+    assert len(claim_set("x", SCHEMA, rows[:row])) == row
+    assert error_of(claim_set, "x", SCHEMA, rows[:row + 1]) == got
+
+
+def test_claim_columns_take_coded_values():
+    """The loader's form: each row's code into a table of values."""
+    cols = claim_columns(SCHEMA, ["s1", "s2", "s1"], ["o1", "o1", "o2"],
+                         ["volume"] * 3, [1, 1, 0], [FIVE, Value.number(6)])
+    claims = ClaimSet("x", SCHEMA, cols)
+    assert [(c.source, c.item.object_id, c.value.num)
+            for c in claims_of(claims)] == [("s1", "o1", 6.0),
+                                            ("s2", "o1", 6.0),
+                                            ("s1", "o2", 5.0)]
+    with pytest.raises(KindMismatchError) as info:
+        claim_columns(SCHEMA, ["s1", "s2"], ["o1", "o1"], ["volume"] * 2,
+                      [0, 1], [FIVE, Value.of_text("5")])
+    assert info.value.row == 1
+
+
+# -- values that compare equal stay apart -------------------------------------
+
+COARSE, FINE = Value.number(8e6, 1e6), Value.number(8e6, 1.0)
+EQUAL_VALUES = {
+    "granularity": [
+        ("s1", "o1", "volume", COARSE), ("s2", "o1", "volume", FINE),
+        ("s3", "o1", "volume", Value.number(7.6e6, 1.0)),
+        ("s1", "o2", "volume", FINE), ("s2", "o2", "volume", COARSE)],
+    "sign of zero": [
+        ("s1", "o1", "change", Value.number(-0.0, 1.0)),
+        ("s2", "o1", "change", Value.number(0.0, 0.1)),
+        ("s3", "o1", "change", Value.number(0.4, 0.01)),
+        ("s1", "o2", "change", Value.number(0.0, 1.0)),
+        ("s2", "o2", "change", Value.number(-0.0, 1.0))],
+}
+
+
+def ref_format_pairs(ref: RefClaimSet) -> set:
+    """(source, item, finer value) of each claim whose value subsumes a
+    different value another source claims on its item."""
+    return {(c.source, c.item, d.value.num)
+            for c in ref.claims for d in ref.by_item[c.item]
+            if d.value != c.value
+            and subsumes(c.value, d.value, ref.schema[c.item.attribute])}
+
+
+@pytest.mark.parametrize("case", sorted(EQUAL_VALUES))
+def test_rows_keep_equal_values_apart(case):
+    """``Value.__eq__`` ignores granularity and the sign of zero; a snapshot
+    of rows keeps each row's value, so its keys, granularities and format
+    pairs are those of the reference built from the same claims."""
+    rows = EQUAL_VALUES[case]
+    claims = ClaimSet("x", SCHEMA, claim_columns(SCHEMA, *zip(*rows)))
+    want = RefClaimSet("x", SCHEMA, [Claim(s, DataItem(o, a), v)
+                                     for s, o, a, v in rows])
+    assert_same(claims, want)
+    row_value = claims.claim_value
+    assert (claims.value_gran[row_value].tolist()
+            == [c.value.granularity for c in want.claims])
+    assert (claims.value_key[row_value].tolist()
+            == [c.value.num for c in want.claims])
+    assert (np.signbit(claims.value_key[row_value]).tolist()
+            == [math.copysign(1.0, c.value.num) < 0 for c in want.claims])
+    engine = FusionEngine(claims, load_config().fusion)
+    source = engine.vsrc_source[engine.claim_vsrc]
+    got = {(claims.sources[source[k]], engine.items[engine.claim_item[k]],
+            engine.cand_values[c].num)
+           for k, c in zip(engine.fmt_claim.tolist(),
+                           engine.fmt_cand.tolist())}
+    assert got == ref_format_pairs(want) != set()
+
+
+def test_generated_snapshot_is_its_rows_column_for_column(monkeypatch):
+    """``generate_synthetic``'s snapshot holds each row's own ``Value``
+    object, one table entry per object, as the reference over its rows."""
+    rows = []
+
+    def capture(schema, *cols):
+        rows.extend(zip(*cols))
+        return claim_columns(schema, *cols)
+
+    monkeypatch.setattr("truthfuse.synthetic.claim_columns", capture)
+    claims, _ = synthetic_snapshot()
+    want = RefClaimSet(claims.snapshot_label, claims.schema,
+                       [Claim(s, DataItem(o, a), v) for s, o, a, v in rows])
+    assert_same(claims, want)
+    got = [claims.values[v] for v in claims.claim_value.tolist()]
+    assert all(g is c.value for g, c in zip(got, want.claims, strict=True))
+    assert len(claims.values) == len({id(v) for *_, v in rows})
+    assert len(set(claims.values)) < len(claims.values)   # equal, kept apart
 
 
 # -- each distinct spelling parsed once ---------------------------------------
@@ -502,7 +613,7 @@ def test_writers_write_what_their_own_loops_wrote(tmp_path, hand, delimiter):
     cases = [
         (write_claims, claims, CLAIM_HEADER,
          [[c.source, c.item.object_id, c.item.attribute, str(c.value)]
-          for c in claims.claims]),
+          for c in claims_of(claims)]),
         (write_gold, gold, GOLD_HEADER,
          [[it.object_id, it.attribute, str(gold.entries[it])]
           for it in sorted(gold.entries, key=DataItem.sort_key)]),
@@ -518,87 +629,100 @@ def test_writers_write_what_their_own_loops_wrote(tmp_path, hand, delimiter):
                 == (tmp_path / f"want{k}.csv").read_bytes())
 
 
-# -- no Claim objects on the CLI paths -----------------------------------------
+# -- no per-claim objects -----------------------------------------------------
 
 
 @pytest.fixture
 def built(monkeypatch):
-    """The arguments of every ``Claim`` built while the test runs."""
+    """The arguments of every ``DataItem`` built while the test runs: one
+    per item or gold row is the loaders' share, so a layer that builds
+    objects claim by claim shows as more than that."""
     calls = []
-    init = model.Claim.__init__
+    init = model.DataItem.__init__
 
     def counting(self, *args, **kwargs):
         calls.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(model.Claim, "__init__", counting)
+    monkeypatch.setattr(model.DataItem, "__init__", counting)
     return calls
 
 
 def test_fuse_and_copydetect_build_no_claim(tmp_path, synthetic, built):
     """Nor do ``profile`` (with a snapshot series), ``compare`` and
-    ``evaluate``: every layer reads the snapshot's columns."""
+    ``evaluate``: every layer reads the snapshot's columns, and only the
+    loaders build items, one per item and gold row."""
     schema, claims_p, gold_p = synthetic
     write_schema(schema, tmp_path / "schema.csv")
     base = ["--claims", str(claims_p), "--schema",
             str(tmp_path / "schema.csv"), "--out", str(tmp_path / "out")]
-    for argv in (["fuse", "--method", "Vote"],
-                 ["fuse", "--method", "AccuFormatAttr"],
-                 ["fuse", "--method", "AccuCopy"],
-                 ["copydetect", "--gold", str(gold_p)],
-                 ["profile", "--gold", str(gold_p),
-                  "--snapshot", f"{claims_p}:{gold_p}"],
-                 ["compare", "--gold", str(gold_p), "--methods", "all"],
-                 ["evaluate", "--gold", str(gold_p),
-                  "--method", "AccuCopyAttr"]):
+    claims = load_claims(claims_p, schema)
+    loaded = {"claims": len(built)}
+    load_gold(gold_p, claims)
+    loaded["gold"] = len(built) - loaded["claims"]
+    for argv, claim_loads, gold_loads in (
+            (["fuse", "--method", "Vote"], 1, 0),
+            (["fuse", "--method", "AccuFormatAttr"], 1, 0),
+            (["fuse", "--method", "AccuCopy"], 1, 0),
+            (["copydetect", "--gold", str(gold_p)], 1, 1),
+            (["profile", "--gold", str(gold_p),
+              "--snapshot", f"{claims_p}:{gold_p}"], 2, 2),
+            (["compare", "--gold", str(gold_p), "--methods", "all"], 1, 1),
+            (["evaluate", "--gold", str(gold_p),
+              "--method", "AccuCopyAttr"], 1, 1)):
+        built.clear()
         assert cli.main([*argv, *base]) == 0
-    assert built == []
-    # The counter sees the claims a caller asks for.
-    assert len(load_claims(claims_p, schema).claims) == len(built) > 0
+        assert len(built) == (claim_loads * loaded["claims"]
+                              + gold_loads * loaded["gold"]), argv
+    assert loaded["claims"] == len(claims.items) < len(claims)
 
 
 def test_majority_gold_and_write_claims_build_no_claim(tmp_path, synthetic,
                                                         built):
     schema, claims_p, _ = synthetic
     claims = load_claims(claims_p, schema)
+    built.clear()
     gold = model.majority_gold(claims.sources[:5], claims, min_providers=2)
     write_claims(claims, tmp_path / "claims.csv")
     write_claims(claims.restrict(claims.sources[2:]), tmp_path / "view.csv")
     assert built == [] and len(gold) > 0
     assert (tmp_path / "claims.csv").read_bytes() == claims_p.read_bytes()
-    assert len(claims.claims) == len(built) > 0
 
 
 def test_bucketize_and_providers_build_no_claim(synthetic, built):
+    """``bucketize``'s providers are the item's rows of the source column."""
     schema, claims_p, _ = synthetic
     claims = load_claims(claims_p, schema)
+    built.clear()
     taus = tolerances(claims)
-    for item in claims.items:
+    for k, item in enumerate(claims.items):
         buckets = bucketize(item, claims, taus[item.attribute])
+        rows = slice(*claims.item_start[k:k + 2])
         assert (sorted(s for b in buckets for s in b.providers)
-                == sorted(claims.providers(item)))
-    assert built == [] and claims.providers(DataItem("none", "x")) == ()
+                == sorted(claims.sources[s]
+                          for s in claims.claim_source[rows].tolist()))
+    assert built == []
 
 
-def reads_claim_objects(node, scope) -> bool:
-    """A read of a snapshot's ``by_item`` or ``by_source``, or of the
-    ``.claims`` of a snapshot: one named ``claims``, an engine's or a
-    result's (``x.claims.claims``), or ``self`` in ``ClaimSet``."""
-    if not (isinstance(node, ast.Attribute) and isinstance(node.ctx,
-                                                            ast.Load)):
-        return False
-    if node.attr in ("by_item", "by_source"):
-        return True
-    owner = node.value
-    return node.attr == "claims" and (
-        getattr(owner, "id", None) == "claims"
-        or getattr(owner, "attr", None) == "claims"
-        or getattr(owner, "id", None) == "self"
-        and (scope or "").startswith("ClaimSet."))
+GONE = {"Claim", "_columns_of", "providers", "by_item", "by_source"}
+
+
+def names_the_claim_layer(node, scope) -> bool:
+    """A definition, import or attribute of a name of the claim object
+    layer, or any other use of ``Claim`` or ``_columns_of``: local
+    variables named ``providers`` (and ``Bucket``'s field) may stay."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name in GONE
+    if isinstance(node, ast.alias):
+        return node.name in GONE
+    if isinstance(node, ast.Attribute):
+        return node.attr in GONE
+    return isinstance(node, ast.Name) and node.id in {"Claim", "_columns_of"}
 
 
 def test_src_reads_no_claim_objects():
-    """Only the two on-demand fields built from ``claims`` read it: every
-    other layer reads the snapshot's columns."""
-    assert nodes_in_src(reads_claim_objects) == [
-        ("model", "ClaimSet.by_item"), ("model", "ClaimSet.by_source")]
+    """Snapshots are columns everywhere: no module of ``src/`` names the
+    ``Claim`` object layer, and the package does not export ``Claim``."""
+    assert nodes_in_src(names_the_claim_layer) == []
+    assert not hasattr(truthfuse, "Claim") and not hasattr(model, "Claim")
+    assert not hasattr(ClaimSet, "providers")

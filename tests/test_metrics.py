@@ -30,6 +30,7 @@ from truthfuse.model import (
 from truthfuse.normalize import bucketize
 
 from conftest import (
+    claims_of,
     copier_snapshot,
     edge_snapshot,
     make_claims,
@@ -86,7 +87,7 @@ class TestRedundancy:
     def test_all_objects_at_once_match_the_per_object_loop(self):
         for claims, _ in (copier_snapshot(), edge_snapshot(),
                           synthetic_snapshot()):
-            want = {o: len({c.source for c in claims.claims
+            want = {o: len({c.source for c in claims_of(claims)
                             if c.item.object_id == o}) / len(claims.sources)
                     for o in claims.object_ids}
             assert object_redundancies(claims) == want

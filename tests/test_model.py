@@ -17,8 +17,6 @@ from truthfuse.dataio import (
     write_schema,
 )
 from truthfuse.model import (
-    Claim,
-    ClaimSet,
     DataItem,
     LoadError,
     Value,
@@ -26,7 +24,11 @@ from truthfuse.model import (
 )
 
 from conftest import (
+    Claim,
     SCHEMA,
+    by_item,
+    claim_set,
+    claims_of,
     copier_snapshot,
     edge_snapshot,
     make_claims,
@@ -75,7 +77,7 @@ class TestLoadClaims:
         p = self.write(tmp_path, "source,object,attribute,value\n"
                                  's1,o1,price,"6,700,000"\n')
         cs = load_claims(p, schema)
-        assert cs.claims[0].value == Value.number(6_700_000.0)
+        assert claims_of(cs)[0].value == Value.number(6_700_000.0)
 
     def test_unparseable_value_names_line(self, tmp_path):
         schema = self.schema_file(tmp_path)
@@ -150,7 +152,7 @@ class TestMajorityGold:
     def test_tie_omitted(self):
         # Tie rule verified by enumerating the counts directly.
         cs = self.claims_with_votes(["a", "a", "b", "b"])
-        counts = Counter(c.value for c in cs.by_item[DataItem("o1", "gate")])
+        counts = Counter(c.value for c in by_item(cs)[DataItem("o1", "gate")])
         assert sorted(counts.values()) == [2, 2]
         gold = majority_gold(cs.sources, cs, min_providers=3)
         assert DataItem("o1", "gate") not in gold.entries
@@ -207,8 +209,8 @@ class TestMajorityGold:
 def ref_majority_gold(sources, claims, min_providers):
     """The per-item ``Counter`` vote ``majority_gold`` ran on ``Claim``s."""
     entries = {}
-    for item in claims.items:
-        votes = Counter(c.value for c in claims.by_item[item]
+    for item, item_claims in by_item(claims).items():
+        votes = Counter(c.value for c in item_claims
                         if c.source in sources)
         if sum(votes.values()) < min_providers:
             continue
@@ -234,18 +236,18 @@ class TestRoundTrip:
         cs2 = load_claims(p1, cs.schema, snapshot_label=cs.snapshot_label)
         write_claims(cs2, p2)
         cs3 = load_claims(p2, cs.schema, snapshot_label=cs.snapshot_label)
-        assert cs2.claims == cs3.claims == cs.claims
+        assert claims_of(cs2) == claims_of(cs3) == claims_of(cs)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_granularity_survives_serialization(self, tmp_path):
         schema = {"price": SCHEMA["price"]}
-        cs = ClaimSet("t", schema, [
+        cs = claim_set("t", schema, [
             Claim("s1", DataItem("o1", "price"),
                   Value.number(8_000_000.0, granularity=1e6))])
         p = tmp_path / "c.csv"
         write_claims(cs, p)
         reloaded = load_claims(p, schema)
-        assert reloaded.claims[0].value.granularity == 1e6
+        assert claims_of(reloaded)[0].value.granularity == 1e6
 
     def test_schema_and_gold_round_trip(self, tmp_path):
         cs = make_claims([("s1", "o1", "price", 10.0)])
@@ -269,9 +271,10 @@ class TestIndexes:
         rows = [(f"s{s}", f"o{o}", "price", 100.0 + v * 7)
                 for s, o, v in triples]
         cs = make_claims(rows)
-        for item in cs.items:
-            providers = cs.providers(item)
-            by_value = Counter(c.value for c in cs.by_item[item])
+        claimed = by_item(cs)
+        for k, item in enumerate(cs.items):
+            providers = set(cs.claim_source[slice(*cs.item_start[k:k + 2])])
+            by_value = Counter(c.value for c in claimed[item])
             assert len(providers) == sum(by_value.values())
 
     def test_restrict_filters_sources(self):
@@ -286,7 +289,7 @@ class TestIndexes:
     def test_kind_mismatch_rejected(self):
         from truthfuse.model import KindMismatchError
         with pytest.raises(KindMismatchError):
-            ClaimSet("t", SCHEMA, [
+            claim_set("t", SCHEMA, [
                 Claim("s1", DataItem("o1", "price"), Value.of_text("x"))])
 
     def test_value_total_order(self):

@@ -26,7 +26,13 @@ from truthfuse.fusion import (
 from truthfuse.model import ClaimSet, DataItem, GoldStandard
 from truthfuse.normalize import bucketize, tolerances, values_match
 
-from conftest import copier_snapshot, edge_snapshot, synthetic_snapshot
+from conftest import (
+    by_source,
+    claims_of,
+    copier_snapshot,
+    edge_snapshot,
+    synthetic_snapshot,
+)
 from test_gold_scores import ref_source_accuracy
 
 CFG = load_config()
@@ -45,7 +51,8 @@ def ref_sample_trust(method: MethodSpec, claims: ClaimSet,
     if not method.per_attribute_trust:
         return global_map
     out: dict = {}
-    provided_pairs = {(c.source, c.item.attribute) for c in claims.claims}
+    provided_pairs = {(c.source, c.item.attribute) for c in claims_of(claims)}
+    claimed = by_source(claims)
     attrs = sorted({it.attribute for it in claims.items})
     for attr in attrs:
         sub_gold_entries = {it: v for it, v in gold.entries.items()
@@ -58,7 +65,7 @@ def ref_sample_trust(method: MethodSpec, claims: ClaimSet,
             if (source, attr) not in provided_pairs:
                 continue
             covered = sum(
-                1 for c in claims.by_source[source]
+                1 for c in claimed[source]
                 if c.item.attribute == attr and c.item in gold.entries)
             if covered >= config.fusion.attr_min_gold and source in per_attr:
                 out[(source, attr)] = per_attr[source]
@@ -86,7 +93,7 @@ def _ref_sample_global(name, claims, gold, config, taus):
         return out
     per_source = {s: [] for s in claims.sources}
     covered = [it for it in sorted(gold.entries, key=DataItem.sort_key)
-               if it in claims.by_item]
+               if it in claims.item_index]
     for item in covered:
         buckets = bucketize(item, claims, taus[item.attribute])
         oks = [values_match(b.center, gold.entries[item],
@@ -188,7 +195,7 @@ def test_edge_snapshot_exercises_its_cases():
     assert taus["change"] < 0
     assert ref_source_accuracy("s5", claims, gold, taus) is None
     assert not any(it.attribute == "volume" for it in gold.entries)
-    assert any(it not in claims.by_item for it in gold.entries)
+    assert any(it not in claims.item_index for it in gold.entries)
     # Text matching ignores case; a negative tolerance matches nothing.
     engine = FusionEngine(claims, CFG.fusion)
     match = engine.gold_match(gold.entries)
@@ -208,7 +215,7 @@ def test_attr_min_gold_threshold(name):
     attribute) pair; with 0 an attribute with no gold item still falls
     back to the global sample."""
     claims, gold = edge_snapshot()
-    covered = sum(1 for c in claims.by_source["s1"]
+    covered = sum(1 for c in by_source(claims)["s1"]
                   if c.item.attribute == "change" and c.item in gold.entries)
     assert covered == 3
     method = MethodSpec(name, per_attribute_trust=True)

@@ -25,7 +25,7 @@ from truthfuse.fusion import (
 )
 from truthfuse.model import ClaimSet
 
-from conftest import copier_snapshot
+from conftest import claim_set, claims_of, copier_snapshot
 
 CFG = load_config()
 
@@ -158,8 +158,8 @@ def test_shared_engine_matches_fresh_engine(snapshot):
 def _mismatched_engine(kind: str, claims: ClaimSet) -> FusionEngine:
     if kind == "claims":
         # equal content is not enough: the engine must index these claims
-        return FusionEngine(ClaimSet(claims.snapshot_label, claims.schema,
-                                     claims.claims), CFG.fusion)
+        return FusionEngine(claim_set(claims.snapshot_label, claims.schema,
+                                     claims_of(claims)), CFG.fusion)
     if kind == "per_attribute":
         return engine_for(claims, CFG.fusion, True)
     return FusionEngine(claims, FusionConfig(rho=0.25))

@@ -12,8 +12,13 @@ from truthfuse.dataio import load_claims, write_claims, write_schema
 from truthfuse.model import ClaimSet, Kind, fold_text, value_keys
 from truthfuse.normalize import match_width, tolerance, tolerances
 
-from conftest import (copier_snapshot, edge_snapshot, make_claims,
-                      synthetic_snapshot)
+from conftest import (
+    claims_of,
+    copier_snapshot,
+    edge_snapshot,
+    make_claims,
+    synthetic_snapshot,
+)
 
 
 def ref_attributes(claims: ClaimSet):
@@ -44,7 +49,7 @@ def ref_tolerances(claims: ClaimSet):
     out = {}
     for name in sorted({it.attribute for it in claims.items}):
         attr = claims.schema[name]
-        out[name] = (tolerance(attr, [c.value.num for c in claims.claims
+        out[name] = (tolerance(attr, [c.value.num for c in claims_of(claims)
                                       if c.item.attribute == name])
                      if attr.kind is Kind.NUMBER
                      else match_width(attr, None))

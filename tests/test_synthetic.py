@@ -16,6 +16,8 @@ from truthfuse.synthetic import (
     spec_from_dict,
 )
 
+from conftest import by_item, by_source, claims_of
+
 ATTRS = (SyntheticAttribute("price", Kind.NUMBER, 0.01),
          SyntheticAttribute("depart", Kind.TIME_OF_DAY, 10.0),
          SyntheticAttribute("gate", Kind.TEXT, 0.0))
@@ -33,7 +35,7 @@ class TestGeneration:
     def test_perfect_sources_match_gold_everywhere(self):
         claims, gold, _ = generate_synthetic(
             spec(accuracies=(1.0,) * 5), seed=0)
-        for c in claims.claims:
+        for c in claims_of(claims):
             assert c.value == gold.entries[c.item]
 
     def test_accuracy_targets_hit_within_tolerance(self):
@@ -49,19 +51,19 @@ class TestGeneration:
         a, _, _ = generate_synthetic(spec(), seed=7)
         b, _, _ = generate_synthetic(spec(), seed=7)
         c, _, _ = generate_synthetic(spec(), seed=8)
-        assert a.claims == b.claims
-        assert a.claims != c.claims
+        assert claims_of(a) == claims_of(b)
+        assert claims_of(a) != claims_of(c)
 
     def test_coverage_thins_claims(self):
         full, _, _ = generate_synthetic(spec(), seed=2)
         thin, _, _ = generate_synthetic(
             spec(coverage=(1.0, 1.0, 0.5, 1.0, 1.0)), seed=2)
-        assert len(thin.by_source["s03"]) < len(full.by_source["s03"])
-        assert len(thin.by_source["s01"]) == len(full.by_source["s01"])
+        assert len(by_source(thin)["s03"]) < len(by_source(full)["s03"])
+        assert len(by_source(thin)["s01"]) == len(by_source(full)["s01"])
 
     def test_gold_covers_every_item(self):
         claims, gold, _ = generate_synthetic(spec(), seed=3)
-        assert set(gold.entries) >= set(claims.by_item)
+        assert set(gold.entries) >= set(by_item(claims))
 
 
 class TestCopiers:
@@ -72,17 +74,17 @@ class TestCopiers:
 
     def test_full_rate_copier_replicates_original(self):
         claims, gold, known = generate_synthetic(self.copier_spec(), seed=4)
-        orig = {c.item: c.value for c in claims.by_source["s02"]}
-        for c in claims.by_source["s03"]:
+        orig = {c.item: c.value for c in by_source(claims)["s02"]}
+        for c in by_source(claims)["s03"]:
             assert c.value == orig[c.item]
         assert known == {("s03", "s02"): 1.0}
 
     def test_partial_rate_copier_sometimes_independent(self):
         claims, _, _ = generate_synthetic(self.copier_spec(rate=0.5), seed=5)
-        orig = {c.item: c.value for c in claims.by_source["s02"]}
-        same = sum(1 for c in claims.by_source["s03"]
+        orig = {c.item: c.value for c in by_source(claims)["s02"]}
+        same = sum(1 for c in by_source(claims)["s03"]
                    if c.value == orig[c.item])
-        assert 0 < same < len(claims.by_source["s03"])
+        assert 0 < same < len(by_source(claims)["s03"])
 
     def test_copier_accuracy_still_on_target(self):
         claims, gold, _ = generate_synthetic(
